@@ -92,9 +92,10 @@ def verify_command(mu_text, points, seed, report_path, tol_scale, overrides, thr
     if report_path is not None:
         doc = report.to_dict()
         verify_mod.validate_report(doc)
+        # Strict JSON: a non-finite value raises before the file is opened.
+        text = json.dumps(doc, indent=2, allow_nan=False)
         with open(report_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         click.echo(f"report written to {report_path}")
     sys.exit(0 if report.overall else 1)
 
@@ -132,7 +133,11 @@ def integrate_command(mu_text, m0_text, dt, t_end, every, out_path):
     drift = "  ".join(f"{name}={traj.drift[name]:.3e}" for name in dynamics.INVARIANT_NAMES)
     click.echo(f"max relative drift: {drift}")
     if traj.aborted:
-        click.echo("error: integration aborted on non-finite state", err=True)
+        click.echo(
+            f"error: integration aborted on non-finite state at step {traj.abort_step} "
+            f"(t={traj.abort_time:.17g})",
+            err=True,
+        )
         sys.exit(1)
     sys.exit(0)
 

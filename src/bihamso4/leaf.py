@@ -485,14 +485,19 @@ def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
 
     Target brackets: {zeta1, xi1}_P = {lambda2, xi2}_P = 1 with vanishing
     cross terms; under Q the same pattern weighted by lambda1 and lambda2.
+    The scale is the largest summand |G_ai T_ij G_bj| of B = G T G^T (as in
+    fields.bracket_scale) or the largest target entry, whichever is bigger.
     """
     _, lam1, lam2 = nijenhuis(params, leaf)
+    grads = dn_gradients(params, leaf)
+    g = np.abs(grads)
     out = {}
-    for structure in ("P", "Q"):
+    for structure, T in zip(("P", "Q"), restricted_tensors(params, leaf)):
         target = canonical_bracket_target(lam1, lam2, structure)
-        B = dn_bracket_matrix(params, leaf, structure)
+        B = grads @ T @ grads.T
         raw = float(np.max(np.abs(B - target)))
-        scale = float(max(np.max(np.abs(B)), np.max(np.abs(target))))
+        summand = np.max(g[:, None, :, None] * np.abs(T)[None, None, :, :] * g[None, :, None, :])
+        scale = float(max(summand, np.max(np.abs(target))))
         out[structure] = Residual(raw, scale)
     return out
 

@@ -4,7 +4,8 @@ The registry pattern: each check is a (name, tolerance, point kind, function)
 row; the suite owns sampling, skip accounting, normalization and report
 assembly only.  All residuals are compared as raw/(1+scale) against
 tolerance x tol_scale, where scale is the magnitude of the largest term that
-entered the identity.
+entered the identity.  The suite fails closed: a residual whose raw value or
+scale is not finite fails its check, and tol_scale must be finite and > 0.
 
 Default tolerance tiers:
   1e-12 x scale for exact linear algebra (closed forms, Casimirs, chains),
@@ -24,6 +25,7 @@ sensitivity tests):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +133,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def validate_report(doc: dict) -> None:
@@ -308,6 +310,8 @@ def run_suite(
             raise ValueError(f"unknown override: {name}")
     if params.symmetric and abs(params.mu[0] + params.mu[1]) <= EPS_DEG:
         raise ValueError("degenerate constant eigenvalue")
+    if not (math.isfinite(tol_scale) and tol_scale > 0.0):
+        raise ValueError("tol_scale must be finite and positive")
 
     mutate_q = "q_sign" in overrides
     mutate_h2 = "h2_sign" in overrides
@@ -845,9 +849,10 @@ def run_suite(
     for name, tol, points, fn in registry:
         effective_tol = tol * tol_scale
         worst = 0.0
+        first_nonfinite = None
         n_eval = 0
         n_skip = 0
-        for pt in points:
+        for index, pt in enumerate(points):
             try:
                 residuals = fn(pt)
             except DegeneracyError:
@@ -855,7 +860,12 @@ def run_suite(
                 continue
             n_eval += 1
             for r in residuals:
-                if r.normalized > worst:
+                # NaN compares false against everything, so it is caught
+                # here rather than silently losing the comparison below.
+                if not (math.isfinite(r.raw) and math.isfinite(r.scale)):
+                    if first_nonfinite is None:
+                        first_nonfinite = index
+                elif r.normalized > worst:
                     worst = r.normalized
         result = CheckResult(
             name=name,
@@ -864,7 +874,10 @@ def run_suite(
             n_evaluated=n_eval,
             n_skipped_degenerate=n_skip,
         )
-        if n_eval == 0 or n_skip > 0.05 * len(points):
+        if first_nonfinite is not None:
+            result.passed = False
+            result.note = f"non-finite residual at sample {first_nonfinite}"
+        elif n_eval == 0 or n_skip > 0.05 * len(points):
             result.passed = False
             result.note = "inconclusive: too many degenerate skips"
         else:

@@ -335,6 +335,13 @@ def variable_eigenvalue(params: ModelParams, c: Array) -> complex:
 
 
 def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint):
+    """Quintic coefficients and node values of Det(L - rho lambda I) along the Z line.
+
+    Z is constant along its own flow lines (it depends only on u, and moves
+    only v), so the restriction of the characteristic polynomial to the line
+    t -> pt + t Z(pt) is exact and affine in t; the fitted quintic
+    coefficients c_k give the iterated Lie derivatives k! c_k.
+    """
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
     zv = z_field().value(pt.coords)
@@ -344,18 +351,6 @@ def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint)
         m_pt = chart_map(shifted, CHART_M, complex_ok=True)
         vals.append(det4(lax(params, lam, m_pt) - rho * lam * np.eye(4)))
     return line_poly_coeffs(vals), np.asarray(vals)
-
-
-def charpoly_along_transversal(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Array:
-    """Polynomial coefficients of Det(L - rho lambda I) along the Z line.
-
-    Z is constant along its own flow lines (it depends only on u, and moves
-    only v), so the restriction of the characteristic polynomial to the line
-    t -> pt + t Z(pt) is exact and affine in t; the fitted quintic
-    coefficients c_k give the iterated Lie derivatives k! c_k.
-    """
-    coeffs, _ = _curve_line(params, lam, rho, pt)
-    return coeffs
 
 
 def stackel_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:

@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
+from bihamso4 import so4
 from bihamso4.cli import main
+from bihamso4.fields import Residual
 from bihamso4.verify import validate_report
 
 
@@ -134,3 +137,32 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     validate_report(json.loads(out.read_text()))
+
+
+def test_verify_nan_residual_exits_one(tmp_path, monkeypatch):
+    real = so4.lenard_residuals_m
+
+    def patched(params, pt):
+        out = real(params, pt)
+        out["chain_start"] = Residual(float("nan"), 0.0)
+        return out
+
+    monkeypatch.setattr(so4, "lenard_residuals_m", patched)
+    out = tmp_path / "report.json"
+    result = run_cli("verify", "--mu", "1,2,3", "--points", "5", "--report", str(out))
+    assert result.exit_code == 1, result.output
+    assert "overall: FAIL" in result.output
+    # parse_constant sees NaN/Infinity only, so this fails on non-strict JSON
+    doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+    validate_report(doc)
+    chain = next(c for c in doc["checks"] if c["name"] == "lenard_chain")
+    assert chain["pass"] is False
+    assert chain["note"] == "non-finite residual at sample 0"
+    assert doc["overall"] is False
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_bad_tol_scale_exits_two(value):
+    result = run_cli("verify", "--mu", "1,2,3", "--points", "5", "--tol-scale", value)
+    assert result.exit_code == 2, result.output
+    assert "tol_scale must be finite and positive" in result.output

@@ -21,7 +21,7 @@ def test_rhs_matches_library_form():
     rng = np.random.default_rng(0)
     for _ in range(25):
         m = rng.uniform(-1, 1, 6)
-        a = dynamics._rhs(PARAMS.a, m)
+        a = np.array(dynamics._rhs(PARAMS.a.tolist(), m.tolist()))
         b = so4.rigid_rhs(PARAMS, m)
         assert np.max(np.abs(a - b)) < 1e-14
 
@@ -94,3 +94,55 @@ def test_nonfinite_abort():
     traj = dynamics.integrate(PARAMS, M0, dt=1e3, t_end=5e4, record_every=1)
     assert traj.aborted
     assert np.all(np.isfinite(traj.states))
+    # the state after step abort_step is the first non-finite one
+    assert traj.abort_step == traj.n_steps + 1 == len(traj.states)
+    assert traj.abort_time == traj.abort_step * 1e3
+    assert traj.times[-1] == traj.n_steps * 1e3
+
+
+def test_throughput_fields():
+    traj = dynamics.integrate(PARAMS, M0, dt=1e-2, t_end=1.0, record_every=10)
+    assert not traj.aborted
+    assert traj.n_steps == 100
+    assert traj.abort_step is None and traj.abort_time is None
+    assert traj.wall_s > 0.0
+    assert traj.steps_per_s == pytest.approx(traj.n_steps / traj.wall_s)
+
+
+def _numpy_rk4(rhs, m0, dt, n_steps, record_every, direction):
+    # plain vectorised RK4 over a given right-hand side
+    h = direction * dt
+    m = np.asarray(m0, dtype=float)
+    states = [m]
+    for k in range(1, n_steps + 1):
+        k1 = rhs(m)
+        k2 = rhs(m + 0.5 * h * k1)
+        k3 = rhs(m + 0.5 * h * k2)
+        k4 = rhs(m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % record_every == 0:
+            states.append(m)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])
+def test_integrate_matches_numpy_rk4_over_rigid_rhs(mu, direction):
+    params = ModelParams.from_mu(*mu)
+    traj = dynamics.integrate(params, M0, dt=1e-3, t_end=2.0, record_every=250, direction=direction)
+    expected = _numpy_rk4(lambda m: so4.rigid_rhs(params, m), M0, 1e-3, 2000, 250, direction)
+    assert traj.states.shape == expected.shape
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_float_stages_round_like_array_stages(direction):
+    # same right-hand side, array stage arithmetic: states must agree bit for bit
+    a = PARAMS.a
+
+    def rhs(m):
+        return np.array(dynamics._rhs(a, m))
+
+    traj = dynamics.integrate(PARAMS, M0, dt=1e-2, t_end=2.0, record_every=20, direction=direction)
+    expected = _numpy_rk4(rhs, M0, 1e-2, 200, 20, direction)
+    assert np.array_equal(traj.states, expected)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bihamso4 import leaf as leaf_mod
-from bihamso4 import xxz
+from bihamso4 import verify, xxz
 from bihamso4.fields import CHART_UV, DegeneracyError, PhasePoint
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
@@ -225,6 +225,39 @@ def test_dn_brackets_canonical():
         res = leaf_mod.dn_bracket_residuals(PARAMS, leaf)
         assert res["P"].normalized < 1e-10
         assert res["Q"].normalized < 1e-10
+
+
+@pytest.mark.parametrize("seed", [669532216, 1120281124])
+def test_dn_brackets_pass_at_cancellation_points(seed):
+    # verify --mu 10,1,2 --points 200 at these seeds draws a leaf point whose
+    # bracket table B = G T G^T is O(1) while its summands reach 1e6-1e8, so
+    # the raw residual is roundoff of that cancellation.  Normalized by
+    # max |B| the old scale read it as a failure; the summand scale does not.
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    leafs = verify.sample_points("LEAF", 200, seed + 2, guards=verify.leaf_guards(params)).points
+    worst_raw = 0.0
+    for leaf in leafs:
+        res = leaf_mod.dn_bracket_residuals(params, leaf)
+        assert res["P"].normalized <= verify.TOL_DN
+        assert res["Q"].normalized <= verify.TOL_DN
+        worst_raw = max(worst_raw, res["P"].raw, res["Q"].raw)
+    assert worst_raw > 1e-10
+
+
+def test_dn_brackets_detect_perturbed_gradient(monkeypatch):
+    real = leaf_mod.dn_gradients
+
+    def perturbed(params, leaf):
+        grads = real(params, leaf).copy()
+        grads[1, 2] += 1e-6
+        return grads
+
+    monkeypatch.setattr(leaf_mod, "dn_gradients", perturbed)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        res = leaf_mod.dn_bracket_residuals(PARAMS, random_leaf(rng))
+        assert res["P"].normalized > 100.0 * verify.TOL_DN
+        assert res["Q"].normalized > 100.0 * verify.TOL_DN
 
 
 def test_dn_eigenforms():

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bihamso4 import verify
+from bihamso4 import so4, verify
+from bihamso4.fields import Residual
 from bihamso4.so4 import ModelParams
 
 PARAMS = ModelParams.from_mu(1.0, 2.0, 3.0)
@@ -128,3 +129,34 @@ def test_diagnostics_present():
     assert "generalized_lenard_fit" in names
     assert "q_dh1_not_casimir" in names
     assert "uv_tensor_ratio" in names
+
+
+def test_nan_residual_fails_closed(monkeypatch):
+    # lenard_chain is evaluated once per M point, in sample order: poison sample 3
+    real = so4.lenard_residuals_m
+    calls = []
+
+    def patched(params, pt):
+        out = real(params, pt)
+        if len(calls) == 3:
+            out["chain_step_1"] = Residual(float("nan"), out["chain_step_1"].scale)
+        calls.append(pt)
+        return out
+
+    monkeypatch.setattr(so4, "lenard_residuals_m", patched)
+    report = verify.run_suite(PARAMS, seed=0, n_points=6)
+    chain = next(c for c in report.checks if c.name == "lenard_chain")
+    assert chain.passed is False
+    assert chain.note == "non-finite residual at sample 3"
+    # the largest finite residual is still reported, so the JSON stays strict
+    assert 0.0 < chain.max_residual < verify.TOL_EXACT
+    assert not report.overall
+    json.loads(report.to_json())
+    others = [c for c in report.checks if not c.skipped and c.name != "lenard_chain"]
+    assert all(c.passed for c in others)
+
+
+@pytest.mark.parametrize("tol_scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_tol_scale_rejected(tol_scale):
+    with pytest.raises(ValueError, match="tol_scale"):
+        verify.run_suite(PARAMS, seed=0, n_points=5, tol_scale=tol_scale)
