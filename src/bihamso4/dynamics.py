@@ -106,10 +106,9 @@ def integrate(
     dt: float = 1e-3,
     t_end: float = 10.0,
     record_every: int = 100,
-    which: str = "HE",
     direction: int = 1,
 ) -> Trajectory:
-    """Integrate the flow with classical fixed-step RK4.
+    """Integrate the energy flow dm/dt = P1 d(HE) with classical fixed-step RK4.
 
     direction = -1 runs the same step arithmetic with step -dt (time reversal).
     """
@@ -167,7 +166,7 @@ def integrate(
     table = np.asarray(rows)
     invariants = {name: table[:, i] for i, name in enumerate(INVARIANT_NAMES)}
     drift = {
-        name: float(np.max(np.abs(series - series[0])) / (1.0 + abs(series[0])))
+        name: float(np.abs(series - series[0]).max() / (1.0 + abs(series[0])))
         for name, series in invariants.items()
     }
     return Trajectory(

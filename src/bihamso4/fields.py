@@ -9,7 +9,9 @@ fields are J[i, j, l] = d(value_ij)/d(coord_l) (derivative index last).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,29 +97,40 @@ def _require_chart(chart: str, *objs) -> None:
 
 def bracket(P: BivectorField, f: ScalarField, g: ScalarField, pt: PhasePoint) -> complex:
     """Poisson bracket {f, g} = df . P . dg at pt."""
-    _require_chart(pt.chart, P, f, g)
-    return f.grad(pt.coords) @ P.value(pt.coords) @ g.grad(pt.coords)
+    return brackets_scaled(P, (f, g), [(0, 1)], pt)[0][0]
 
 
 def bracket_scale(P: BivectorField, f: ScalarField, g: ScalarField, pt: PhasePoint) -> float:
     """Largest summand magnitude |df_i P_ij dg_j| entering bracket(P, f, g, pt)."""
-    _require_chart(pt.chart, P, f, g)
-    gf = np.abs(f.grad(pt.coords))
-    gg = np.abs(g.grad(pt.coords))
-    return float(np.max(gf[:, None] * np.abs(P.value(pt.coords)) * gg[None, :]))
+    return brackets_scaled(P, (f, g), [(0, 1)], pt)[0][1]
+
+
+def brackets_scaled(P: BivectorField, fs, pairs, pt: PhasePoint) -> list:
+    """(bracket, bracket_scale) of fs[i], fs[j] for each (i, j) in pairs; P and each df evaluated once."""
+    _require_chart(pt.chart, P, *fs)
+    p = P.value(pt.coords)
+    ap = np.abs(p)
+    g = [f.grad(pt.coords) for f in fs]
+    ag = [np.abs(x) for x in g]
+    return [(g[i] @ p @ g[j], float((ag[i][:, None] * ap * ag[j][None, :]).max())) for i, j in pairs]
 
 
 def ham_field(P: BivectorField, f: ScalarField, pt: PhasePoint) -> Array:
     """Hamiltonian vector field P . df evaluated at pt."""
-    _require_chart(pt.chart, P, f)
-    return P.value(pt.coords) @ f.grad(pt.coords)
+    return ham_field_scaled(P, f, pt)[0]
 
 
 def ham_field_scale(P: BivectorField, f: ScalarField, pt: PhasePoint) -> float:
     """Largest summand magnitude in any component of P . df at pt."""
+    return ham_field_scaled(P, f, pt)[1]
+
+
+def ham_field_scaled(P: BivectorField, f: ScalarField, pt: PhasePoint) -> tuple:
+    """(ham_field, ham_field_scale) at pt from one evaluation of P and df."""
     _require_chart(pt.chart, P, f)
-    g = np.abs(f.grad(pt.coords))
-    return float(np.max(np.abs(P.value(pt.coords)) * g[None, :]))
+    p = P.value(pt.coords)
+    g = f.grad(pt.coords)
+    return p @ g, float((np.abs(p) * np.abs(g)[None, :]).max())
 
 
 def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Residual:
@@ -130,19 +143,26 @@ def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Res
     _require_chart(pt.chart, P, Q)
     c = pt.coords
     p = P.value(c)
-    q = Q.value(c)
-    if p.shape != q.shape:
-        raise ValueError("dimension mismatch")
     dp = P.jac(c)
-    dq = Q.jac(c)
-    T = np.einsum("lj,ikl->ijk", p, dq) + np.einsum("lj,ikl->ijk", q, dp)
-    S = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+    ap, adp = np.abs(p), np.abs(dp)
     # Scale: largest single product |P^lj d_l Q^ik| (or mirror) over all indices.
-    ap, aq, adp, adq = np.abs(p), np.abs(q), np.abs(dp), np.abs(dq)
-    mag1 = ap[:, :, None, None] * adq.transpose(2, 0, 1)[:, None, :, :]
-    mag2 = aq[:, :, None, None] * adp.transpose(2, 0, 1)[:, None, :, :]
-    scale = float(max(mag1.max(), mag2.max()))
-    return Residual(float(np.max(np.abs(S))), scale)
+    if Q is P:
+        # Both halves of T and of the scale coincide, and t + t is exactly 2t.
+        t = np.einsum("lj,ikl->ijk", p, dp)
+        T = t + t
+        scale = float((ap[:, :, None, None] * adp.transpose(2, 0, 1)[:, None, :, :]).max())
+    else:
+        q = Q.value(c)
+        if p.shape != q.shape:
+            raise ValueError("dimension mismatch")
+        dq = Q.jac(c)
+        T = np.einsum("lj,ikl->ijk", p, dq) + np.einsum("lj,ikl->ijk", q, dp)
+        aq, adq = np.abs(q), np.abs(dq)
+        mag1 = ap[:, :, None, None] * adq.transpose(2, 0, 1)[:, None, :, :]
+        mag2 = aq[:, :, None, None] * adp.transpose(2, 0, 1)[:, None, :, :]
+        scale = float(max(mag1.max(), mag2.max()))
+    S = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+    return Residual(float(np.abs(S).max()), scale)
 
 
 def lie_scalar(Z: VectorField, f: ScalarField, pt: PhasePoint) -> complex:
@@ -153,28 +173,25 @@ def lie_scalar(Z: VectorField, f: ScalarField, pt: PhasePoint) -> complex:
 
 def lie_bivector(Z: VectorField, P: BivectorField, pt: PhasePoint) -> Array:
     """(Lie_Z P)^ij = Z^l d_l P^ij - P^lj d_l Z^i - P^il d_l Z^j at pt."""
-    _require_chart(pt.chart, Z, P)
-    c = pt.coords
-    z = Z.value(c)
-    zj = Z.jac(c)
-    p = P.value(c)
-    dp = P.jac(c)
-    term1 = np.einsum("l,ijl->ij", z, dp)
-    term2 = np.einsum("lj,il->ij", p, zj)
-    term3 = np.einsum("il,jl->ij", p, zj)
-    return term1 - term2 - term3
+    return lie_bivector_scaled(Z, P, pt)[0]
 
 
 def lie_bivector_scale(Z: VectorField, P: BivectorField, pt: PhasePoint) -> float:
     """Largest summand magnitude entering lie_bivector(Z, P, pt)."""
+    return lie_bivector_scaled(Z, P, pt)[1]
+
+
+def lie_bivector_scaled(Z: VectorField, P: BivectorField, pt: PhasePoint) -> tuple:
+    """(lie_bivector, lie_bivector_scale) at pt from one evaluation of Z and P."""
+    _require_chart(pt.chart, Z, P)
     c = pt.coords
-    az = np.abs(Z.value(c))
-    azj = np.abs(Z.jac(c))
-    ap = np.abs(P.value(c))
-    adp = np.abs(P.jac(c))
-    m1 = np.max(az[None, None, :] * adp)
-    m2 = np.max(np.einsum("lj,il->ijl", ap, azj))
-    return float(max(m1, m2))
+    z, zj, p, dp = Z.value(c), Z.jac(c), P.value(c), P.jac(c)
+    term1 = np.einsum("l,ijl->ij", z, dp)
+    term2 = np.einsum("lj,il->ij", p, zj)
+    term3 = np.einsum("il,jl->ij", p, zj)
+    m1 = (np.abs(z)[None, None, :] * np.abs(dp)).max()
+    m2 = np.einsum("lj,il->ijl", np.abs(p), np.abs(zj)).max()
+    return term1 - term2 - term3, float(max(m1, m2))
 
 
 def wedge(X: VectorField, Z: VectorField, pt: PhasePoint) -> Array:
@@ -218,7 +235,7 @@ def fd_grad(value: Callable[[Array], complex], coords: Array, step: float = FD_S
         e = np.zeros(n)
         e[i] = h
         out[i] = (value(c + e) - value(c - e)) / (2.0 * h)
-    if not np.iscomplexobj(c) and np.max(np.abs(out.imag)) == 0.0:
+    if not np.iscomplexobj(c) and np.abs(out.imag).max() == 0.0:
         return out.real
     return out
 
@@ -242,8 +259,8 @@ def grad_fd_residual(f: ScalarField, pt: PhasePoint) -> Residual:
     _require_chart(pt.chart, f)
     exact = np.asarray(f.grad(pt.coords))
     approx = fd_grad(f.value, pt.coords)
-    raw = float(np.max(np.abs(exact - approx)))
-    scale = float(max(np.max(np.abs(exact)), np.max(np.abs(approx))))
+    raw = float(np.abs(exact - approx).max())
+    scale = float(max(np.abs(exact).max(), np.abs(approx).max()))
     return Residual(raw, scale)
 
 
@@ -252,8 +269,8 @@ def jac_fd_residual(F: VectorField | BivectorField, pt: PhasePoint) -> Residual:
     _require_chart(pt.chart, F)
     exact = np.asarray(F.jac(pt.coords))
     approx = fd_jac(F.value, pt.coords)
-    raw = float(np.max(np.abs(exact - approx)))
-    scale = float(max(np.max(np.abs(exact)), np.max(np.abs(approx))))
+    raw = float(np.abs(exact - approx).max())
+    scale = float(max(np.abs(exact).max(), np.abs(approx).max()))
     return Residual(raw, scale)
 
 
@@ -281,8 +298,29 @@ def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int, name:
     """
     cols = [np.asarray(value(np.eye(dim)[l])) for l in range(dim)]
     jac_const = np.stack(cols, axis=-1).astype(complex)
+    jac_const.flags.writeable = False  # every call returns this one array
 
     def jac(_c: Array) -> Array:
         return jac_const
 
     return BivectorField(chart, value, jac, name=name)
+
+
+def shared_per_model(build: Callable) -> Callable:
+    """Memoize a constructor on its hashable arguments (a ModelParams, or none).
+
+    Callers share the result, so it must be read-only; a dict is shared as a
+    read-only view.  The wrapper is a plain function named like the constructor.
+    """
+    memo = {}
+
+    @functools.wraps(build)
+    def shared(*args):
+        if args not in memo:
+            if len(memo) >= 64:
+                memo.clear()
+            out = build(*args)
+            memo[args] = MappingProxyType(out) if isinstance(out, dict) else out
+        return memo[args]
+
+    return shared

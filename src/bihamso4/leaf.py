@@ -33,8 +33,7 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
-    bracket,
-    bracket_scale,
+    brackets_scaled,
     line_poly_coeffs,
     LINE_NODES,
 )
@@ -45,6 +44,14 @@ Array = np.ndarray
 
 # Leaf coordinate indices inside the uv chart: (u1, z1, u2, z2).
 LEAF_IN_UV = (0, 2, 3, 5)
+
+# The separation coordinate zeta1 = z2 - z1 as a uv scalar field.
+ZETA1 = ScalarField(
+    CHART_UV,
+    lambda c: c[5] - c[2],
+    lambda c: np.array([0.0, 0.0, -1.0, 0.0, 0.0, 1.0], dtype=complex),
+    name="zeta1",
+)
 
 
 @dataclass(frozen=True)
@@ -168,15 +175,13 @@ def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=No
     if q_field is None:
         q_field = q_uv(params)
     uv = embed(leaf)
+    P, Q = restricted_tensors(params, leaf)
     out = {}
-    for key, ambient, printed in (
-        ("P", p_field, restricted_tensors(params, leaf)[0]),
-        ("Q", q_field, restricted_tensors(params, leaf)[1]),
-    ):
+    for key, ambient, printed in (("P", p_field, P), ("Q", q_field, Q)):
         amb = ambient.value(uv.coords)
         sub = amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)]
-        raw = float(np.max(np.abs(sub - printed)))
-        scale = float(max(np.max(np.abs(sub)), np.max(np.abs(printed))))
+        raw = float(np.abs(sub - printed).max())
+        scale = float(max(np.abs(sub).max(), np.abs(printed).max()))
         out[key] = Residual(raw, scale)
     return out
 
@@ -213,8 +218,8 @@ def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart) -> Resi
     P, Q = restricted_tensors(params, leaf)
     N, _, _ = nijenhuis(params, leaf)
     numeric = np.linalg.solve(P, Q)
-    raw = float(np.max(np.abs(N - numeric)))
-    scale = float(max(np.max(np.abs(N)), np.max(np.abs(numeric))))
+    raw = float(np.abs(N - numeric).max())
+    scale = float(max(np.abs(N).max(), np.abs(numeric).max()))
     return Residual(raw, scale)
 
 
@@ -269,13 +274,12 @@ def deformation_field(params: ModelParams, leaf: LeafChart) -> tuple:
     a = aux(params, leaf)
     mu3 = params.mu[2]
     printed = np.array([0.0, mu3 * a.G, 0.0, mu3 * a.G], dtype=complex)
-    raw = float(np.max(np.abs(y - printed)))
-    scale = float(max(np.max(np.abs(y)), np.max(np.abs(printed))))
+    raw = float(np.abs(y - printed).max())
+    scale = float(max(np.abs(y).max(), np.abs(printed).max()))
     return y, Residual(raw, scale)
 
 
-def _leaf_h_poly(params: ModelParams, rho: complex, leaf: LeafChart) -> complex:
-    obs = uv_observables(params)
+def _leaf_h_poly(obs, rho: complex, leaf: LeafChart) -> complex:
     uv = embed(leaf)
     return (
         rho**2 * obs["H0"].value(uv.coords)
@@ -297,15 +301,13 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart) -> dic
     coords = leaf.coords
     far = LeafChart(coords + LINE_NODES[-1] * y, leaf.levels)
     y_shifted = -restricted_tensors(params, far)[0] @ _p1sum_grad(params, far)
-    y_scale = float(np.max(np.abs(y)))
-    if float(np.max(np.abs(y_shifted - y))) > 1e-12 * (1.0 + y_scale):
+    y_scale = float(np.abs(y).max())
+    if float(np.abs(y_shifted - y).max()) > 1e-12 * (1.0 + y_scale):
         raise RuntimeError("deformation field is not self-parallel")
-    vals = [
-        _leaf_h_poly(params, rho, LeafChart(coords + t * y, leaf.levels))
-        for t in LINE_NODES
-    ]
+    obs = uv_observables(params)
+    vals = [_leaf_h_poly(obs, rho, LeafChart(coords + t * y, leaf.levels)) for t in LINE_NODES]
     coeffs = line_poly_coeffs(vals)
-    scale = float(np.max(np.abs(vals)))
+    scale = float(np.abs(vals).max())
     lie1 = coeffs[1]
     lie2 = 2.0 * coeffs[2]
     lie3_and_up = max(6.0 * abs(coeffs[3]), 24.0 * abs(coeffs[4]), 120.0 * abs(coeffs[5]))
@@ -318,27 +320,34 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart) -> dic
     }
 
 
-def deformation_factorization_residual(params: ModelParams, rho: complex, leaf: LeafChart) -> Residual:
-    """Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L."""
+def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart) -> dict:
+    """Both closed forms of the deformation tower at one rho, from one tower.
+
+    "factorization": Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L;
+    "second": Lie_Y^2 H against 4 mu3^2 (rho - mu1 - mu2) G^2 F.
+    """
     mu1, mu2, mu3, _ = params.mu
     u1, _, u2, _ = leaf.coords
     a = aux(params, leaf)
     tower = deformation_tower(params, rho, leaf)
-    closed = 4.0 * mu3 * (rho - mu1 - mu2) / (u1 * u2) * a.G * a.L
-    raw = abs(tower["lie1"] - closed)
-    scale = max(abs(tower["lie1"]), abs(closed), tower["scale"])
-    return Residual(float(raw), float(scale))
+    out = {}
+    for key, got, closed in (
+        ("factorization", tower["lie1"], 4.0 * mu3 * (rho - mu1 - mu2) / (u1 * u2) * a.G * a.L),
+        ("second", tower["lie2"], 4.0 * mu3**2 * (rho - mu1 - mu2) * a.G**2 * a.F),
+    ):
+        scale = max(abs(got), abs(closed), tower["scale"])
+        out[key] = Residual(float(abs(got - closed)), float(scale))
+    return out
+
+
+def deformation_factorization_residual(params: ModelParams, rho: complex, leaf: LeafChart) -> Residual:
+    """Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L."""
+    return deformation_residuals(params, rho, leaf)["factorization"]
 
 
 def deformation_second_residual(params: ModelParams, rho: complex, leaf: LeafChart) -> Residual:
     """Lie_Y^2 H against 4 mu3^2 (rho - mu1 - mu2) G^2 F."""
-    mu1, mu2, mu3, _ = params.mu
-    a = aux(params, leaf)
-    tower = deformation_tower(params, rho, leaf)
-    closed = 4.0 * mu3**2 * (rho - mu1 - mu2) * a.G**2 * a.F
-    raw = abs(tower["lie2"] - closed)
-    scale = max(abs(tower["lie2"]), abs(closed), tower["scale"])
-    return Residual(float(raw), float(scale))
+    return deformation_residuals(params, rho, leaf)["second"]
 
 
 def _check_gf(a: AuxFunctions) -> None:
@@ -495,9 +504,9 @@ def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
     for structure, T in zip(("P", "Q"), restricted_tensors(params, leaf)):
         target = canonical_bracket_target(lam1, lam2, structure)
         B = grads @ T @ grads.T
-        raw = float(np.max(np.abs(B - target)))
-        summand = np.max(g[:, None, :, None] * np.abs(T)[None, None, :, :] * g[None, :, None, :])
-        scale = float(max(summand, np.max(np.abs(target))))
+        raw = float(np.abs(B - target).max())
+        summand = (g[:, None, :, None] * np.abs(T)[None, None, :, :] * g[None, :, None, :]).max()
+        scale = float(max(summand, np.abs(target).max()))
         out[structure] = Residual(raw, scale)
     return out
 
@@ -510,8 +519,8 @@ def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart) -> Residual:
     worst = Residual(0.0, 0.0)
     for g, lam in zip(grads, eigs):
         image = N @ g
-        raw = float(np.max(np.abs(image - lam * g)))
-        scale = float(max(np.max(np.abs(image)), abs(lam) * np.max(np.abs(g))))
+        raw = float(np.abs(image - lam * g).max())
+        scale = float(max(np.abs(image).max(), abs(lam) * np.abs(g).max()))
         if raw / (1.0 + scale) > worst.normalized:
             worst = Residual(raw, scale)
     return worst
@@ -547,8 +556,8 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart) -> dict:
     if abs(denom) == 0.0:
         raise DegeneracyError("degenerate point")
     c = complex(np.vdot(col, lhs) / denom)
-    resid = float(np.max(np.abs(lhs - c * col)))
-    scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(c * col))))
+    resid = float(np.abs(lhs - c * col).max())
+    scale = float(max(np.abs(lhs).max(), np.abs(c * col).max()))
     a = aux(params, leaf)
     return {
         "c": c,
@@ -570,12 +579,12 @@ def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart) -> dict:
     g1 = restrict_grad(obs["H1"], leaf)
     g2 = restrict_grad(obs["H2"], leaf)
     chain = Q @ g2 + lam1 * lam2 * (P @ g1)
-    chain_scale = float(max(np.max(np.abs(Q @ g2)), np.max(np.abs(lam1 * lam2 * (P @ g1)))))
+    chain_scale = float(max(np.abs(Q @ g2).max(), np.abs(lam1 * lam2 * (P @ g1)).max()))
     h1_image = Q @ g1
-    h1_scale = float(np.max(np.abs(Q)) * np.max(np.abs(g1)))
+    h1_scale = float(np.abs(Q).max() * np.abs(g1).max())
     return {
-        "qdh2_chain": Residual(float(np.max(np.abs(chain))), chain_scale),
-        "qdh1_norm": Residual(float(np.max(np.abs(h1_image))), h1_scale),
+        "qdh2_chain": Residual(float(np.abs(chain).max()), chain_scale),
+        "qdh1_norm": Residual(float(np.abs(h1_image).max()), h1_scale),
     }
 
 
@@ -584,18 +593,8 @@ def zeta1_involution_residuals(params: ModelParams, pt: PhasePoint) -> dict:
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
     obs = uv_observables(params)
-    zeta = ScalarField(
-        CHART_UV,
-        lambda c: c[5] - c[2],
-        lambda c: np.array([0.0, 0.0, -1.0, 0.0, 0.0, 1.0], dtype=complex),
-        name="zeta1",
-    )
-    P = p1_uv()
-    out = {}
-    for name in ("H1", "H2"):
-        br = bracket(P, obs[name], zeta, pt)
-        out[name] = Residual(float(abs(br)), bracket_scale(P, obs[name], zeta, pt))
-    return out
+    res = brackets_scaled(p1_uv(), (obs["H1"], obs["H2"], ZETA1), [(0, 2), (1, 2)], pt)
+    return {name: Residual(float(abs(br)), scale) for name, (br, scale) in zip(("H1", "H2"), res)}
 
 
 def _separation_guard(params: ModelParams, pt: PhasePoint) -> None:

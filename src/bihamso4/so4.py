@@ -17,6 +17,7 @@ a_ij = J_k^2 + J_l^2 and b_ij = J_k^2 J_l^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .fields import (
     Residual,
     ScalarField,
     linear_bivector,
+    shared_per_model,
 )
 
 Array = np.ndarray
@@ -103,7 +105,7 @@ _REAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model parameters; mu is the primary storage, jsq is derived."""
+    """Model parameters; mu is the primary storage, jsq, a, b are derived once, read-only."""
 
     mu: tuple
 
@@ -126,7 +128,7 @@ class ModelParams:
             raise ValueError("dimension mismatch")
         return cls(tuple(MU_TO_JSQ.T @ jsq / 4.0))
 
-    @property
+    @cached_property
     def jsq(self) -> tuple:
         return tuple(MU_TO_JSQ @ np.asarray(self.mu))
 
@@ -134,17 +136,23 @@ class ModelParams:
     def symmetric(self) -> bool:
         return self.mu[3] == self.mu[2]
 
-    @property
+    @cached_property
     def a(self) -> Array:
         """Coefficients a_ij = J_k^2 + J_l^2 over the six pairs, M ordering."""
         jsq = self.jsq
-        return np.array([jsq[k] + jsq[l] for (k, l) in M_COMPLEMENT])
+        return _frozen([jsq[k] + jsq[l] for (k, l) in M_COMPLEMENT])
 
-    @property
+    @cached_property
     def b(self) -> Array:
         """Coefficients b_ij = J_k^2 J_l^2 over the six pairs, M ordering."""
         jsq = self.jsq
-        return np.array([jsq[k] * jsq[l] for (k, l) in M_COMPLEMENT])
+        return _frozen([jsq[k] * jsq[l] for (k, l) in M_COMPLEMENT])
+
+
+def _frozen(values) -> Array:
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
 
 
 def chart_map(pt: PhasePoint, target: str, complex_ok: bool = False) -> PhasePoint:
@@ -161,8 +169,8 @@ def chart_map(pt: PhasePoint, target: str, complex_ok: bool = False) -> PhasePoi
         raise ValueError("chart mismatch")
     out = _CHART_MAPS[key] @ pt.coords
     if target in _REAL_CHARTS:
-        scale = float(np.max(np.abs(out)))
-        if float(np.max(np.abs(out.imag))) <= _REAL_TOL * (1.0 + scale):
+        scale = float(np.abs(out).max())
+        if float(np.abs(out.imag).max()) <= _REAL_TOL * (1.0 + scale):
             return PhasePoint(target, out.real.copy())
         if not complex_ok:
             raise ValueError("non-real point")
@@ -184,11 +192,13 @@ def _p1_m_value(m: Array) -> Array:
     )
 
 
+@shared_per_model
 def p1_m() -> BivectorField:
     """Lie-Poisson structure of so(4)* in the m coordinates."""
     return linear_bivector(CHART_M, _p1_m_value, 6, name="P1")
 
 
+@shared_per_model
 def p2_m(params: ModelParams) -> BivectorField:
     """Second (inertia-weighted) Poisson structure in the m coordinates."""
     j1, j2, j3, j4 = params.jsq
@@ -210,6 +220,7 @@ def p2_m(params: ModelParams) -> BivectorField:
     return linear_bivector(CHART_M, value, 6, name="P2")
 
 
+@shared_per_model
 def observables_m(params: ModelParams) -> dict:
     """Scalar fields on the M chart: H0, C, HE, KE with exact gradients."""
     a = params.a
@@ -312,12 +323,12 @@ def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: Phas
 
 
 def _vec_residual(vec: Array, *mags: float) -> Residual:
-    return Residual(float(np.max(np.abs(vec))), float(max(mags)))
+    return Residual(float(np.abs(vec).max()), float(max(mags)))
 
 
 def _prod_mag(P: Array, g: Array) -> float:
     # Largest single summand |P_ij g_j| of the matrix-vector product.
-    return float(np.max(np.abs(P) * np.abs(g)[None, :]))
+    return float((np.abs(P) * np.abs(g)[None, :]).max())
 
 
 def lenard_residuals_m(params: ModelParams, pt: PhasePoint) -> dict:
@@ -370,11 +381,11 @@ def lax_flow_residual(params: ModelParams, lam: complex, pt: PhasePoint) -> Resi
     B = lax_energy_partner(params, lam, pt)
     mdot = m_matrix(rigid_rhs(params, pt.coords))
     comm = B @ L - L @ B
-    raw = float(np.max(np.abs(mdot - comm)))
+    raw = float(np.abs(mdot - comm).max())
     scale = max(
-        float(np.max(np.abs(mdot))),
-        float(np.max(np.abs(B @ L))),
-        float(np.max(np.abs(L @ B))),
+        float(np.abs(mdot).max()),
+        float(np.abs(B @ L).max()),
+        float(np.abs(L @ B).max()),
     )
     return Residual(raw, scale)
 
@@ -398,11 +409,11 @@ def angular_velocity_commutator_residual(params: ModelParams, lam: complex, pt: 
     lhs = L @ B - B @ L
     M = m_matrix(pt.coords)
     rhs = M @ omega - omega @ M
-    raw = float(np.max(np.abs(lhs - rhs)))
+    raw = float(np.abs(lhs - rhs).max())
     scale = max(
-        float(np.max(np.abs(L @ B))),
-        float(np.max(np.abs(B @ L))),
-        float(np.max(np.abs(rhs))),
+        float(np.abs(L @ B).max()),
+        float(np.abs(B @ L).max()),
+        float(np.abs(rhs).max()),
     )
     return Residual(raw, scale)
 
@@ -420,9 +431,9 @@ def angular_velocity_flow_mismatch(params: ModelParams, lam: complex, pt: PhaseP
     B = omega + lam * np.diag(np.sqrt(jsq)).astype(complex)
     mdot = m_matrix(rigid_rhs(params, pt.coords))
     comm = L @ B - B @ L
-    scale = max(float(np.max(np.abs(mdot))), float(np.max(np.abs(comm))))
+    scale = max(float(np.abs(mdot).max()), float(np.abs(comm).max()))
     best = min(
-        float(np.max(np.abs(mdot - comm))),
-        float(np.max(np.abs(mdot + comm))),
+        float(np.abs(mdot - comm).max()),
+        float(np.abs(mdot + comm).max()),
     )
     return best / (1.0 + scale)

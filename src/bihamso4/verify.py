@@ -43,13 +43,11 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
-    bracket,
-    bracket_scale,
+    brackets_scaled,
     grad_fd_residual,
-    ham_field,
-    ham_field_scale,
+    ham_field_scaled,
     lie_bivector,
-    lie_bivector_scale,
+    lie_bivector_scaled,
     lie_scalar,
     schouten_residual,
     wedge_field,
@@ -292,8 +290,12 @@ def _pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
     )
 
 
-def _matrix_residual(delta: np.ndarray, *mags: float) -> Residual:
-    return Residual(float(np.max(np.abs(delta))), float(max(mags)))
+def _diagnostic(name: str, kind: str, samples: list, value, note: str) -> dict:
+    """A diagnostics row, or null with a note naming the first sample with a non-finite value."""
+    for index, v in enumerate(samples):
+        if not np.isfinite(v).all():
+            return {"name": name, "value": None, "note": f"non-finite value at {kind} sample {index}"}
+    return {"name": name, "value": value, "note": note}
 
 
 def run_suite(
@@ -389,8 +391,8 @@ def run_suite(
     def roundtrip(pt):
         uv = so4.chart_map(so4.chart_map(pt, CHART_SPLIT), CHART_UV)
         back = so4.chart_map(so4.chart_map(uv, CHART_SPLIT), CHART_M)
-        raw = float(np.max(np.abs(back.coords - pt.coords)))
-        return [Residual(raw, float(np.max(np.abs(pt.coords))))]
+        raw = float(np.abs(back.coords - pt.coords).max())
+        return [Residual(raw, float(np.abs(pt.coords).max()))]
 
     add("chart_roundtrip", TOL_ROUNDTRIP, m_pts, roundtrip)
 
@@ -445,13 +447,12 @@ def run_suite(
 
         def transport(pt):
             res = []
-            mo = so4.observables_m(params)
             m_pt = so4.chart_map(pt, CHART_M, complex_ok=True)
             targets = {
-                "H0": mo["H0"].value(m_pt.coords),
-                "C2": 2.0 * mo["C"].value(m_pt.coords),
-                "H1": -2.0 * mo["HE"].value(m_pt.coords),
-                "H2": mo["KE"].value(m_pt.coords),
+                "H0": obs_m["H0"].value(m_pt.coords),
+                "C2": 2.0 * obs_m["C"].value(m_pt.coords),
+                "H1": -2.0 * obs_m["HE"].value(m_pt.coords),
+                "H2": obs_m["KE"].value(m_pt.coords),
             }
             for name, target in targets.items():
                 got = obs_uv[name].value(pt.coords)
@@ -497,29 +498,21 @@ def run_suite(
         add("compat_p1_q_uv", TOL_SCHOUTEN, uv_pts, lambda pt: [schouten_residual(P1u, Qu, pt)])
 
         def x1_match(pt):
-            ham = ham_field(P1u, obs_uv["H1"], pt)
+            ham, scale = ham_field_scaled(P1u, obs_uv["H1"], pt)
             direct = X1.value(pt.coords)
-            raw = float(np.max(np.abs(ham - direct)))
-            return [Residual(raw, ham_field_scale(P1u, obs_uv["H1"], pt))]
+            return [Residual(float(np.abs(ham - direct).max()), scale)]
 
         add("x1_hamiltonian", TOL_EXACT, uv_pts, x1_match)
 
-        zeta_uv = ScalarField(
-            CHART_UV,
-            lambda c: c[5] - c[2],
-            lambda c: np.array([0.0, 0.0, -1.0, 0.0, 0.0, 1.0], dtype=complex),
-            name="zeta1",
-        )
-
         def x1_zeta(pt):
-            val = lie_scalar(X1, zeta_uv, pt)
-            return [Residual(abs(val), float(np.max(np.abs(X1.value(pt.coords)))))]
+            val = lie_scalar(X1, leaf_mod.ZETA1, pt)
+            return [Residual(abs(val), float(np.abs(X1.value(pt.coords)).max()))]
 
         add("x1_conserves_zeta1", TOL_EXACT, uv_pts, x1_zeta)
 
         def trans_p1(pt):
-            delta = lie_bivector(Zf, P1u, pt)
-            return [_matrix_residual(delta, lie_bivector_scale(Zf, P1u, pt))]
+            delta, scale = lie_bivector_scaled(Zf, P1u, pt)
+            return [Residual(float(np.abs(delta).max()), scale)]
 
         add("transversal_p1_symmetry", TOL_EXACT, uv_pts, trans_p1)
 
@@ -548,8 +541,8 @@ def run_suite(
             rank_leak = float(svals[2])
             zvec = Zf.value(pt.coords)
             x, *_ = np.linalg.lstsq(delta, zvec, rcond=None)
-            colspace_miss = float(np.max(np.abs(delta @ x - zvec)))
-            scale = float(max(svals[0], np.max(np.abs(zvec))))
+            colspace_miss = float(np.abs(delta @ x - zvec).max())
+            scale = float(max(svals[0], np.abs(zvec).max()))
             return [Residual(max(rank_leak, colspace_miss), scale)]
 
         add("transversal_p2_rank", TOL_PIPELINE, uv_pts, trans_p2_shape)
@@ -557,8 +550,8 @@ def run_suite(
         def q_casimirs(pt):
             out = []
             for name in ("H0", "C2"):
-                vec = ham_field(Qu, obs_uv[name], pt)
-                out.append(Residual(float(np.max(np.abs(vec))), ham_field_scale(Qu, obs_uv[name], pt)))
+                vec, scale = ham_field_scaled(Qu, obs_uv[name], pt)
+                out.append(Residual(float(np.abs(vec).max()), scale))
             return out
 
         add("q_casimirs", TOL_EXACT, uv_pts, q_casimirs)
@@ -569,16 +562,12 @@ def run_suite(
 
         add("q_rank_4", TOL_SCHOUTEN, uv_pts, q_rank)
 
-        ham_names = ("H0", "C2", "H1", "H2")
+        hams = [obs_uv[name] for name in ("H0", "C2", "H1", "H2")]
+        ham_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
         def involution(structure):
             def fn(pt):
-                out = []
-                for i, fname in enumerate(ham_names):
-                    for gname in ham_names[i + 1 :]:
-                        br = bracket(structure, obs_uv[fname], obs_uv[gname], pt)
-                        out.append(Residual(abs(br), bracket_scale(structure, obs_uv[fname], obs_uv[gname], pt)))
-                return out
+                return [Residual(abs(br), scale) for br, scale in brackets_scaled(structure, hams, ham_pairs, pt)]
 
             return fn
 
@@ -645,9 +634,9 @@ def run_suite(
             raw = max(
                 abs(h0 - leaf.levels[0]),
                 abs(c2 - leaf.levels[1]),
-                float(np.max(np.abs(back.coords - leaf.coords))),
+                float(np.abs(back.coords - leaf.coords).max()),
             )
-            scale = max(abs(leaf.levels[0]), abs(leaf.levels[1]), float(np.max(np.abs(leaf.coords))))
+            scale = max(abs(leaf.levels[0]), abs(leaf.levels[1]), float(np.abs(leaf.coords).max()))
             return [Residual(raw, scale)]
 
         add("embed_roundtrip", TOL_ROUNDTRIP, leaf_pts, embed_roundtrip)
@@ -662,8 +651,8 @@ def run_suite(
             N, _, _ = _mutated_nijenhuis(params, leaf, mutate_n)
             P, Q = leaf_mod.restricted_tensors(params, leaf)
             numeric = np.linalg.solve(P, Q)
-            raw = float(np.max(np.abs(N - numeric)))
-            scale = float(max(np.max(np.abs(N)), np.max(np.abs(numeric))))
+            raw = float(np.abs(N - numeric).max())
+            scale = float(max(np.abs(N).max(), np.abs(numeric).max()))
             return [Residual(raw, scale)]
 
         add("nijenhuis_closed_form", TOL_EXACT, leaf_pts, nstar_closed)
@@ -718,9 +707,9 @@ def run_suite(
                 ],
                 dtype=complex,
             )
-            y_scale = float(np.max(np.abs(y)))
-            r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.max(np.abs(d_u1u2))))
-            r2 = Residual(abs(d_g @ y), y_scale * float(np.max(np.abs(d_g))))
+            y_scale = float(np.abs(y).max())
+            r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.abs(d_u1u2).max()))
+            r2 = Residual(abs(d_g @ y), y_scale * float(np.abs(d_g).max()))
             target = mu3 * a.G * (u1 * u2 * a.F)
             got = d_l @ y
             r3 = Residual(abs(got - target), max(abs(got), abs(target)))
@@ -732,10 +721,7 @@ def run_suite(
 
         def deform_factor(leaf):
             rho = complex(deform_rng.uniform(-1, 1), deform_rng.uniform(-1, 1))
-            return [
-                leaf_mod.deformation_factorization_residual(params, rho, leaf),
-                leaf_mod.deformation_second_residual(params, rho, leaf),
-            ]
+            return list(leaf_mod.deformation_residuals(params, rho, leaf).values())
 
         add("deformation_factorization", TOL_SCHOUTEN, leaf_pts, deform_factor)
 
@@ -757,13 +743,18 @@ def run_suite(
 
         add("deformation_xi2_agreement", TOL_DN, leaf_pts, xi2_agreement)
 
+        dn_memo = {}  # both DN rows read one dn_bracket_residuals per leaf sample
+
+        def dn_brackets(leaf):
+            if id(leaf) not in dn_memo:
+                dn_memo[id(leaf)] = leaf_mod.dn_bracket_residuals(params, leaf)
+            return dn_memo[id(leaf)]
+
         def dn_canonical(leaf):
-            res = leaf_mod.dn_bracket_residuals(params, leaf)
-            return [res["P"]]
+            return [dn_brackets(leaf)["P"]]
 
         def dn_second(leaf):
-            res = leaf_mod.dn_bracket_residuals(params, leaf)
-            return [res["Q"]]
+            return [dn_brackets(leaf)["Q"]]
 
         add("dn_canonical_p", TOL_DN, leaf_pts, dn_canonical)
         add("dn_brackets_q", TOL_DN, leaf_pts, dn_second)
@@ -775,8 +766,8 @@ def run_suite(
             out = []
             for g, lam in zip(grads, eigs):
                 image = N @ g
-                raw = float(np.max(np.abs(image - lam * g)))
-                scale = float(max(np.max(np.abs(image)), abs(lam) * np.max(np.abs(g))))
+                raw = float(np.abs(image - lam * g).max())
+                scale = float(max(np.abs(image).max(), abs(lam) * np.abs(g).max()))
                 out.append(Residual(raw, scale))
             return out
 
@@ -887,55 +878,49 @@ def run_suite(
     # ---------------- diagnostics ----------------
 
     if params.symmetric:
-        fit_resid = 0.0
-        fit_mismatch = 0.0
-        h1_norms = []
-        for leaf in leaf_pts[: min(20, len(leaf_pts))]:
-            fit = leaf_mod.generalized_lenard_fit(params, leaf)
-            fit_resid = max(fit_resid, fit["residual"].normalized)
-            fit_mismatch = max(fit_mismatch, float(fit["p1_mismatch"]))
-            extra = leaf_mod.q_extra_casimir_residuals(params, leaf)
-            h1_norms.append(extra["qdh1_norm"].normalized)
-        report.diagnostics.append(
-            {
-                "name": "generalized_lenard_fit",
-                "value": fit_resid,
-                "note": f"fitted coefficient matches the eigenvalue sum p1 within {fit_mismatch:.3e}",
-            }
-        )
-        report.diagnostics.append(
-            {
-                "name": "q_dh1_not_casimir",
-                "value": float(min(h1_norms)) if h1_norms else None,
-                "note": "H1 is not a Casimir of Q: Q dH1 = P dH2 + p1 P dH1; H0 and C2 are the Casimirs",
-            }
-        )
-        ratio = xxz.uv_transport_residuals(params, uv_pts[0])
-        report.diagnostics.append(
-            {
-                "name": "uv_tensor_ratio",
-                "value": [ratio["ratio_p1"].real, ratio["ratio_p1"].imag],
-                "note": "printed uv tensors over pushforward of m-chart tensors; i/sqrt(2)",
-            }
-        )
+        lenard = [leaf_mod.generalized_lenard_fit(params, leaf) for leaf in leaf_pts[:20]]
+        fits = [(fit["residual"].normalized, float(fit["p1_mismatch"])) for fit in lenard]
+        h1_norms = [leaf_mod.q_extra_casimir_residuals(params, leaf)["qdh1_norm"].normalized for leaf in leaf_pts[:20]]
+        ratio = xxz.uv_transport_residuals(params, uv_pts[0])["ratio_p1"]
+        report.diagnostics += [
+            _diagnostic(
+                "generalized_lenard_fit",
+                "leaf",
+                fits,
+                max(r for r, _ in fits),
+                f"fitted coefficient matches the eigenvalue sum p1 within {max(m for _, m in fits):.3e}",
+            ),
+            _diagnostic(
+                "q_dh1_not_casimir",
+                "leaf",
+                h1_norms,
+                float(min(h1_norms)),
+                "H1 is not a Casimir of Q: Q dH1 = P dH2 + p1 P dH1; H0 and C2 are the Casimirs",
+            ),
+            _diagnostic(
+                "uv_tensor_ratio",
+                "UV",
+                [(ratio.real, ratio.imag)],
+                [ratio.real, ratio.imag],
+                "printed uv tensors over pushforward of m-chart tensors; i/sqrt(2)",
+            ),
+        ]
     if lax_ok:
-        mismatch = min(
-            so4.angular_velocity_flow_mismatch(params, 0.7 + 0.3j, pt) for pt in m_pts
-        )
-        report.diagnostics.append(
+        mismatches = [so4.angular_velocity_flow_mismatch(params, 0.7 + 0.3j, pt) for pt in m_pts]
+        report.diagnostics += [
             {
                 "name": "lax_partner_sign",
                 "value": -1.0,
                 "note": "dL/dt = [B, L] with B the energy partner; sigma = -1 in the dL/dt = sigma [L, B] convention",
-            }
-        )
-        report.diagnostics.append(
-            {
-                "name": "angular_partner_flow_mismatch",
-                "value": float(mismatch),
-                "note": "best-sign mismatch of dL/dt against [L, Omega + lambda J]: that partner generates a different flow; its identity is [L, Omega + lambda J] = [M, Omega]",
-            }
-        )
+            },
+            _diagnostic(
+                "angular_partner_flow_mismatch",
+                "M",
+                mismatches,
+                float(min(mismatches)),
+                "best-sign mismatch of dL/dt against [L, Omega + lambda J]: that partner generates a different flow; its identity is [L, Omega + lambda J] = [M, Omega]",
+            ),
+        ]
 
     active = [c for c in report.checks if not c.skipped]
     report.overall = bool(active) and all(bool(c.passed) for c in active)

@@ -27,6 +27,7 @@ from .fields import (
     VectorField,
     line_poly_coeffs,
     linear_bivector,
+    shared_per_model,
     wedge_field,
     LINE_NODES,
 )
@@ -46,6 +47,7 @@ def require_symmetric(params: ModelParams) -> None:
         raise ValueError("model not rotationally symmetric")
 
 
+@shared_per_model
 def uv_observables(params: ModelParams) -> dict:
     """Spectral-curve coefficients H0, C2, H1, H2 as uv scalar fields."""
     require_symmetric(params)
@@ -130,11 +132,13 @@ def _p1_uv_value(c: Array) -> Array:
     )
 
 
+@shared_per_model
 def p1_uv() -> BivectorField:
     """First Poisson structure in the uv chart (block so(3) x so(3) form)."""
     return linear_bivector(CHART_UV, _p1_uv_value, 6, name="P1uv")
 
 
+@shared_per_model
 def p2_uv(params: ModelParams) -> BivectorField:
     """Second Poisson structure in the uv chart: mu1 P1 + Delta."""
     require_symmetric(params)
@@ -168,6 +172,7 @@ def p2_uv(params: ModelParams) -> BivectorField:
     return linear_bivector(CHART_UV, value, 6, name="P2uv")
 
 
+@shared_per_model
 def x1_field(params: ModelParams) -> VectorField:
     """Hamiltonian vector field of H1 under the uv first structure."""
     require_symmetric(params)
@@ -209,6 +214,7 @@ def _check_u_nondegenerate(c: Array) -> None:
         raise DegeneracyError("degenerate point")
 
 
+@shared_per_model
 def z_field() -> VectorField:
     """Transversal vector field (1/2u1) d/dv1 + (1/2u2) d/dv2."""
 
@@ -231,6 +237,7 @@ def z_field() -> VectorField:
     return VectorField(CHART_UV, value, jac, name="Z")
 
 
+@shared_per_model
 def q_uv(params: ModelParams) -> BivectorField:
     """Deformed structure Q = P2 - X1 ^ Z (rank 4 with Casimirs H0 and C2)."""
     p2 = p2_uv(params)
@@ -263,8 +270,8 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
         printed = printed_field.value(pt.coords)
         pushed = UV_FROM_M @ m_field.value(m_pt.coords) @ UV_FROM_M.T
         target = UV_TENSOR_SCALE * pushed
-        raw = float(np.max(np.abs(printed - target)))
-        scale = float(max(np.max(np.abs(printed)), np.max(np.abs(target))))
+        raw = float(np.abs(printed - target).max())
+        scale = float(max(np.abs(printed).max(), np.abs(target).max()))
         imax = np.unravel_index(np.argmax(np.abs(pushed)), pushed.shape)
         out[key] = Residual(raw, scale)
         out[f"ratio_{key}"] = complex(printed[imax] / pushed[imax])
@@ -362,7 +369,7 @@ def stackel_residual(params: ModelParams, lam: complex, rho: complex, pt: PhaseP
         24.0 * abs(coeffs[4]),
         120.0 * abs(coeffs[5]),
     )
-    return Residual(float(raw), float(np.max(np.abs(vals))))
+    return Residual(float(raw), float(np.abs(vals).max()))
 
 
 def transversal_curve_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:

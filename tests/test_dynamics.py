@@ -89,6 +89,12 @@ def test_parameter_validation():
         dynamics.integrate(PARAMS, np.zeros(5), dt=1e-3, t_end=1.0)
 
 
+def test_integrate_has_no_flow_selector():
+    # integrate only ever ran the HE flow; a flow name is refused, not ignored
+    with pytest.raises(TypeError):
+        dynamics.integrate(PARAMS, M0, dt=1e-2, t_end=0.1, which="H1")
+
+
 def test_nonfinite_abort():
     # a huge step on the quadratic flow overflows fast; the run flags it
     traj = dynamics.integrate(PARAMS, M0, dt=1e3, t_end=5e4, record_every=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bihamso4 import so4, verify, xxz
 from bihamso4.fields import (
     CHART_M,
     CHART_UV,
@@ -20,6 +21,7 @@ from bihamso4.fields import (
     wedge,
     wedge_field,
 )
+from bihamso4.so4 import ModelParams
 
 
 def test_residual_normalization():
@@ -155,3 +157,28 @@ def test_linear_bivector_jacobian_constant():
         e[l] = step
         fd = (P.value(pt + e) - P.value(pt - e)) / (2 * step)
         assert np.max(np.abs(J[:, :, l] - fd)) < 1e-8
+
+
+def _clone(P):
+    return BivectorField(P.chart, P.value, P.jac, name=P.name)
+
+
+def test_schouten_self_bracket_shortcut_is_exact():
+    # schouten_residual(P, P) takes a shortcut for Q is P; a distinct field
+    # with the same callables takes the general path.  Both must agree bit
+    # for bit, including at many differently allocated evaluations.
+    params = ModelParams.from_mu(1.0, 2.0, 3.0)
+    P1, P2 = so4.p1_m(), so4.p2_m(params)
+    t = complex(0.3, -0.7)
+    pencil = BivectorField(
+        CHART_M, lambda c: P1.value(c) + t * P2.value(c), lambda c: P1.jac(c) + t * P2.jac(c), name="pencil"
+    )
+    m_pts = verify.sample_points("M_real", 60, 1).points
+    uv_pts = verify.sample_points("UV_complex", 60, 2, guards=verify.uv_guards(params)).points
+    cases = [(P1, m_pts), (P2, m_pts), (pencil, m_pts), (xxz.q_uv(params), uv_pts), (xxz.p2_uv(params), uv_pts)]
+    for P, pts in cases:
+        clone = _clone(P)
+        assert clone is not P
+        for pt in pts:
+            assert schouten_residual(P, P, pt) == schouten_residual(P, clone, pt)
+

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4, verify
 from bihamso4.fields import Residual
 from bihamso4.so4 import ModelParams
@@ -100,6 +101,15 @@ def test_reports_reproducible_bit_for_bit():
     assert a != c
 
 
+def test_overrides_leave_shared_ingredients_clean():
+    # the model's fields are built once and shared; a mutation override must
+    # swap its own copy in, never edit the shared one
+    clean = verify.run_suite(PARAMS, seed=5, n_points=6).to_json()
+    assert not verify.run_suite(PARAMS, seed=5, n_points=6, overrides=("h2_sign",)).overall
+    assert not verify.run_suite(PARAMS, seed=5, n_points=6, overrides=("q_sign",)).overall
+    assert verify.run_suite(PARAMS, seed=5, n_points=6).to_json() == clean
+
+
 def test_sample_points_deterministic_and_guarded():
     s1 = verify.sample_points("UV_complex", 20, 11, guards=verify.uv_guards(PARAMS))
     s2 = verify.sample_points("UV_complex", 20, 11, guards=verify.uv_guards(PARAMS))
@@ -160,3 +170,45 @@ def test_nan_residual_fails_closed(monkeypatch):
 def test_bad_tol_scale_rejected(tol_scale):
     with pytest.raises(ValueError, match="tol_scale"):
         verify.run_suite(PARAMS, seed=0, n_points=5, tol_scale=tol_scale)
+
+
+def test_nan_diagnostic_fails_closed(monkeypatch):
+    # generalized_lenard_fit is read at the first 20 leaf samples in order:
+    # poison sample 2, which a running max would drop
+    real = leaf_mod.generalized_lenard_fit
+    calls = []
+
+    def patched(params, leaf):
+        out = real(params, leaf)
+        if len(calls) == 2:
+            out["residual"] = Residual(float("nan"), out["residual"].scale)
+        calls.append(leaf)
+        return out
+
+    monkeypatch.setattr(leaf_mod, "generalized_lenard_fit", patched)
+    report = verify.run_suite(PARAMS, seed=0, n_points=6)
+    doc = json.loads(report.to_json())
+    verify.validate_report(doc)
+    diag = {d["name"]: d for d in doc["diagnostics"]}
+    assert diag["generalized_lenard_fit"]["value"] is None
+    assert diag["generalized_lenard_fit"]["note"] == "non-finite value at leaf sample 2"
+    assert diag["q_dh1_not_casimir"]["value"] > 0.0
+
+
+def test_nan_diagnostic_at_first_sample_keeps_report_strict(monkeypatch):
+    # a NaN first in the list survives min(); it must become null, not break to_json
+    real = leaf_mod.q_extra_casimir_residuals
+
+    def patched(params, leaf):
+        out = real(params, leaf)
+        out["qdh1_norm"] = Residual(float("nan"), 1.0)
+        return out
+
+    monkeypatch.setattr(leaf_mod, "q_extra_casimir_residuals", patched)
+    report = verify.run_suite(PARAMS, seed=0, n_points=6)
+    doc = json.loads(report.to_json())
+    verify.validate_report(doc)
+    diag = {d["name"]: d for d in doc["diagnostics"]}
+    assert diag["q_dh1_not_casimir"]["value"] is None
+    assert diag["q_dh1_not_casimir"]["note"] == "non-finite value at leaf sample 0"
+    assert isinstance(diag["generalized_lenard_fit"]["value"], float)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,32 @@ def test_degenerate_u_guard():
     Z = xxz.z_field()
     with pytest.raises(DegeneracyError, match="degenerate point"):
         Z.value(pt.coords)
+
+
+MODEL_CONSTRUCTORS = (so4.p2_m, so4.observables_m, xxz.uv_observables, xxz.p2_uv, xxz.x1_field, xxz.q_uv)
+
+
+def test_constructors_shared_per_model():
+    # the benchmark's layer tracer finds and rebinds plain module functions
+    for build in (*MODEL_CONSTRUCTORS, so4.p1_m, xxz.p1_uv, xxz.z_field):
+        assert inspect.isfunction(build)
+    assert so4.p1_m() is so4.p1_m()
+    assert xxz.p1_uv() is xxz.p1_uv()
+    assert xxz.z_field() is xxz.z_field()
+    other = ModelParams.from_mu(1.0, 2.0, 4.0)
+    for build in MODEL_CONSTRUCTORS:
+        assert build(ModelParams.from_mu(1.0, 2.0, 3.0)) is build(PARAMS)
+        assert build(other) is not build(PARAMS)
+
+
+def test_shared_ingredients_are_read_only():
+    with pytest.raises(TypeError):
+        xxz.uv_observables(PARAMS)["H2"] = None
+    with pytest.raises(TypeError):
+        so4.observables_m(PARAMS)["HE"] = None
+    for P in (so4.p1_m(), so4.p2_m(PARAMS), xxz.p1_uv(), xxz.p2_uv(PARAMS)):
+        with pytest.raises(ValueError):
+            P.jac(np.zeros(6))[0, 1, 2] = 5.0
+    for arr in (PARAMS.a, PARAMS.b):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
