@@ -264,16 +264,6 @@ def grad_fd_residual(f: ScalarField, pt: PhasePoint) -> Residual:
     return Residual(raw, scale)
 
 
-def jac_fd_residual(F: VectorField | BivectorField, pt: PhasePoint) -> Residual:
-    """Relative disagreement between the exact Jacobian of F and central differences."""
-    _require_chart(pt.chart, F)
-    exact = np.asarray(F.jac(pt.coords))
-    approx = fd_jac(F.value, pt.coords)
-    raw = float(np.abs(exact - approx).max())
-    scale = float(max(np.abs(exact).max(), np.abs(approx).max()))
-    return Residual(raw, scale)
-
-
 # Interpolation nodes for Lie derivatives along straight flow lines.  A field
 # W that is constant along its own flow (W(p + t W(p)) = W(p)) has straight
 # integral lines, so f(p + t W(p)) is evaluated exactly and iterated Lie

@@ -112,11 +112,14 @@ def project(pt: PhasePoint) -> LeafChart:
     return LeafChart(c[list(LEAF_IN_UV)], (h0, c2))
 
 
-def embed_jacobian(leaf: LeafChart) -> Array:
-    """d(uv)/d(leaf), a 6x4 matrix; rows (u1,v1,z1,u2,v2,z2), cols (u1,z1,u2,z2)."""
+def embed_jacobian(leaf: LeafChart, uv: PhasePoint | None = None) -> Array:
+    """d(uv)/d(leaf), a 6x4 matrix; rows (u1,v1,z1,u2,v2,z2), cols (u1,z1,u2,z2).
+
+    uv, if given, is embed(leaf), so a caller that holds it embeds only once.
+    """
     u1, z1, u2, z2 = leaf.coords
-    uv = embed(leaf).coords
-    v1, v2 = uv[1], uv[4]
+    uv = embed(leaf) if uv is None else uv
+    v1, v2 = uv.coords[1], uv.coords[4]
     J = np.zeros((6, 4), dtype=complex)
     J[0, 0] = 1.0
     J[1, 0] = -v1 / u1
@@ -132,7 +135,7 @@ def embed_jacobian(leaf: LeafChart) -> Array:
 def restrict_grad(field, leaf: LeafChart) -> Array:
     """Gradient of a uv scalar field restricted to the leaf, in leaf coordinates."""
     uv = embed(leaf)
-    return embed_jacobian(leaf).T @ field.grad(uv.coords)
+    return embed_jacobian(leaf, uv).T @ field.grad(uv.coords)
 
 
 def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
@@ -213,25 +216,29 @@ def nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     return N, lam1, lam2
 
 
-def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart) -> Residual:
-    """Printed N* against the numerical product P^{-1} Q."""
+def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, nstar=None) -> Residual:
+    """Printed N* against the numerical product P^{-1} Q.
+
+    nstar is the callable giving (N*, lambda1, lambda2); default nijenhuis.
+    """
     P, Q = restricted_tensors(params, leaf)
-    N, _, _ = nijenhuis(params, leaf)
+    N, _, _ = (nstar or nijenhuis)(params, leaf)
     numeric = np.linalg.solve(P, Q)
     raw = float(np.abs(N - numeric).max())
     scale = float(max(np.abs(N).max(), np.abs(numeric).max()))
     return Residual(raw, scale)
 
 
-def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart) -> Residual:
-    """Numerically computed spectrum of N* against the multiset {l1, l1, l2, l2}."""
-    N, lam1, lam2 = nijenhuis(params, leaf)
+def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None) -> Residual:
+    """Numerically computed spectrum of N* against the multiset {l1, l1, l2, l2}.
+
+    nstar is the callable giving (N*, lambda1, lambda2); default nijenhuis.
+    """
+    N, lam1, lam2 = (nstar or nijenhuis)(params, leaf)
     computed = np.linalg.eigvals(N)
     expected = np.array([lam1, lam1, lam2, lam2])
-    best = min(
-        max(abs(computed[p[i]] - expected[i]) for i in range(4))
-        for p in permutations(range(4))
-    )
+    diff = [[abs(c - e) for e in expected] for c in computed]  # the 16 differences, formed once
+    best = min(max(diff[p[i]][i] for i in range(4)) for p in permutations(range(4)))
     return Residual(float(best), float(max(abs(lam1), abs(lam2))))
 
 
@@ -288,14 +295,15 @@ def _leaf_h_poly(obs, rho: complex, leaf: LeafChart) -> complex:
     )
 
 
-def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart) -> dict:
+def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=None) -> dict:
     """Iterated Lie derivatives of H(rho) = rho^2 H0 + rho H1 + H2 along Y.
 
     Y is constant along its own flow (it depends only on u and points along
     z), so its integral curves are straight lines and the restriction of
     H(rho) to one is an exact low-degree polynomial; an exact-degree fit
     yields Lie_Y^k H = k! c_k.  The self-parallelism precondition is asserted
-    numerically before the fit is trusted.
+    numerically before the fit is trusted.  obs are the uv observables
+    (default uv_observables(params)).
     """
     y, _ = deformation_field(params, leaf)
     coords = leaf.coords
@@ -304,7 +312,7 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart) -> dic
     y_scale = float(np.abs(y).max())
     if float(np.abs(y_shifted - y).max()) > 1e-12 * (1.0 + y_scale):
         raise RuntimeError("deformation field is not self-parallel")
-    obs = uv_observables(params)
+    obs = obs or uv_observables(params)
     vals = [_leaf_h_poly(obs, rho, LeafChart(coords + t * y, leaf.levels)) for t in LINE_NODES]
     coeffs = line_poly_coeffs(vals)
     scale = float(np.abs(vals).max())
@@ -320,7 +328,7 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart) -> dic
     }
 
 
-def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart) -> dict:
+def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, obs=None) -> dict:
     """Both closed forms of the deformation tower at one rho, from one tower.
 
     "factorization": Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L;
@@ -329,7 +337,7 @@ def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart) ->
     mu1, mu2, mu3, _ = params.mu
     u1, _, u2, _ = leaf.coords
     a = aux(params, leaf)
-    tower = deformation_tower(params, rho, leaf)
+    tower = deformation_tower(params, rho, leaf, obs)
     out = {}
     for key, got, closed in (
         ("factorization", tower["lie1"], 4.0 * mu3 * (rho - mu1 - mu2) / (u1 * u2) * a.G * a.L),
@@ -338,16 +346,6 @@ def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart) ->
         scale = max(abs(got), abs(closed), tower["scale"])
         out[key] = Residual(float(abs(got - closed)), float(scale))
     return out
-
-
-def deformation_factorization_residual(params: ModelParams, rho: complex, leaf: LeafChart) -> Residual:
-    """Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L."""
-    return deformation_residuals(params, rho, leaf)["factorization"]
-
-
-def deformation_second_residual(params: ModelParams, rho: complex, leaf: LeafChart) -> Residual:
-    """Lie_Y^2 H against 4 mu3^2 (rho - mu1 - mu2) G^2 F."""
-    return deformation_residuals(params, rho, leaf)["second"]
 
 
 def _check_gf(a: AuxFunctions) -> None:
@@ -366,6 +364,19 @@ def xi2_closed_form(params: ModelParams, leaf: LeafChart) -> complex:
     return a.L / (mu3 * u1 * u2 * a.G * a.F)
 
 
+def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs=None) -> tuple:
+    """The two paths to xi2: (closed form, tower at rho = lambda2, their Residual).
+
+    The Residual compares the Lie-derivative ratio Lie_Y H / Lie_Y^2 H of the
+    tower with the closed form.  obs are the uv observables the tower reads.
+    """
+    closed = xi2_closed_form(params, leaf)
+    _, _, lam2 = nijenhuis(params, leaf)
+    tower = deformation_tower(params, lam2, leaf, obs)
+    algorithmic = tower["lie1"] / tower["lie2"]
+    return closed, tower, Residual(abs(algorithmic - closed), max(abs(algorithmic), abs(closed)))
+
+
 def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
     """DN coordinate conjugate to lambda2 via the deformation algorithm.
 
@@ -373,13 +384,10 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
     (Lie_Y H / Lie_Y^2 H) at rho = lambda2 and insists they agree to 1e-10
     relative; a persistent disagreement means the build is broken.
     """
-    closed = xi2_closed_form(params, leaf)
-    _, _, lam2 = nijenhuis(params, leaf)
-    tower = deformation_tower(params, lam2, leaf)
+    closed, tower, agreement = xi2_path_agreement(params, leaf)
     if tower["termination"].normalized > 1e-10:
         raise RuntimeError("deformation did not terminate")
-    algorithmic = tower["lie1"] / tower["lie2"]
-    if abs(algorithmic - closed) > 1e-10 * (1.0 + max(abs(algorithmic), abs(closed))):
+    if agreement.normalized > 1e-10:
         raise RuntimeError("deformation paths disagree")
     return complex(closed)
 
@@ -511,19 +519,21 @@ def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
     return out
 
 
-def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart) -> Residual:
-    """N* applied to each DN gradient against eigenvalue times the gradient."""
-    N, lam1, lam2 = nijenhuis(params, leaf)
+def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar=None) -> list:
+    """N* applied to each DN gradient against eigenvalue times the gradient.
+
+    One Residual per gradient, in the order (zeta1, xi1, lambda2, xi2);
+    nstar is the callable giving (N*, lambda1, lambda2), default nijenhuis.
+    """
+    N, lam1, lam2 = (nstar or nijenhuis)(params, leaf)
     grads = dn_gradients(params, leaf)
-    eigs = (lam1, lam1, lam2, lam2)
-    worst = Residual(0.0, 0.0)
-    for g, lam in zip(grads, eigs):
+    out = []
+    for g, lam in zip(grads, (lam1, lam1, lam2, lam2)):
         image = N @ g
         raw = float(np.abs(image - lam * g).max())
         scale = float(max(np.abs(image).max(), abs(lam) * np.abs(g).max()))
-        if raw / (1.0 + scale) > worst.normalized:
-            worst = Residual(raw, scale)
-    return worst
+        out.append(Residual(raw, scale))
+    return out
 
 
 def theta_bracket_residual(params: ModelParams, leaf: LeafChart) -> Residual:
@@ -540,13 +550,14 @@ def theta_bracket_residual(params: ModelParams, leaf: LeafChart) -> Residual:
     return Residual(float(abs(br - target)), float(max(abs(br), abs(target))))
 
 
-def generalized_lenard_fit(params: ModelParams, leaf: LeafChart) -> dict:
+def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs=None) -> dict:
     """Least-squares fit of c in Q dH1 = P dH2 + c P dH1 on the leaf.
 
     Diagnostic only: reports the fitted coefficient (empirically the
     eigenvalue sum p1), the post-fit residual, and the mismatch with p1.
+    obs are the uv observables (default uv_observables(params)).
     """
-    obs = uv_observables(params)
+    obs = obs or uv_observables(params)
     P, Q = restricted_tensors(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
     g2 = restrict_grad(obs["H2"], leaf)
@@ -566,14 +577,15 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart) -> dict:
     }
 
 
-def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart) -> dict:
+def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs=None) -> dict:
     """How Q acts on the restricted Hamiltonians: H0-level direction is exact 0.
 
     On the leaf H0 and C2 are constants, so the interesting quantities are
     Q dH1 and Q dH2 against the chain built from P: Q dH2 = -lambda1 lambda2
     P dH1 holds, while Q dH1 is NOT zero (H1 is not a Casimir of Q).
+    obs are the uv observables (default uv_observables(params)).
     """
-    obs = uv_observables(params)
+    obs = obs or uv_observables(params)
     P, Q = restricted_tensors(params, leaf)
     _, lam1, lam2 = nijenhuis(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
@@ -588,11 +600,11 @@ def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart) -> dict:
     }
 
 
-def zeta1_involution_residuals(params: ModelParams, pt: PhasePoint) -> dict:
+def zeta1_involution_residuals(params: ModelParams, pt: PhasePoint, obs=None) -> dict:
     """zeta1 = z2 - z1 commutes with H1 and H2 under the ambient first structure."""
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    obs = uv_observables(params)
+    obs = obs or uv_observables(params)
     res = brackets_scaled(p1_uv(), (obs["H1"], obs["H2"], ZETA1), [(0, 2), (1, 2)], pt)
     return {name: Residual(float(abs(br)), scale) for name, (br, scale) in zip(("H1", "H2"), res)}
 
@@ -606,16 +618,17 @@ def _separation_guard(params: ModelParams, pt: PhasePoint) -> None:
         raise ValueError("chart mismatch")
 
 
-def phi1_residual(params: ModelParams, pt: PhasePoint) -> Residual:
+def phi1_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
     """First separation relation at any uv point (no degeneracy guard needed).
 
     Phi1 = alpha zeta1^2 + H1 + beta H2 + gamma1 H0 with
     alpha = 2 (mu3^2 - mu2^2)/(mu1 + mu2), beta = 1/(mu1 + mu2),
-    gamma1 = mu1 + mu2; the C2 coefficient vanishes.
+    gamma1 = mu1 + mu2; the C2 coefficient vanishes.  obs are the uv
+    observables (default uv_observables(params)).
     """
     _separation_guard(params, pt)
     mu1, mu2, mu3, _ = params.mu
-    obs = uv_observables(params)
+    obs = obs or uv_observables(params)
     c = pt.coords
     zeta1 = c[5] - c[2]
     alpha = 2.0 * (mu3**2 - mu2**2) / (mu1 + mu2)
@@ -630,16 +643,17 @@ def phi1_residual(params: ModelParams, pt: PhasePoint) -> Residual:
     return Residual(abs(sum(terms)), float(max(abs(t) for t in terms)))
 
 
-def phi2_residual(params: ModelParams, pt: PhasePoint) -> Residual:
+def phi2_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
     """Second separation relation at a nondegenerate uv point.
 
     Phi2 = p xi2^2 + lambda2 H1 + H2 + Psi with p = -2 mu3^2 F^2 G^2 and
     Psi = lambda2^2 H0 - mu3 F G C2; lambda2, F, G, xi2 all come from the
-    point's own (u1, z1, u2, z2).
+    point's own (u1, z1, u2, z2).  obs are the uv observables (default
+    uv_observables(params)).
     """
     _separation_guard(params, pt)
     mu1, mu2, mu3, _ = params.mu
-    obs = uv_observables(params)
+    obs = obs or uv_observables(params)
     c = pt.coords
     leaf = project(pt)
     a = aux(params, leaf)

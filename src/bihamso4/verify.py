@@ -1,8 +1,14 @@
 """Seeded verification suite: every identity in the package over random ensembles.
 
-The registry pattern: each check is a (name, tolerance, point kind, function)
-row; the suite owns sampling, skip accounting, normalization and report
-assembly only.  All residuals are compared as raw/(1+scale) against
+The registry is one table of (name, tolerance, point kind, requires, fn)
+rows.  `requires` is None, "symmetric" (a rotationally symmetric model) or
+"positive_spectrum" (a real positive inertia spectrum); a row whose
+requirement the model lacks becomes a skip row, and skip rows come first,
+then evaluated rows, each in table order.  A point kind is sampled only if
+an evaluated row reads it.  Each fn calls the one library implementation of
+its identity and passes in the ingredients it reads (the uv observables, Q,
+the nijenhuis callable).  The suite owns sampling, skip accounting,
+normalization and report assembly only.  All residuals are compared as raw/(1+scale) against
 tolerance x tol_scale, where scale is the magnitude of the largest term that
 entered the identity.  The suite fails closed: a residual whose raw value or
 scale is not finite fails its check, and tol_scale must be finite and > 0.
@@ -13,13 +19,14 @@ Default tolerance tiers:
   1e-9  x scale for composed pipelines (Stackel, Lax flow, eigenforms, Phi2),
   1e-6  relative for finite-difference gradient cross-checks.
 
-Supported mutation overrides (each flips exactly one sign deep inside the
-build, and must make at least one check fail loudly; used by the
-sensitivity tests):
-  "q_sign"     : the deformed structure becomes P2 + X1^Z instead of P2 - X1^Z.
-  "h2_sign"    : the quartic invariant becomes H2 + 4 mu3^2 (z1-z2)^2
+Supported mutation overrides (each swaps one ingredient for a copy with
+exactly one sign flipped, so every row reading it sees the mutation; each
+must make at least one check fail loudly; used by the sensitivity tests):
+  "q_sign"     : Q becomes P2 + X1^Z instead of P2 - X1^Z.
+  "h2_sign"    : the uv observables carry H2 + 4 mu3^2 (z1-z2)^2
                  (the sign of its -2 mu3^2 (z1-z2)^2 term is flipped).
-  "nstar_sign" : the (0,2) entry of the closed-form N* gets +mu3 for -mu3.
+  "nstar_sign" : the nijenhuis callable gives N* with +mu3 for -mu3 in
+                 its (0,2) entry.
 """
 
 from __future__ import annotations
@@ -66,6 +73,13 @@ TOL_DN = 1e-10
 TOL_SPECTRUM = 1e-9
 
 KNOWN_OVERRIDES = ("q_sign", "h2_sign", "nstar_sign")
+
+# What a row's `requires` names, and the note of the skip row it becomes
+# when the model lacks it.
+SKIP_NOTES = {
+    "symmetric": "skipped: model not rotationally symmetric",
+    "positive_spectrum": "skipped: inertia spectrum not real positive",
+}
 
 _MAX_CONSECUTIVE_REJECTS = 1000
 
@@ -238,12 +252,10 @@ def sample_points(kind: str, n: int, seed: int, guards=None) -> SampleSet:
     return SampleSet(points, n_resampled)
 
 
-def _mutated_uv_observables(params: ModelParams, mutate_h2: bool) -> dict:
+def _flipped_h2_observables(params: ModelParams) -> dict:
+    """uv observables whose H2 carries +2 mu3^2 (z1-z2)^2 in place of -2 mu3^2 (z1-z2)^2."""
     obs = xxz.uv_observables(params)
-    if not mutate_h2:
-        return obs
     mu3 = params.mu[2]
-
     base = obs["H2"]
 
     def value(c):
@@ -260,9 +272,8 @@ def _mutated_uv_observables(params: ModelParams, mutate_h2: bool) -> dict:
     return out
 
 
-def _mutated_q_field(params: ModelParams, mutate_q: bool) -> BivectorField:
-    if not mutate_q:
-        return xxz.q_uv(params)
+def _flipped_q(params: ModelParams) -> BivectorField:
+    """The deformed structure with the opposite sign, P2 + X1^Z."""
     p2 = xxz.p2_uv(params)
     w = wedge_field(xxz.x1_field(params), xxz.z_field())
     return BivectorField(
@@ -273,11 +284,10 @@ def _mutated_q_field(params: ModelParams, mutate_q: bool) -> BivectorField:
     )
 
 
-def _mutated_nijenhuis(params: ModelParams, leaf: LeafChart, mutate_n: bool):
+def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
+    """leaf.nijenhuis with +mu3 for -mu3 in the (0, 2) entry of N*."""
     N, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
-    if mutate_n:
-        N = N.copy()
-        N[0, 2] += 2.0 * params.mu[2]
+    N[0, 2] += 2.0 * params.mu[2]
     return N, lam1, lam2
 
 
@@ -315,63 +325,57 @@ def run_suite(
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise ValueError("tol_scale must be finite and positive")
 
-    mutate_q = "q_sign" in overrides
-    mutate_h2 = "h2_sign" in overrides
-    mutate_n = "nstar_sign" in overrides
-
     report = VerificationReport(
         seed=seed, n_points=n_points, tol_scale=tol_scale, params=params, overrides=overrides
     )
+    holds = {
+        None: True,
+        "symmetric": params.symmetric,
+        "positive_spectrum": bool(np.all(np.asarray(params.jsq) > 0.0)),
+    }
+    mu1, mu2, mu3, mu4 = params.mu
 
-    registry = []
-
-    def add(name, tol, points, fn):
-        registry.append((name, tol, points, fn))
-
-    # ---------------- general-model checks (M chart) ----------------
-
-    m_set = sample_points("M_real", n_points, seed)
-    report.resamples["M_real"] = m_set.n_resampled
-    m_pts = m_set.points
+    # ---------------- ingredients; an override swaps one for a sign-flipped copy ----------------
 
     P1m = so4.p1_m()
     P2m = so4.p2_m(params)
     obs_m = so4.observables_m(params)
+    nijenhuis = _flipped_nijenhuis if "nstar_sign" in overrides else leaf_mod.nijenhuis
+    if params.symmetric:  # the uv ingredients exist only where the rows reading them apply
+        obs_uv = _flipped_h2_observables(params) if "h2_sign" in overrides else xxz.uv_observables(params)
+        Qu = _flipped_q(params) if "q_sign" in overrides else xxz.q_uv(params)
+        P1u = xxz.p1_uv()
+        P2u = xxz.p2_uv(params)
+        X1 = xxz.x1_field(params)
+        Zf = xxz.z_field()
+
+    memo = {}  # rows and diagnostics that read one library result per leaf sample share it
+
+    def once(fn, leaf, *args):
+        key = (fn, id(leaf))
+        if key not in memo:
+            memo[key] = fn(params, leaf, *args)
+        return memo[key]
+
+    def draw(rng):
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    # ---------------- general-model checks (M chart) ----------------
 
     def fd_m(pt):
         return [grad_fd_residual(f, pt) for f in obs_m.values()]
 
-    add("gradient_fd_m", TOL_FD, m_pts, fd_m)
-    add("jacobi_p1_m", TOL_EXACT, m_pts, lambda pt: [schouten_residual(P1m, P1m, pt)])
-    add("jacobi_p2_m", TOL_EXACT, m_pts, lambda pt: [schouten_residual(P2m, P2m, pt)])
-    add("compat_p1_p2_m", TOL_EXACT, m_pts, lambda pt: [schouten_residual(P1m, P2m, pt)])
-
     pencil_rng = np.random.default_rng([seed, 11])
 
     def pencil_m(pt):
-        t = complex(pencil_rng.uniform(-1, 1), pencil_rng.uniform(-1, 1))
-        span = _pencil(P1m, P2m, t)
+        span = _pencil(P1m, P2m, draw(pencil_rng))
         return [schouten_residual(span, span, pt)]
-
-    add("pencil_jacobi_m", TOL_EXACT, m_pts, pencil_m)
-
-    add(
-        "lenard_chain",
-        TOL_EXACT,
-        m_pts,
-        lambda pt: list(so4.lenard_residuals_m(params, pt).values()),
-    )
 
     charpoly_rng = np.random.default_rng([seed, 12])
 
     def charpoly_m(pt):
-        lam = complex(charpoly_rng.uniform(-1, 1), charpoly_rng.uniform(-1, 1))
-        rho = complex(charpoly_rng.uniform(-1, 1), charpoly_rng.uniform(-1, 1))
-        return [so4.char_poly_residual(params, lam, rho, pt)]
-
-    add("charpoly_identity", TOL_PIPELINE, m_pts, charpoly_m)
-
-    mu1, mu2, mu3, mu4 = params.mu
+        lam = draw(charpoly_rng)
+        return [so4.char_poly_residual(params, lam, draw(charpoly_rng), pt)]
 
     def he_split(pt):
         s = so4.chart_map(pt, CHART_SPLIT)
@@ -386,464 +390,265 @@ def run_suite(
         he = obs_m["HE"].value(pt.coords)
         return [Residual(abs(he - closed), max(abs(he), max(abs(t) for t in terms)))]
 
-    add("he_split_form", TOL_EXACT, m_pts, he_split)
-
     def roundtrip(pt):
         uv = so4.chart_map(so4.chart_map(pt, CHART_SPLIT), CHART_UV)
         back = so4.chart_map(so4.chart_map(uv, CHART_SPLIT), CHART_M)
         raw = float(np.abs(back.coords - pt.coords).max())
         return [Residual(raw, float(np.abs(pt.coords).max()))]
 
-    add("chart_roundtrip", TOL_ROUNDTRIP, m_pts, roundtrip)
+    lax_rng = np.random.default_rng([seed, 13])  # shared by both Lax rows, in row order
 
-    jsq = np.asarray(params.jsq)
-    lax_ok = bool(np.all(jsq > 0.0))
-    lax_rng = np.random.default_rng([seed, 13])
+    def lax_flow(pt):
+        return [so4.lax_flow_residual(params, draw(lax_rng), pt)]
 
-    if lax_ok:
+    def lax_comm(pt):
+        return [so4.angular_velocity_commutator_residual(params, draw(lax_rng), pt)]
 
-        def lax_flow(pt):
-            lam = complex(lax_rng.uniform(-1, 1), lax_rng.uniform(-1, 1))
-            return [so4.lax_flow_residual(params, lam, pt)]
+    # ---------------- symmetric-model checks (UV chart) ----------------
 
-        def lax_comm(pt):
-            lam = complex(lax_rng.uniform(-1, 1), lax_rng.uniform(-1, 1))
-            return [so4.angular_velocity_commutator_residual(params, lam, pt)]
+    def fd_uv(pt):
+        return [grad_fd_residual(f, pt) for f in obs_uv.values()]
 
-        add("lax_flow", TOL_PIPELINE, m_pts, lax_flow)
-        add("lax_angular_commutator", TOL_EXACT, m_pts, lax_comm)
-    else:
-        for name in ("lax_flow", "lax_angular_commutator"):
-            report.checks.append(
-                CheckResult(
-                    name=name,
-                    tolerance=0.0,
-                    skipped=True,
-                    note="skipped: inertia spectrum not real positive",
-                )
-            )
+    def uv_scale(pt):
+        res = xxz.uv_transport_residuals(params, pt)
+        return [res["p1"], res["p2"]]
 
-    # ---------------- symmetric-only checks (UV chart and leaf) ----------------
+    charpoly_uv_rng = np.random.default_rng([seed, 14])
 
-    if params.symmetric:
-        uv_set = sample_points("UV_complex", n_points, seed + 1, guards=uv_guards(params))
-        leaf_set = sample_points("LEAF", n_points, seed + 2, guards=leaf_guards(params))
-        report.resamples["UV_complex"] = uv_set.n_resampled
-        report.resamples["LEAF"] = leaf_set.n_resampled
-        uv_pts = uv_set.points
-        leaf_pts = leaf_set.points
+    def charpoly_uv(pt):
+        lam = draw(charpoly_uv_rng)
+        return [xxz.char_poly_residual_uv(params, lam, draw(charpoly_uv_rng), pt, obs_uv)]
 
-        obs_uv = _mutated_uv_observables(params, mutate_h2)
-        P1u = xxz.p1_uv()
-        P2u = xxz.p2_uv(params)
-        Qu = _mutated_q_field(params, mutate_q)
-        X1 = xxz.x1_field(params)
-        Zf = xxz.z_field()
+    def x1_match(pt):
+        ham, scale = ham_field_scaled(P1u, obs_uv["H1"], pt)
+        direct = X1.value(pt.coords)
+        return [Residual(float(np.abs(ham - direct).max()), scale)]
 
-        def fd_uv(pt):
-            return [grad_fd_residual(f, pt) for f in obs_uv.values()]
+    def x1_zeta(pt):
+        val = lie_scalar(X1, leaf_mod.ZETA1, pt)
+        return [Residual(abs(val), float(np.abs(X1.value(pt.coords)).max()))]
 
-        add("gradient_fd_uv", TOL_FD, uv_pts, fd_uv)
+    def trans_p1(pt):
+        delta, scale = lie_bivector_scaled(Zf, P1u, pt)
+        return [Residual(float(np.abs(delta).max()), scale)]
 
-        def transport(pt):
-            res = []
-            m_pt = so4.chart_map(pt, CHART_M, complex_ok=True)
-            targets = {
-                "H0": obs_m["H0"].value(m_pt.coords),
-                "C2": 2.0 * obs_m["C"].value(m_pt.coords),
-                "H1": -2.0 * obs_m["HE"].value(m_pt.coords),
-                "H2": obs_m["KE"].value(m_pt.coords),
-            }
-            for name, target in targets.items():
-                got = obs_uv[name].value(pt.coords)
-                res.append(Residual(abs(got - target), max(abs(got), abs(target))))
-            return res
+    def trans_norm(pt):
+        r_h0 = abs(lie_scalar(Zf, obs_uv["H0"], pt) - 1.0)
+        r_c2 = abs(lie_scalar(Zf, obs_uv["C2"], pt))
+        return [Residual(max(r_h0, r_c2), 1.0)]
 
-        add("observable_transport", TOL_EXACT, uv_pts, transport)
+    def trans_h1_h2(pt):
+        c = pt.coords
+        lam1 = xxz.constant_eigenvalue(params)
+        lam2 = xxz.variable_eigenvalue(params, c)
+        p1sum = lam1 + lam2
+        r1 = lie_scalar(Zf, obs_uv["H1"], pt) + p1sum
+        r2 = lie_scalar(Zf, obs_uv["H2"], pt) - lam1 * lam2
+        scale = max(abs(p1sum), abs(lam1 * lam2), 1.0)
+        return [Residual(max(abs(r1), abs(r2)), float(scale))]
 
-        def uv_scale(pt):
-            res = xxz.uv_transport_residuals(params, pt)
-            return [res["p1"], res["p2"]]
+    def trans_p2_shape(pt):
+        delta = lie_bivector(Zf, P2u, pt)
+        svals = np.linalg.svd(delta, compute_uv=False)
+        rank_leak = float(svals[2])
+        zvec = Zf.value(pt.coords)
+        x, *_ = np.linalg.lstsq(delta, zvec, rcond=None)
+        colspace_miss = float(np.abs(delta @ x - zvec).max())
+        scale = float(max(svals[0], np.abs(zvec).max()))
+        return [Residual(max(rank_leak, colspace_miss), scale)]
 
-        add("uv_tensor_scale", TOL_EXACT, uv_pts, uv_scale)
+    def q_casimirs(pt):
+        out = []
+        for name in ("H0", "C2"):
+            vec, scale = ham_field_scaled(Qu, obs_uv[name], pt)
+            out.append(Residual(float(np.abs(vec).max()), scale))
+        return out
 
-        charpoly_uv_rng = np.random.default_rng([seed, 14])
+    def q_rank(pt):
+        svals = np.linalg.svd(Qu.value(pt.coords), compute_uv=False)
+        return [Residual(float(svals[4]), float(svals[0]))]
 
-        def charpoly_uv(pt):
-            lam = complex(charpoly_uv_rng.uniform(-1, 1), charpoly_uv_rng.uniform(-1, 1))
-            rho = complex(charpoly_uv_rng.uniform(-1, 1), charpoly_uv_rng.uniform(-1, 1))
-            c = pt.coords
-            h0 = obs_uv["H0"].value(c)
-            h1 = obs_uv["H1"].value(c)
-            h2 = obs_uv["H2"].value(c)
-            c2 = obs_uv["C2"].value(c)
-            m_pt = so4.chart_map(pt, CHART_M, complex_ok=True)
-            det = so4.det4(so4.lax(params, lam, m_pt) - rho * lam * np.eye(4))
-            terms = (
-                lam**4 * np.prod(np.asarray(params.jsq, dtype=complex) - rho),
-                lam**2 * rho**2 * h0,
-                lam**2 * rho * h1,
-                lam**2 * h2,
-                0.25 * c2**2,
-            )
-            closed = sum(terms)
-            return [Residual(abs(det - closed), max(abs(det), max(abs(t) for t in terms)))]
+    ham_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
-        add("charpoly_identity_uv", TOL_PIPELINE, uv_pts, charpoly_uv)
-
-        add("jacobi_p1_uv", TOL_SCHOUTEN, uv_pts, lambda pt: [schouten_residual(P1u, P1u, pt)])
-        add("jacobi_p2_uv", TOL_SCHOUTEN, uv_pts, lambda pt: [schouten_residual(P2u, P2u, pt)])
-        add("jacobi_q_uv", TOL_SCHOUTEN, uv_pts, lambda pt: [schouten_residual(Qu, Qu, pt)])
-        add("compat_p1_p2_uv", TOL_SCHOUTEN, uv_pts, lambda pt: [schouten_residual(P1u, P2u, pt)])
-        add("compat_p1_q_uv", TOL_SCHOUTEN, uv_pts, lambda pt: [schouten_residual(P1u, Qu, pt)])
-
-        def x1_match(pt):
-            ham, scale = ham_field_scaled(P1u, obs_uv["H1"], pt)
-            direct = X1.value(pt.coords)
-            return [Residual(float(np.abs(ham - direct).max()), scale)]
-
-        add("x1_hamiltonian", TOL_EXACT, uv_pts, x1_match)
-
-        def x1_zeta(pt):
-            val = lie_scalar(X1, leaf_mod.ZETA1, pt)
-            return [Residual(abs(val), float(np.abs(X1.value(pt.coords)).max()))]
-
-        add("x1_conserves_zeta1", TOL_EXACT, uv_pts, x1_zeta)
-
-        def trans_p1(pt):
-            delta, scale = lie_bivector_scaled(Zf, P1u, pt)
-            return [Residual(float(np.abs(delta).max()), scale)]
-
-        add("transversal_p1_symmetry", TOL_EXACT, uv_pts, trans_p1)
-
-        def trans_norm(pt):
-            r_h0 = abs(lie_scalar(Zf, obs_uv["H0"], pt) - 1.0)
-            r_c2 = abs(lie_scalar(Zf, obs_uv["C2"], pt))
-            return [Residual(max(r_h0, r_c2), 1.0)]
-
-        add("transversal_normalization", TOL_EXACT, uv_pts, trans_norm)
-
-        def trans_h1_h2(pt):
-            c = pt.coords
-            lam1 = xxz.constant_eigenvalue(params)
-            lam2 = xxz.variable_eigenvalue(params, c)
-            p1sum = lam1 + lam2
-            r1 = lie_scalar(Zf, obs_uv["H1"], pt) + p1sum
-            r2 = lie_scalar(Zf, obs_uv["H2"], pt) - lam1 * lam2
-            scale = max(abs(p1sum), abs(lam1 * lam2), 1.0)
-            return [Residual(max(abs(r1), abs(r2)), float(scale))]
-
-        add("transversal_h1_h2", TOL_EXACT, uv_pts, trans_h1_h2)
-
-        def trans_p2_shape(pt):
-            delta = lie_bivector(Zf, P2u, pt)
-            svals = np.linalg.svd(delta, compute_uv=False)
-            rank_leak = float(svals[2])
-            zvec = Zf.value(pt.coords)
-            x, *_ = np.linalg.lstsq(delta, zvec, rcond=None)
-            colspace_miss = float(np.abs(delta @ x - zvec).max())
-            scale = float(max(svals[0], np.abs(zvec).max()))
-            return [Residual(max(rank_leak, colspace_miss), scale)]
-
-        add("transversal_p2_rank", TOL_PIPELINE, uv_pts, trans_p2_shape)
-
-        def q_casimirs(pt):
-            out = []
-            for name in ("H0", "C2"):
-                vec, scale = ham_field_scaled(Qu, obs_uv[name], pt)
-                out.append(Residual(float(np.abs(vec).max()), scale))
-            return out
-
-        add("q_casimirs", TOL_EXACT, uv_pts, q_casimirs)
-
-        def q_rank(pt):
-            svals = np.linalg.svd(Qu.value(pt.coords), compute_uv=False)
-            return [Residual(float(svals[4]), float(svals[0]))]
-
-        add("q_rank_4", TOL_SCHOUTEN, uv_pts, q_rank)
-
+    def involution(structure, pt):
         hams = [obs_uv[name] for name in ("H0", "C2", "H1", "H2")]
-        ham_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        return [Residual(abs(br), scale) for br, scale in brackets_scaled(structure, hams, ham_pairs, pt)]
 
-        def involution(structure):
-            def fn(pt):
-                return [Residual(abs(br), scale) for br, scale in brackets_scaled(structure, hams, ham_pairs, pt)]
+    stackel_rng = np.random.default_rng([seed, 15])
 
-            return fn
+    def stackel(pt):
+        lam = draw(stackel_rng)
+        return [xxz.stackel_residual(params, lam, draw(stackel_rng), pt)]
 
-        add("involution_p1", TOL_SCHOUTEN, uv_pts, involution(P1u))
-        add("involution_q", TOL_SCHOUTEN, uv_pts, involution(Qu))
+    curve_rng = np.random.default_rng([seed, 16])
 
-        stackel_rng = np.random.default_rng([seed, 15])
+    def trans_curve(pt):
+        lam = draw(curve_rng)
+        return [xxz.transversal_curve_residual(params, lam, draw(curve_rng), pt)]
 
-        def stackel(pt):
-            lam = complex(stackel_rng.uniform(-1, 1), stackel_rng.uniform(-1, 1))
-            rho = complex(stackel_rng.uniform(-1, 1), stackel_rng.uniform(-1, 1))
-            return [xxz.stackel_residual(params, lam, rho, pt)]
+    # ---------------- symmetric-model checks (leaf) ----------------
 
-        add("stackel_condition", TOL_PIPELINE, uv_pts, stackel)
+    def embed_roundtrip(leaf):
+        uv = leaf_mod.embed(leaf)
+        h0 = obs_uv["H0"].value(uv.coords)
+        c2 = obs_uv["C2"].value(uv.coords)
+        back = leaf_mod.project(uv)
+        raw = max(
+            abs(h0 - leaf.levels[0]),
+            abs(c2 - leaf.levels[1]),
+            float(np.abs(back.coords - leaf.coords).max()),
+        )
+        scale = max(abs(leaf.levels[0]), abs(leaf.levels[1]), float(np.abs(leaf.coords).max()))
+        return [Residual(raw, scale)]
 
-        curve_rng = np.random.default_rng([seed, 16])
+    def restricted_oracle(leaf):
+        res = leaf_mod.restricted_oracle_residuals(params, leaf, q_field=Qu, p_field=P1u)
+        return [res["P"], res["Q"]]
 
-        def trans_curve(pt):
-            lam = complex(curve_rng.uniform(-1, 1), curve_rng.uniform(-1, 1))
-            rho = complex(curve_rng.uniform(-1, 1), curve_rng.uniform(-1, 1))
-            return [xxz.transversal_curve_residual(params, lam, rho, pt)]
+    def aux_relations(leaf):
+        a = leaf_mod.aux(params, leaf)
+        _, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
+        # (u2/u1 - u1/u2)^2 = (u1/u2 + u2/u1)^2 - 4, and the second factor
+        # is (lambda2 - mu1 + mu2)/mu3.
+        g_target = ((lam2 - mu1 + mu2) / mu3) ** 2 - 4.0
+        r_g = Residual(abs(a.G**2 - g_target), max(abs(a.G**2), abs(g_target)))
+        r_f = Residual(abs(a.F - (lam2 - lam1)), max(abs(a.F), abs(lam2 - lam1)))
+        r_p = Residual(abs(a.p1sum - (lam1 + lam2)), max(abs(a.p1sum), abs(lam1 + lam2)))
+        return [r_g, r_f, r_p]
 
-        add("transversal_curve_factor", TOL_PIPELINE, uv_pts, trans_curve)
+    def lie_y_scalars(leaf):
+        y, _ = leaf_mod.deformation_field(params, leaf)
+        u1, z1, u2, z2 = leaf.coords
+        a = leaf_mod.aux(params, leaf)
+        d_u1u2 = np.array([u2, 0.0, u1, 0.0], dtype=complex)
+        d_g = np.array(
+            [-u2 / u1**2 - 1.0 / u2, 0.0, 1.0 / u1 + u1 / u2**2, 0.0], dtype=complex
+        )
+        d_l = np.array(
+            [
+                2.0 * mu3 * z2 * u1 - mu2 * u2 * (z1 + z2),
+                mu3 * u2**2 - mu2 * u1 * u2,
+                2.0 * mu3 * z1 * u2 - mu2 * u1 * (z1 + z2),
+                mu3 * u1**2 - mu2 * u1 * u2,
+            ],
+            dtype=complex,
+        )
+        y_scale = float(np.abs(y).max())
+        r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.abs(d_u1u2).max()))
+        r2 = Residual(abs(d_g @ y), y_scale * float(np.abs(d_g).max()))
+        target = mu3 * a.G * (u1 * u2 * a.F)
+        got = d_l @ y
+        r3 = Residual(abs(got - target), max(abs(got), abs(target)))
+        return [r1, r2, r3]
 
-        def zeta_involution(pt):
-            return list(leaf_mod.zeta1_involution_residuals(params, pt).values())
+    deform_rng = np.random.default_rng([seed, 17])
 
-        add("zeta1_involution", TOL_SCHOUTEN, uv_pts, zeta_involution)
+    def deform_factor(leaf):
+        return list(leaf_mod.deformation_residuals(params, draw(deform_rng), leaf, obs_uv).values())
 
-        def phi1(pt):
-            return [leaf_mod.phi1_residual(params, pt)]
+    term_rng = np.random.default_rng([seed, 18])
 
-        def phi2(pt):
-            return [leaf_mod.phi2_residual(params, pt)]
+    def deform_term(leaf):
+        return [leaf_mod.deformation_tower(params, draw(term_rng), leaf, obs_uv)["termination"]]
 
-        if mutate_h2:
-            # Propagate the H2 mutation into the separation relations by hand:
-            # phi residuals read uv_observables directly, so evaluate them with
-            # the mutated H2 by shifting the reported residual terms.
-            def phi1(pt):  # noqa: F811
-                base = leaf_mod.phi1_residual(params, pt)
-                c = pt.coords
-                beta = 1.0 / (params.mu[0] + params.mu[1])
-                shift = beta * 4.0 * params.mu[2] ** 2 * (c[2] - c[5]) ** 2
-                return [Residual(abs(base.raw + shift), base.scale)]
+    # ---------------- the registry: (name, tolerance, point kind, requires, fn) ----------------
 
-            def phi2(pt):  # noqa: F811
-                base = leaf_mod.phi2_residual(params, pt)
-                c = pt.coords
-                shift = 4.0 * params.mu[2] ** 2 * (c[2] - c[5]) ** 2
-                return [Residual(abs(base.raw + shift), base.scale)]
+    M, UV, LEAF, SYM, POS = "M_real", "UV_complex", "LEAF", "symmetric", "positive_spectrum"
+    registry = [
+        ("gradient_fd_m", TOL_FD, M, None, fd_m),
+        ("jacobi_p1_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P1m, pt)]),
+        ("jacobi_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P2m, P2m, pt)]),
+        ("compat_p1_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P2m, pt)]),
+        ("pencil_jacobi_m", TOL_EXACT, M, None, pencil_m),
+        ("lenard_chain", TOL_EXACT, M, None, lambda pt: list(so4.lenard_residuals_m(params, pt).values())),
+        ("charpoly_identity", TOL_PIPELINE, M, None, charpoly_m),
+        ("he_split_form", TOL_EXACT, M, None, he_split),
+        ("chart_roundtrip", TOL_ROUNDTRIP, M, None, roundtrip),
+        ("lax_flow", TOL_PIPELINE, M, POS, lax_flow),
+        ("lax_angular_commutator", TOL_EXACT, M, POS, lax_comm),
+        ("gradient_fd_uv", TOL_FD, UV, SYM, fd_uv),
+        (
+            "observable_transport", TOL_EXACT, UV, SYM,
+            lambda pt: list(xxz.observable_transport_residuals(params, pt, obs_uv).values()),
+        ),
+        ("uv_tensor_scale", TOL_EXACT, UV, SYM, uv_scale),
+        ("charpoly_identity_uv", TOL_PIPELINE, UV, SYM, charpoly_uv),
+        ("jacobi_p1_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(P1u, P1u, pt)]),
+        ("jacobi_p2_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(P2u, P2u, pt)]),
+        ("jacobi_q_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(Qu, Qu, pt)]),
+        ("compat_p1_p2_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(P1u, P2u, pt)]),
+        ("compat_p1_q_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(P1u, Qu, pt)]),
+        ("x1_hamiltonian", TOL_EXACT, UV, SYM, x1_match),
+        ("x1_conserves_zeta1", TOL_EXACT, UV, SYM, x1_zeta),
+        ("transversal_p1_symmetry", TOL_EXACT, UV, SYM, trans_p1),
+        ("transversal_normalization", TOL_EXACT, UV, SYM, trans_norm),
+        ("transversal_h1_h2", TOL_EXACT, UV, SYM, trans_h1_h2),
+        ("transversal_p2_rank", TOL_PIPELINE, UV, SYM, trans_p2_shape),
+        ("q_casimirs", TOL_EXACT, UV, SYM, q_casimirs),
+        ("q_rank_4", TOL_SCHOUTEN, UV, SYM, q_rank),
+        ("involution_p1", TOL_SCHOUTEN, UV, SYM, lambda pt: involution(P1u, pt)),
+        ("involution_q", TOL_SCHOUTEN, UV, SYM, lambda pt: involution(Qu, pt)),
+        ("stackel_condition", TOL_PIPELINE, UV, SYM, stackel),
+        ("transversal_curve_factor", TOL_PIPELINE, UV, SYM, trans_curve),
+        (
+            "zeta1_involution", TOL_SCHOUTEN, UV, SYM,
+            lambda pt: list(leaf_mod.zeta1_involution_residuals(params, pt, obs_uv).values()),
+        ),
+        ("separation_phi1", TOL_EXACT, UV, SYM, lambda pt: [leaf_mod.phi1_residual(params, pt, obs_uv)]),
+        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)]),
+        ("embed_roundtrip", TOL_ROUNDTRIP, LEAF, SYM, embed_roundtrip),
+        ("restricted_oracle", TOL_SCHOUTEN, LEAF, SYM, restricted_oracle),
+        (
+            "nijenhuis_closed_form", TOL_EXACT, LEAF, SYM,
+            lambda leaf: [leaf_mod.nijenhuis_closed_form_residual(params, leaf, nijenhuis)],
+        ),
+        (
+            "nijenhuis_spectrum", TOL_SPECTRUM, LEAF, SYM,
+            lambda leaf: [leaf_mod.nijenhuis_spectrum_residual(params, leaf, nijenhuis)],
+        ),
+        ("aux_relations", TOL_EXACT, LEAF, SYM, aux_relations),
+        ("y_field_match", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.deformation_field(params, leaf)[1]]),
+        ("lie_y_invariants", TOL_SCHOUTEN, LEAF, SYM, lie_y_scalars),
+        ("deformation_factorization", TOL_SCHOUTEN, LEAF, SYM, deform_factor),
+        ("deformation_termination", TOL_DN, LEAF, SYM, deform_term),
+        (
+            "deformation_xi2_agreement", TOL_DN, LEAF, SYM,
+            lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv)[2]],
+        ),
+        ("dn_canonical_p", TOL_DN, LEAF, SYM, lambda leaf: [once(leaf_mod.dn_bracket_residuals, leaf)["P"]]),
+        ("dn_brackets_q", TOL_DN, LEAF, SYM, lambda leaf: [once(leaf_mod.dn_bracket_residuals, leaf)["Q"]]),
+        ("dn_eigenforms", TOL_PIPELINE, LEAF, SYM, lambda leaf: leaf_mod.dn_eigenform_residuals(params, leaf, nijenhuis)),
+        ("theta_bracket", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.theta_bracket_residual(params, leaf)]),
+        (
+            "q_dh2_chain", TOL_SCHOUTEN, LEAF, SYM,
+            lambda leaf: [once(leaf_mod.q_extra_casimir_residuals, leaf, obs_uv)["qdh2_chain"]],
+        ),
+    ]
 
-        add("separation_phi1", TOL_EXACT, uv_pts, phi1)
-        add("separation_phi2", TOL_PIPELINE, uv_pts, phi2)
+    # ---------------- skip rows, sampling, evaluation ----------------
 
-        # ------------- leaf ensemble -------------
-
-        def embed_roundtrip(leaf):
-            uv = leaf_mod.embed(leaf)
-            clean_obs = xxz.uv_observables(params)
-            h0 = clean_obs["H0"].value(uv.coords)
-            c2 = clean_obs["C2"].value(uv.coords)
-            back = leaf_mod.project(uv)
-            raw = max(
-                abs(h0 - leaf.levels[0]),
-                abs(c2 - leaf.levels[1]),
-                float(np.abs(back.coords - leaf.coords).max()),
-            )
-            scale = max(abs(leaf.levels[0]), abs(leaf.levels[1]), float(np.abs(leaf.coords).max()))
-            return [Residual(raw, scale)]
-
-        add("embed_roundtrip", TOL_ROUNDTRIP, leaf_pts, embed_roundtrip)
-
-        def restricted_oracle(leaf):
-            res = leaf_mod.restricted_oracle_residuals(params, leaf, q_field=Qu, p_field=P1u)
-            return [res["P"], res["Q"]]
-
-        add("restricted_oracle", TOL_SCHOUTEN, leaf_pts, restricted_oracle)
-
-        def nstar_closed(leaf):
-            N, _, _ = _mutated_nijenhuis(params, leaf, mutate_n)
-            P, Q = leaf_mod.restricted_tensors(params, leaf)
-            numeric = np.linalg.solve(P, Q)
-            raw = float(np.abs(N - numeric).max())
-            scale = float(max(np.abs(N).max(), np.abs(numeric).max()))
-            return [Residual(raw, scale)]
-
-        add("nijenhuis_closed_form", TOL_EXACT, leaf_pts, nstar_closed)
-
-        def nstar_spectrum(leaf):
-            from itertools import permutations
-
-            N, lam1, lam2 = _mutated_nijenhuis(params, leaf, mutate_n)
-            computed = np.linalg.eigvals(N)
-            expected = np.array([lam1, lam1, lam2, lam2])
-            best = min(
-                max(abs(computed[p[i]] - expected[i]) for i in range(4))
-                for p in permutations(range(4))
-            )
-            return [Residual(float(best), float(max(abs(lam1), abs(lam2))))]
-
-        add("nijenhuis_spectrum", TOL_SPECTRUM, leaf_pts, nstar_spectrum)
-
-        def aux_relations(leaf):
-            a = leaf_mod.aux(params, leaf)
-            _, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
-            # (u2/u1 - u1/u2)^2 = (u1/u2 + u2/u1)^2 - 4, and the second factor
-            # is (lambda2 - mu1 + mu2)/mu3.
-            g_target = ((lam2 - mu1 + mu2) / mu3) ** 2 - 4.0
-            r_g = Residual(abs(a.G**2 - g_target), max(abs(a.G**2), abs(g_target)))
-            r_f = Residual(abs(a.F - (lam2 - lam1)), max(abs(a.F), abs(lam2 - lam1)))
-            r_p = Residual(abs(a.p1sum - (lam1 + lam2)), max(abs(a.p1sum), abs(lam1 + lam2)))
-            return [r_g, r_f, r_p]
-
-        add("aux_relations", TOL_EXACT, leaf_pts, aux_relations)
-
-        def y_match(leaf):
-            _, res = leaf_mod.deformation_field(params, leaf)
-            return [res]
-
-        add("y_field_match", TOL_EXACT, leaf_pts, y_match)
-
-        def lie_y_scalars(leaf):
-            y, _ = leaf_mod.deformation_field(params, leaf)
-            u1, z1, u2, z2 = leaf.coords
-            a = leaf_mod.aux(params, leaf)
-            d_u1u2 = np.array([u2, 0.0, u1, 0.0], dtype=complex)
-            d_g = np.array(
-                [-u2 / u1**2 - 1.0 / u2, 0.0, 1.0 / u1 + u1 / u2**2, 0.0], dtype=complex
-            )
-            d_l = np.array(
-                [
-                    2.0 * mu3 * z2 * u1 - mu2 * u2 * (z1 + z2),
-                    mu3 * u2**2 - mu2 * u1 * u2,
-                    2.0 * mu3 * z1 * u2 - mu2 * u1 * (z1 + z2),
-                    mu3 * u1**2 - mu2 * u1 * u2,
-                ],
-                dtype=complex,
-            )
-            y_scale = float(np.abs(y).max())
-            r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.abs(d_u1u2).max()))
-            r2 = Residual(abs(d_g @ y), y_scale * float(np.abs(d_g).max()))
-            target = mu3 * a.G * (u1 * u2 * a.F)
-            got = d_l @ y
-            r3 = Residual(abs(got - target), max(abs(got), abs(target)))
-            return [r1, r2, r3]
-
-        add("lie_y_invariants", TOL_SCHOUTEN, leaf_pts, lie_y_scalars)
-
-        deform_rng = np.random.default_rng([seed, 17])
-
-        def deform_factor(leaf):
-            rho = complex(deform_rng.uniform(-1, 1), deform_rng.uniform(-1, 1))
-            return list(leaf_mod.deformation_residuals(params, rho, leaf).values())
-
-        add("deformation_factorization", TOL_SCHOUTEN, leaf_pts, deform_factor)
-
-        term_rng = np.random.default_rng([seed, 18])
-
-        def deform_term(leaf):
-            rho = complex(term_rng.uniform(-1, 1), term_rng.uniform(-1, 1))
-            tower = leaf_mod.deformation_tower(params, rho, leaf)
-            return [tower["termination"]]
-
-        add("deformation_termination", TOL_DN, leaf_pts, deform_term)
-
-        def xi2_agreement(leaf):
-            closed = leaf_mod.xi2_closed_form(params, leaf)
-            _, _, lam2 = leaf_mod.nijenhuis(params, leaf)
-            tower = leaf_mod.deformation_tower(params, lam2, leaf)
-            algorithmic = tower["lie1"] / tower["lie2"]
-            return [Residual(abs(algorithmic - closed), max(abs(algorithmic), abs(closed)))]
-
-        add("deformation_xi2_agreement", TOL_DN, leaf_pts, xi2_agreement)
-
-        dn_memo = {}  # both DN rows read one dn_bracket_residuals per leaf sample
-
-        def dn_brackets(leaf):
-            if id(leaf) not in dn_memo:
-                dn_memo[id(leaf)] = leaf_mod.dn_bracket_residuals(params, leaf)
-            return dn_memo[id(leaf)]
-
-        def dn_canonical(leaf):
-            return [dn_brackets(leaf)["P"]]
-
-        def dn_second(leaf):
-            return [dn_brackets(leaf)["Q"]]
-
-        add("dn_canonical_p", TOL_DN, leaf_pts, dn_canonical)
-        add("dn_brackets_q", TOL_DN, leaf_pts, dn_second)
-
-        def dn_eigen(leaf):
-            N, lam1, lam2 = _mutated_nijenhuis(params, leaf, mutate_n)
-            grads = leaf_mod.dn_gradients(params, leaf)
-            eigs = (lam1, lam1, lam2, lam2)
-            out = []
-            for g, lam in zip(grads, eigs):
-                image = N @ g
-                raw = float(np.abs(image - lam * g).max())
-                scale = float(max(np.abs(image).max(), abs(lam) * np.abs(g).max()))
-                out.append(Residual(raw, scale))
-            return out
-
-        add("dn_eigenforms", TOL_PIPELINE, leaf_pts, dn_eigen)
-
-        def theta_br(leaf):
-            return [leaf_mod.theta_bracket_residual(params, leaf)]
-
-        add("theta_bracket", TOL_EXACT, leaf_pts, theta_br)
-
-        def q_chain(leaf):
-            res = leaf_mod.q_extra_casimir_residuals(params, leaf)
-            return [res["qdh2_chain"]]
-
-        add("q_dh2_chain", TOL_SCHOUTEN, leaf_pts, q_chain)
-
-    else:
-        for name in (
-            "gradient_fd_uv",
-            "observable_transport",
-            "uv_tensor_scale",
-            "charpoly_identity_uv",
-            "jacobi_p1_uv",
-            "jacobi_p2_uv",
-            "jacobi_q_uv",
-            "compat_p1_p2_uv",
-            "compat_p1_q_uv",
-            "x1_hamiltonian",
-            "x1_conserves_zeta1",
-            "transversal_p1_symmetry",
-            "transversal_normalization",
-            "transversal_h1_h2",
-            "transversal_p2_rank",
-            "q_casimirs",
-            "q_rank_4",
-            "involution_p1",
-            "involution_q",
-            "stackel_condition",
-            "transversal_curve_factor",
-            "zeta1_involution",
-            "separation_phi1",
-            "separation_phi2",
-            "embed_roundtrip",
-            "restricted_oracle",
-            "nijenhuis_closed_form",
-            "nijenhuis_spectrum",
-            "aux_relations",
-            "y_field_match",
-            "lie_y_invariants",
-            "deformation_factorization",
-            "deformation_termination",
-            "deformation_xi2_agreement",
-            "dn_canonical_p",
-            "dn_brackets_q",
-            "dn_eigenforms",
-            "theta_bracket",
-            "q_dh2_chain",
-        ):
+    active = [row for row in registry if holds[row[3]]]
+    for name, _, _, requires, _ in registry:
+        if not holds[requires]:
             report.checks.append(
-                CheckResult(
-                    name=name,
-                    tolerance=0.0,
-                    skipped=True,
-                    note="skipped: model not rotationally symmetric",
-                )
+                CheckResult(name=name, tolerance=0.0, skipped=True, note=SKIP_NOTES[requires])
             )
 
-    # ---------------- evaluate registry ----------------
+    guards = {M: [], UV: uv_guards(params), LEAF: leaf_guards(params)}
+    points = {}
+    for offset, kind in enumerate((M, UV, LEAF)):
+        if any(row[2] == kind for row in active):
+            sample = sample_points(kind, n_points, seed + offset, guards=guards[kind])
+            report.resamples[kind] = sample.n_resampled
+            points[kind] = sample.points
 
-    for name, tol, points, fn in registry:
+    for name, tol, kind, _, fn in active:
         effective_tol = tol * tol_scale
         worst = 0.0
         first_nonfinite = None
         n_eval = 0
         n_skip = 0
-        for index, pt in enumerate(points):
+        for index, pt in enumerate(points[kind]):
             try:
                 residuals = fn(pt)
             except DegeneracyError:
@@ -868,7 +673,7 @@ def run_suite(
         if first_nonfinite is not None:
             result.passed = False
             result.note = f"non-finite residual at sample {first_nonfinite}"
-        elif n_eval == 0 or n_skip > 0.05 * len(points):
+        elif n_eval == 0 or n_skip > 0.05 * len(points[kind]):
             result.passed = False
             result.note = "inconclusive: too many degenerate skips"
         else:
@@ -877,11 +682,14 @@ def run_suite(
 
     # ---------------- diagnostics ----------------
 
-    if params.symmetric:
-        lenard = [leaf_mod.generalized_lenard_fit(params, leaf) for leaf in leaf_pts[:20]]
+    if holds[SYM]:
+        leaf_pts = points[LEAF][:20]
+        lenard = [leaf_mod.generalized_lenard_fit(params, leaf, obs_uv) for leaf in leaf_pts]
         fits = [(fit["residual"].normalized, float(fit["p1_mismatch"])) for fit in lenard]
-        h1_norms = [leaf_mod.q_extra_casimir_residuals(params, leaf)["qdh1_norm"].normalized for leaf in leaf_pts[:20]]
-        ratio = xxz.uv_transport_residuals(params, uv_pts[0])["ratio_p1"]
+        h1_norms = [
+            once(leaf_mod.q_extra_casimir_residuals, leaf, obs_uv)["qdh1_norm"].normalized for leaf in leaf_pts
+        ]
+        ratio = xxz.uv_transport_residuals(params, points[UV][0])["ratio_p1"]
         report.diagnostics += [
             _diagnostic(
                 "generalized_lenard_fit",
@@ -905,8 +713,8 @@ def run_suite(
                 "printed uv tensors over pushforward of m-chart tensors; i/sqrt(2)",
             ),
         ]
-    if lax_ok:
-        mismatches = [so4.angular_velocity_flow_mismatch(params, 0.7 + 0.3j, pt) for pt in m_pts]
+    if holds[POS]:
+        mismatches = [so4.angular_velocity_flow_mismatch(params, 0.7 + 0.3j, pt) for pt in points[M]]
         report.diagnostics += [
             {
                 "name": "lax_partner_sign",

@@ -278,14 +278,15 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
     return out
 
 
-def observable_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
+def observable_transport_residuals(params: ModelParams, pt: PhasePoint, obs=None) -> dict:
     """uv spectral-curve coefficients against the m-chart observables.
 
-    H0 agrees, C2 = 2 C, H1 = -2 HE, H2 = KE at the mapped point.
+    H0 agrees, C2 = 2 C, H1 = -2 HE, H2 = KE at the mapped point.  obs are
+    the uv observables under test (default uv_observables(params)).
     """
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    uv = uv_observables(params)
+    uv = obs or uv_observables(params)
     mo = observables_m(params)
     m_pt = chart_map(pt, CHART_M, complex_ok=True)
     pairs = {
@@ -300,12 +301,15 @@ def observable_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
     }
 
 
-def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
-    """Spectral-curve identity in uv form: the C2 constant term carries 1/4."""
+def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, obs=None) -> Residual:
+    """Spectral-curve identity in uv form: the C2 constant term carries 1/4.
+
+    obs are the uv observables under test (default uv_observables(params)).
+    """
     require_symmetric(params)
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    uv = uv_observables(params)
+    uv = obs or uv_observables(params)
     c = pt.coords
     h0 = uv["H0"].value(c)
     h1 = uv["H1"].value(c)

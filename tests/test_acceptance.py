@@ -133,7 +133,7 @@ def test_criterion_5_nijenhuis_dn():
         br = leaf_mod.dn_bracket_residuals(SYM, leaf)
         worst["dn_p"] = max(worst["dn_p"], br["P"].normalized)
         worst["dn_q"] = max(worst["dn_q"], br["Q"].normalized)
-        worst["eigen"] = max(worst["eigen"], leaf_mod.dn_eigenform_residuals(SYM, leaf).normalized)
+        worst["eigen"] = max(worst["eigen"], *(r.normalized for r in leaf_mod.dn_eigenform_residuals(SYM, leaf)))
     elapsed = time.perf_counter() - t0
     ok = (
         worst["closed"] <= 1e-12
@@ -161,7 +161,7 @@ def test_criterion_6_deformation_pipeline():
     for leaf in _leaves(50, 109):
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         worst_factor = max(
-            worst_factor, leaf_mod.deformation_factorization_residual(SYM, rho, leaf).normalized
+            worst_factor, leaf_mod.deformation_residuals(SYM, rho, leaf)["factorization"].normalized
         )
         tower = leaf_mod.deformation_tower(SYM, rho, leaf)
         worst_term = max(worst_term, tower["termination"].normalized)

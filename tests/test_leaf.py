@@ -174,8 +174,9 @@ def test_deformation_factorization():
     for _ in range(20):
         leaf = random_leaf(rng)
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert leaf_mod.deformation_factorization_residual(PARAMS, rho, leaf).normalized < 1e-11
-        assert leaf_mod.deformation_second_residual(PARAMS, rho, leaf).normalized < 1e-11
+        res = leaf_mod.deformation_residuals(PARAMS, rho, leaf)
+        assert res["factorization"].normalized < 1e-11
+        assert res["second"].normalized < 1e-11
         tower = leaf_mod.deformation_tower(PARAMS, rho, leaf)
         assert tower["termination"].normalized < 1e-10
 
@@ -264,7 +265,9 @@ def test_dn_eigenforms():
     rng = np.random.default_rng(10)
     for _ in range(20):
         leaf = random_leaf(rng)
-        assert leaf_mod.dn_eigenform_residuals(PARAMS, leaf).normalized < 1e-9
+        res = leaf_mod.dn_eigenform_residuals(PARAMS, leaf)
+        assert len(res) == 4
+        assert max(r.normalized for r in res) < 1e-9
 
 
 def test_theta_bracket():

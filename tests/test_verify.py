@@ -178,8 +178,8 @@ def test_nan_diagnostic_fails_closed(monkeypatch):
     real = leaf_mod.generalized_lenard_fit
     calls = []
 
-    def patched(params, leaf):
-        out = real(params, leaf)
+    def patched(params, leaf, obs=None):
+        out = real(params, leaf, obs)
         if len(calls) == 2:
             out["residual"] = Residual(float("nan"), out["residual"].scale)
         calls.append(leaf)
@@ -199,8 +199,8 @@ def test_nan_diagnostic_at_first_sample_keeps_report_strict(monkeypatch):
     # a NaN first in the list survives min(); it must become null, not break to_json
     real = leaf_mod.q_extra_casimir_residuals
 
-    def patched(params, leaf):
-        out = real(params, leaf)
+    def patched(params, leaf, obs=None):
+        out = real(params, leaf, obs)
         out["qdh1_norm"] = Residual(float("nan"), 1.0)
         return out
 
@@ -212,3 +212,96 @@ def test_nan_diagnostic_at_first_sample_keeps_report_strict(monkeypatch):
     assert diag["q_dh1_not_casimir"]["value"] is None
     assert diag["q_dh1_not_casimir"]["note"] == "non-finite value at leaf sample 0"
     assert isinstance(diag["generalized_lenard_fit"]["value"], float)
+
+
+MODELS = {"10,1,2": (10.0, 1.0, 2.0), "10,1,2,5": (10.0, 1.0, 2.0, 5.0), "1,2,3": (1.0, 2.0, 3.0), "1,2,3,5": (1.0, 2.0, 3.0, 5.0)}
+
+
+@pytest.mark.parametrize("model", ["10,1,2,5", "1,2,3,5", "1,2,3"])
+def test_skip_rows_come_first_in_registry_order(model):
+    # 10,1,2 evaluates every row; other models skip some, listed first
+    full = [c.name for c in verify.run_suite(ModelParams.from_mu(*MODELS["10,1,2"]), seed=0, n_points=3).checks]
+    report = verify.run_suite(ModelParams.from_mu(*MODELS[model]), seed=0, n_points=3)
+    skipped = {c.name for c in report.checks if c.skipped}
+    assert skipped
+    expected = [n for n in full if n in skipped] + [n for n in full if n not in skipped]
+    assert [c.name for c in report.checks] == expected
+    for c in report.checks:
+        if c.skipped:
+            assert c.note in verify.SKIP_NOTES.values()
+    # a point kind is sampled only if an evaluated row reads it
+    kinds = ["M_real", "UV_complex", "LEAF"] if ModelParams.from_mu(*MODELS[model]).symmetric else ["M_real"]
+    assert list(report.resamples) == kinds
+
+
+@pytest.mark.parametrize(
+    "mutation, failing",
+    [
+        ("q_sign", {"jacobi_q_uv", "q_casimirs"}),
+        ("nstar_sign", {"nijenhuis_closed_form", "nijenhuis_spectrum", "dn_eigenforms"}),
+    ],
+)
+def test_override_breaks_exactly_the_rows_reading_its_ingredient(mutation, failing):
+    report = verify.run_suite(ModelParams.from_mu(10.0, 1.0, 2.0), seed=0, n_points=20, overrides=(mutation,))
+    assert {c.name for c in report.checks if not c.skipped and not c.passed} == failing
+
+
+def test_h2_override_reaches_separation_and_leaf_rows():
+    report = verify.run_suite(ModelParams.from_mu(10.0, 1.0, 2.0), seed=0, n_points=20, overrides=("h2_sign",))
+    failed = {c.name for c in report.checks if not c.skipped and not c.passed}
+    assert {"observable_transport", "charpoly_identity_uv", "separation_phi1", "separation_phi2", "q_dh2_chain"} <= failed
+
+
+def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
+    # a consistent H2 + 1e-4 z1 z2 (value and gradient) swapped in where the
+    # suite builds its uv observables must fail both separation relations
+    from bihamso4 import xxz
+    from bihamso4.fields import ScalarField
+
+    real = xxz.uv_observables
+
+    def perturbed(params):
+        obs = dict(real(params))
+        base = obs["H2"]
+
+        def grad(c):
+            g = np.array(base.grad(c), dtype=complex)
+            g[2] += 1e-4 * c[5]
+            g[5] += 1e-4 * c[2]
+            return g
+
+        obs["H2"] = ScalarField(base.chart, lambda c: base.value(c) + 1e-4 * c[2] * c[5], grad, name="H2")
+        return obs
+
+    monkeypatch.setattr(xxz, "uv_observables", perturbed)
+    report = verify.run_suite(PARAMS, seed=0, n_points=20)
+    by_name = {c.name: c for c in report.checks}
+    for name in ("separation_phi1", "separation_phi2", "observable_transport"):
+        assert by_name[name].passed is False, name
+    # the gradient stays consistent with the value, so the FD row still passes
+    assert by_name["gradient_fd_uv"].passed
+
+
+def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
+    # dn_gradients is read once per leaf sample by dn_eigenforms: poison one
+    # row at sample 4, which a running worst would drop
+    real = leaf_mod.dn_gradients
+    leafs = verify.sample_points("LEAF", 6, 2, guards=verify.leaf_guards(PARAMS)).points
+    poisoned = leafs[4]
+
+    def patched(params, leaf):
+        out = real(params, leaf)
+        if leaf is poisoned or np.array_equal(leaf.coords, poisoned.coords):
+            out = out.copy()
+            out[1, 0] = float("nan")
+        return out
+
+    monkeypatch.setattr(leaf_mod, "dn_gradients", patched)
+    res = leaf_mod.dn_eigenform_residuals(PARAMS, poisoned)
+    assert len(res) == 4
+    assert not np.isfinite(res[1].raw)
+    report = verify.run_suite(PARAMS, seed=0, n_points=6)
+    eig = next(c for c in report.checks if c.name == "dn_eigenforms")
+    assert eig.passed is False
+    assert eig.note == "non-finite residual at sample 4"
+    assert not report.overall
