@@ -268,7 +268,10 @@ def grad_fd_residual(f: ScalarField, pt: PhasePoint) -> Residual:
 # W that is constant along its own flow (W(p + t W(p)) = W(p)) has straight
 # integral lines, so f(p + t W(p)) is evaluated exactly and iterated Lie
 # derivatives are k! times the polynomial coefficients of an exact-degree fit.
-LINE_NODES = np.array([-1.0, -0.6, -0.2, 0.2, 0.6, 1.0])
+# The nodes are the sixth roots of unity: their Vandermonde matrix is sqrt(6)
+# times a unitary one (condition number 1), so the fit adds no roundoff
+# beyond that of the node values.  Coordinates along the lines are complex.
+LINE_NODES = np.exp(2j * np.pi * np.arange(6) / 6)
 _VANDER_INV = np.linalg.inv(np.vander(LINE_NODES, 6, increasing=True))
 
 

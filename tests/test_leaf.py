@@ -370,3 +370,13 @@ def test_leaf_chart_validation():
         LeafChart(np.zeros(3, dtype=complex), (0j, 0j))
     with pytest.raises(DegeneracyError, match="degenerate point"):
         LeafChart(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex), (0j, 0j))
+
+
+@pytest.mark.parametrize("verify_seed, index", [(902951197, 158), (1452449053, 14)])
+def test_xi2_paths_agree_where_the_line_fit_was_ill_conditioned(verify_seed, index):
+    # leaf samples of `verify --mu 10,1,2 --points 200` where a small Lie_Y^2 H
+    # against large node values once read 5.5e-10 and 1.6e-10 > TOL_DN
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    leafs = verify.sample_points("LEAF", index + 1, verify_seed + 2, guards=verify.leaf_guards(params)).points
+    _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index])
+    assert agreement.normalized <= verify.TOL_DN
