@@ -182,11 +182,3 @@ def integrate(
         abort_time=None if abort_step is None else abort_step * dt,
     )
 
-
-if __name__ == "__main__":
-    params = ModelParams.from_mu(10.0, 1.0, 2.0)
-    rng = np.random.default_rng(0)
-    m0 = rng.uniform(-1.0, 1.0, 6)
-    traj = integrate(params, m0)
-    for name in INVARIANT_NAMES:
-        print(f"{name:6s} drift {traj.drift[name]:.3e}")

@@ -89,6 +89,11 @@ class Residual(NamedTuple):
         return self.raw / (1.0 + self.scale)
 
 
+def mismatch(a: Array, b: Array) -> Residual:
+    """Residual of the array identity a = b: max |a - b| over the larger of max |a|, max |b|."""
+    return Residual(float(np.abs(a - b).max()), float(max(np.abs(a).max(), np.abs(b).max())))
+
+
 def _require_chart(chart: str, *objs) -> None:
     for obj in objs:
         if obj.chart != chart:
@@ -194,14 +199,6 @@ def lie_bivector_scaled(Z: VectorField, P: BivectorField, pt: PhasePoint) -> tup
     return term1 - term2 - term3, float(max(m1, m2))
 
 
-def wedge(X: VectorField, Z: VectorField, pt: PhasePoint) -> Array:
-    """Decomposable bivector (X ^ Z)^ij = X^i Z^j - X^j Z^i at pt."""
-    _require_chart(pt.chart, X, Z)
-    x = X.value(pt.coords)
-    z = Z.value(pt.coords)
-    return np.outer(x, z) - np.outer(z, x)
-
-
 def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
     """X ^ Z as a BivectorField with exact derivatives from the factor Jacobians."""
     if X.chart != Z.chart:
@@ -257,11 +254,7 @@ def fd_jac(value: Callable[[Array], Array], coords: Array, step: float = FD_STEP
 def grad_fd_residual(f: ScalarField, pt: PhasePoint) -> Residual:
     """Relative disagreement between the exact gradient of f and central differences."""
     _require_chart(pt.chart, f)
-    exact = np.asarray(f.grad(pt.coords))
-    approx = fd_grad(f.value, pt.coords)
-    raw = float(np.abs(exact - approx).max())
-    scale = float(max(np.abs(exact).max(), np.abs(approx).max()))
-    return Residual(raw, scale)
+    return mismatch(np.asarray(f.grad(pt.coords)), fd_grad(f.value, pt.coords))
 
 
 # Interpolation nodes for Lie derivatives along straight flow lines.  A field
@@ -281,6 +274,19 @@ def line_poly_coeffs(values) -> Array:
     if values.shape != LINE_NODES.shape:
         raise ValueError("dimension mismatch")
     return _VANDER_INV @ values
+
+
+def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array], Array], p: Array) -> tuple:
+    """Coefficients c_0..c_5 and node values of t -> f(p + t w), w = direction(p).
+
+    The fit gives the Lie derivatives along w only if the line is a flow line,
+    so w(p + t w) = w is asserted at the farthest node before f is evaluated.
+    """
+    w = direction(p)
+    if float(np.abs(direction(p + LINE_NODES[-1] * w) - w).max()) > 1e-12 * (1.0 + float(np.abs(w).max())):
+        raise RuntimeError("direction field is not self-parallel")
+    vals = np.array([f(p + t * w) for t in LINE_NODES])
+    return line_poly_coeffs(vals), vals
 
 
 def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int, name: str = "") -> BivectorField:

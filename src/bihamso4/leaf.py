@@ -34,8 +34,8 @@ from .fields import (
     Residual,
     ScalarField,
     brackets_scaled,
-    line_poly_coeffs,
-    LINE_NODES,
+    line_restriction,
+    mismatch,
 )
 from .so4 import ModelParams
 from .xxz import p1_uv, q_uv, require_symmetric, uv_observables
@@ -182,10 +182,7 @@ def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=No
     out = {}
     for key, ambient, printed in (("P", p_field, P), ("Q", q_field, Q)):
         amb = ambient.value(uv.coords)
-        sub = amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)]
-        raw = float(np.abs(sub - printed).max())
-        scale = float(max(np.abs(sub).max(), np.abs(printed).max()))
-        out[key] = Residual(raw, scale)
+        out[key] = mismatch(amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)], printed)
     return out
 
 
@@ -223,10 +220,7 @@ def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, nstar=N
     """
     P, Q = restricted_tensors(params, leaf)
     N, _, _ = (nstar or nijenhuis)(params, leaf)
-    numeric = np.linalg.solve(P, Q)
-    raw = float(np.abs(N - numeric).max())
-    scale = float(max(np.abs(N).max(), np.abs(numeric).max()))
-    return Residual(raw, scale)
+    return mismatch(N, np.linalg.solve(P, Q))
 
 
 def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None) -> Residual:
@@ -242,21 +236,33 @@ def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None
     return Residual(float(best), float(max(abs(lam1), abs(lam2))))
 
 
+def u_forms(params: ModelParams, u1: complex, u2: complex) -> tuple:
+    """(G, F, theta1), the closed forms that depend on u1, u2 only; the samplers' guards read them too."""
+    _, mu2, mu3, _ = params.mu
+    G = u2 / u1 - u1 / u2
+    F = mu3 * (u1 / u2 + u2 / u1) - 2.0 * mu2
+    theta1 = 0.5 * mu3 * u1**2 - mu2 * u1 * u2 + 0.5 * mu3 * u2**2
+    return G, F, theta1
+
+
 def aux(params: ModelParams, leaf: LeafChart) -> AuxFunctions:
     """The scalars G, F, L, theta1 and the eigenvalue sum p1."""
     require_symmetric(params)
     mu1, mu2, mu3, _ = params.mu
     u1, z1, u2, z2 = leaf.coords
-    r = u1 / u2 + u2 / u1
-    G = u2 / u1 - u1 / u2
-    F = mu3 * r - 2.0 * mu2
+    G, F, theta1 = u_forms(params, u1, u2)
     L = mu3 * (z2 * u1**2 + z1 * u2**2) - mu2 * u1 * u2 * (z1 + z2)
-    theta1 = 0.5 * mu3 * u1**2 - mu2 * u1 * u2 + 0.5 * mu3 * u2**2
-    p1sum = 2.0 * mu1 + mu3 * r
+    p1sum = 2.0 * mu1 + mu3 * (u1 / u2 + u2 / u1)
     return AuxFunctions(complex(G), complex(F), complex(L), complex(theta1), complex(p1sum))
 
 
-def _p1sum_grad(params: ModelParams, leaf: LeafChart) -> Array:
+# Hand-coded gradients wrt (u1, z1, u2, z2) of zeta1 and of the closed forms above.
+_D_ZETA1 = np.array([0.0, -1.0, 0.0, 1.0], dtype=complex)
+_D_ZETA1.flags.writeable = False
+
+
+def _d_lam2(params: ModelParams, leaf: LeafChart) -> Array:
+    """Gradient of lambda2, equal to that of p1sum = lambda1 + lambda2."""
     mu3 = params.mu[2]
     u1, _, u2, _ = leaf.coords
     return np.array(
@@ -270,29 +276,66 @@ def _p1sum_grad(params: ModelParams, leaf: LeafChart) -> Array:
     )
 
 
+def _d_theta1(params: ModelParams, leaf: LeafChart) -> Array:
+    _, mu2, mu3, _ = params.mu
+    u1, _, u2, _ = leaf.coords
+    return np.array([mu3 * u1 - mu2 * u2, 0.0, mu3 * u2 - mu2 * u1, 0.0], dtype=complex)
+
+
+def _d_l(params: ModelParams, leaf: LeafChart) -> Array:
+    _, mu2, mu3, _ = params.mu
+    u1, z1, u2, z2 = leaf.coords
+    return np.array(
+        [
+            2.0 * mu3 * z2 * u1 - mu2 * u2 * (z1 + z2),
+            mu3 * u2**2 - mu2 * u1 * u2,
+            2.0 * mu3 * z1 * u2 - mu2 * u1 * (z1 + z2),
+            mu3 * u1**2 - mu2 * u1 * u2,
+        ],
+        dtype=complex,
+    )
+
+
+def _y_invariant_grads(params: ModelParams, leaf: LeafChart) -> tuple:
+    """Gradients of u1 u2, G and L, whose Y-derivatives lie_y_invariant_residuals checks."""
+    u1, _, u2, _ = leaf.coords
+    d_u1u2 = np.array([u2, 0.0, u1, 0.0], dtype=complex)
+    d_g = np.array([-u2 / u1**2 - 1.0 / u2, 0.0, 1.0 / u1 + u1 / u2**2, 0.0], dtype=complex)
+    return d_u1u2, d_g, _d_l(params, leaf)
+
+
+def _y_vector(params: ModelParams, leaf: LeafChart) -> Array:
+    """Y = -P d(p1sum), the generic recipe of the deformation field."""
+    return -restricted_tensors(params, leaf)[0] @ _d_lam2(params, leaf)
+
+
 def deformation_field(params: ModelParams, leaf: LeafChart) -> tuple:
     """Y = -P d(p1sum) as a leaf 4-vector, with its match to mu3 G (dz1 + dz2).
 
     Returns (y, Residual): y is computed from the generic recipe; the residual
     compares it with the printed form, which has components only along z1, z2.
     """
-    P, _ = restricted_tensors(params, leaf)
-    y = -P @ _p1sum_grad(params, leaf)
+    y = _y_vector(params, leaf)
     a = aux(params, leaf)
     mu3 = params.mu[2]
     printed = np.array([0.0, mu3 * a.G, 0.0, mu3 * a.G], dtype=complex)
-    raw = float(np.abs(y - printed).max())
-    scale = float(max(np.abs(y).max(), np.abs(printed).max()))
-    return y, Residual(raw, scale)
+    return y, mismatch(y, printed)
 
 
-def _leaf_h_poly(obs, rho: complex, leaf: LeafChart) -> complex:
-    uv = embed(leaf)
-    return (
-        rho**2 * obs["H0"].value(uv.coords)
-        + rho * obs["H1"].value(uv.coords)
-        + obs["H2"].value(uv.coords)
-    )
+def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart) -> list:
+    """Y(u1 u2) = 0, Y(G) = 0 and Y(L) = mu3 G u1 u2 F, from the hand-coded gradients."""
+    mu3 = params.mu[2]
+    u1, _, u2, _ = leaf.coords
+    y = _y_vector(params, leaf)
+    a = aux(params, leaf)
+    d_u1u2, d_g, d_l = _y_invariant_grads(params, leaf)
+    y_scale = float(np.abs(y).max())
+    r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.abs(d_u1u2).max()))
+    r2 = Residual(abs(d_g @ y), y_scale * float(np.abs(d_g).max()))
+    target = mu3 * a.G * (u1 * u2 * a.F)
+    got = d_l @ y
+    r3 = Residual(abs(got - target), max(abs(got), abs(target)))
+    return [r1, r2, r3]
 
 
 def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=None) -> dict:
@@ -301,20 +344,17 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=No
     Y is constant along its own flow (it depends only on u and points along
     z), so its integral curves are straight lines and the restriction of
     H(rho) to one is an exact low-degree polynomial; an exact-degree fit
-    yields Lie_Y^k H = k! c_k.  The self-parallelism precondition is asserted
+    yields Lie_Y^k H = k! c_k.  line_restriction asserts the self-parallelism
     numerically before the fit is trusted.  obs are the uv observables
     (default uv_observables(params)).
     """
-    y, _ = deformation_field(params, leaf)
-    coords = leaf.coords
-    far = LeafChart(coords + LINE_NODES[-1] * y, leaf.levels)
-    y_shifted = -restricted_tensors(params, far)[0] @ _p1sum_grad(params, far)
-    y_scale = float(np.abs(y).max())
-    if float(np.abs(y_shifted - y).max()) > 1e-12 * (1.0 + y_scale):
-        raise RuntimeError("deformation field is not self-parallel")
     obs = obs or uv_observables(params)
-    vals = [_leaf_h_poly(obs, rho, LeafChart(coords + t * y, leaf.levels)) for t in LINE_NODES]
-    coeffs = line_poly_coeffs(vals)
+
+    def h_rho(c):
+        uv = embed(LeafChart(c, leaf.levels)).coords
+        return rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
+
+    coeffs, vals = line_restriction(h_rho, lambda c: _y_vector(params, LeafChart(c, leaf.levels)), leaf.coords)
     scale = float(np.abs(vals).max())
     lie1 = coeffs[1]
     lie2 = 2.0 * coeffs[2]
@@ -408,42 +448,21 @@ def dn_chart(params: ModelParams, leaf: LeafChart) -> DNChart:
 def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
     """Rows: gradients of (zeta1, xi1, lambda2, xi2) wrt (u1, z1, u2, z2)."""
     require_symmetric(params)
-    _, mu2, mu3, _ = params.mu
+    mu3 = params.mu[2]
     if abs(mu3) <= EPS_DEG:
         raise DegeneracyError("degenerate deformation parameter")
-    u1, z1, u2, z2 = leaf.coords
+    u1, _, u2, _ = leaf.coords
     a = aux(params, leaf)
     if abs(a.theta1) <= EPS_DEG:
         raise DegeneracyError("theta degenerate")
     _check_gf(a)
 
-    d_zeta1 = np.array([0.0, -1.0, 0.0, 1.0], dtype=complex)
-
-    d_theta1 = np.array([mu3 * u1 - mu2 * u2, 0.0, mu3 * u2 - mu2 * u1, 0.0], dtype=complex)
-    d_xi1 = -d_theta1 / (2.0 * a.theta1)
-
-    d_lam2 = np.array(
-        [
-            mu3 * (1.0 / u2 - u2 / u1**2),
-            0.0,
-            mu3 * (1.0 / u1 - u1 / u2**2),
-            0.0,
-        ],
-        dtype=complex,
-    )
+    d_xi1 = -_d_theta1(params, leaf) / (2.0 * a.theta1)
 
     # xi2 = L / D with D = mu3 (u2^2 - u1^2) F, via u1 u2 G = u2^2 - u1^2.
     Lval = a.L
     D = mu3 * (u2**2 - u1**2) * a.F
-    dL = np.array(
-        [
-            2.0 * mu3 * z2 * u1 - mu2 * u2 * (z1 + z2),
-            mu3 * u2**2 - mu2 * u1 * u2,
-            2.0 * mu3 * z1 * u2 - mu2 * u1 * (z1 + z2),
-            mu3 * u1**2 - mu2 * u1 * u2,
-        ],
-        dtype=complex,
-    )
+    dL = _d_l(params, leaf)
     dF_du1 = mu3 * (u1**2 - u2**2) / (u1**2 * u2)
     dF_du2 = mu3 * (u2**2 - u1**2) / (u1 * u2**2)
     dD = np.array(
@@ -457,17 +476,7 @@ def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
     )
     d_xi2 = (dL * D - Lval * dD) / D**2
 
-    return np.stack([d_zeta1, d_xi1, d_lam2, d_xi2])
-
-
-_CANONICAL_4 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
+    return np.stack([_D_ZETA1, d_xi1, _d_lam2(params, leaf), d_xi2])
 
 
 def dn_bracket_matrix(params: ModelParams, leaf: LeafChart, structure: str = "P") -> Array:
@@ -482,19 +491,19 @@ def dn_bracket_matrix(params: ModelParams, leaf: LeafChart, structure: str = "P"
 
 def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P") -> Array:
     """Expected DN bracket table: canonical under P, eigenvalue-weighted under Q."""
+    if structure not in ("P", "Q"):
+        raise ValueError("structure must be 'P' or 'Q'")
     if structure == "P":
-        return _CANONICAL_4.astype(complex)
-    if structure == "Q":
-        return np.array(
-            [
-                [0.0, lam1, 0.0, 0.0],
-                [-lam1, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, lam2],
-                [0.0, 0.0, -lam2, 0.0],
-            ],
-            dtype=complex,
-        )
-    raise ValueError("structure must be 'P' or 'Q'")
+        lam1 = lam2 = 1.0
+    return np.array(
+        [
+            [0.0, lam1, 0.0, 0.0],
+            [-lam1, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, lam2],
+            [0.0, 0.0, -lam2, 0.0],
+        ],
+        dtype=complex,
+    )
 
 
 def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
@@ -538,14 +547,9 @@ def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar=None) -> 
 
 def theta_bracket_residual(params: ModelParams, leaf: LeafChart) -> Residual:
     """{zeta1, theta1}_P = -2 theta1, the relation fixing xi1."""
-    require_symmetric(params)
-    _, mu2, mu3, _ = params.mu
-    u1, _, u2, _ = leaf.coords
     P, _ = restricted_tensors(params, leaf)
     a = aux(params, leaf)
-    d_zeta1 = np.array([0.0, -1.0, 0.0, 1.0], dtype=complex)
-    d_theta1 = np.array([mu3 * u1 - mu2 * u2, 0.0, mu3 * u2 - mu2 * u1, 0.0], dtype=complex)
-    br = d_zeta1 @ P @ d_theta1
+    br = _D_ZETA1 @ P @ _d_theta1(params, leaf)
     target = -2.0 * a.theta1
     return Residual(float(abs(br - target)), float(max(abs(br), abs(target))))
 

@@ -295,6 +295,11 @@ def det4(A: Array) -> complex:
     )
 
 
+def spectral_det(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> complex:
+    """The spectral determinant Det(L(lambda) - rho lambda I) at an M-chart point."""
+    return det4(lax(params, lam, pt) - rho * lam * np.eye(4))
+
+
 def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
     """Spectral-curve identity residual at (lambda, rho, pt).
 
@@ -308,7 +313,7 @@ def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: Phas
     ke = obs["KE"].value(m)
     c = obs["C"].value(m)
     jsq = np.asarray(params.jsq, dtype=complex)
-    det = det4(lax(params, lam, pt) - rho * lam * np.eye(4))
+    det = spectral_det(params, lam, rho, pt)
     p4 = np.prod(jsq - rho)
     terms = (
         lam**4 * p4,
@@ -400,12 +405,16 @@ def angular_velocity(params: ModelParams, pt: PhasePoint) -> Array:
     return m_matrix(pt.coords) / denom
 
 
+def _angular_partner(params: ModelParams, lam: complex, pt: PhasePoint) -> tuple:
+    """(Omega, L(lambda), Omega + lambda J) at an M-chart point."""
+    omega = angular_velocity(params, pt)
+    B = omega + lam * np.diag(np.sqrt(np.asarray(params.jsq))).astype(complex)
+    return omega, lax(params, lam, pt), B
+
+
 def angular_velocity_commutator_residual(params: ModelParams, lam: complex, pt: PhasePoint) -> Residual:
     """Residual of [L(lambda), Omega + lambda J] = [M, Omega] (lambda-independence)."""
-    jsq = np.asarray(params.jsq)
-    omega = angular_velocity(params, pt)
-    L = lax(params, lam, pt)
-    B = omega + lam * np.diag(np.sqrt(jsq)).astype(complex)
+    omega, L, B = _angular_partner(params, lam, pt)
     lhs = L @ B - B @ L
     M = m_matrix(pt.coords)
     rhs = M @ omega - omega @ M
@@ -425,10 +434,7 @@ def angular_velocity_flow_mismatch(params: ModelParams, lam: complex, pt: PhaseP
     the angular-velocity partner generates a different flow of the hierarchy
     than the energy flow.
     """
-    jsq = np.asarray(params.jsq)
-    omega = angular_velocity(params, pt)
-    L = lax(params, lam, pt)
-    B = omega + lam * np.diag(np.sqrt(jsq)).astype(complex)
+    _, L, B = _angular_partner(params, lam, pt)
     mdot = m_matrix(rigid_rhs(params, pt.coords))
     comm = L @ B - B @ L
     scale = max(float(np.abs(mdot).max()), float(np.abs(comm).max()))

@@ -5,13 +5,17 @@ rows.  `requires` is None, "symmetric" (a rotationally symmetric model) or
 "positive_spectrum" (a real positive inertia spectrum); a row whose
 requirement the model lacks becomes a skip row, and skip rows come first,
 then evaluated rows, each in table order.  A point kind is sampled only if
-an evaluated row reads it.  Each fn calls the one library implementation of
-its identity and passes in the ingredients it reads (the uv observables, Q,
-the nijenhuis callable).  The suite owns sampling, skip accounting,
-normalization and report assembly only.  All residuals are compared as raw/(1+scale) against
-tolerance x tol_scale, where scale is the magnitude of the largest term that
-entered the identity.  The suite fails closed: a residual whose raw value or
-scale is not finite fails its check, and tol_scale must be finite and > 0.
+an evaluated row reads it.  A drawn row adds (stream, draws): before each
+call it draws that many complex values (lambda, rho or t) from
+default_rng([seed, stream]) and passes them after the point; rows naming
+the same stream continue it in registry order.  Each fn calls the one
+library implementation of its identity and passes in the ingredients it
+reads (the uv observables, Q, the nijenhuis callable).  The suite owns
+sampling, draws, skip accounting, normalization and report assembly only.
+All residuals are compared as raw/(1+scale) against tolerance x tol_scale,
+where scale is the magnitude of the largest term that entered the
+identity.  The suite fails closed: a residual whose raw value or scale is
+not finite fails its check, and tol_scale must be finite and > 0.
 
 Default tolerance tiers:
   1e-12 x scale for exact linear algebra (closed forms, Casimirs, chains),
@@ -57,7 +61,6 @@ from .fields import (
     lie_bivector_scaled,
     lie_scalar,
     schouten_residual,
-    wedge_field,
 )
 from .leaf import LeafChart
 from .so4 import ModelParams
@@ -192,12 +195,9 @@ def validate_report(doc: dict) -> None:
 
 
 def _uv_nondegenerate(params: ModelParams, u1: complex, u2: complex) -> bool:
-    mu1, mu2, mu3, _ = params.mu
     if abs(u1) <= 0.1 or abs(u2) <= 0.1:
         return False
-    g = u2 / u1 - u1 / u2
-    f = mu3 * (u1 / u2 + u2 / u1) - 2.0 * mu2
-    theta1 = 0.5 * mu3 * u1**2 - mu2 * u1 * u2 + 0.5 * mu3 * u2**2
+    g, f, theta1 = leaf_mod.u_forms(params, u1, u2)
     # f equals lambda2 - lambda1, so the collision threshold subsumes eps_deg.
     return abs(g) > EPS_DEG and abs(f) > max(EPS_DEG, EPS_COLL) and abs(theta1) > EPS_DEG
 
@@ -272,18 +272,6 @@ def _flipped_h2_observables(params: ModelParams) -> dict:
     return out
 
 
-def _flipped_q(params: ModelParams) -> BivectorField:
-    """The deformed structure with the opposite sign, P2 + X1^Z."""
-    p2 = xxz.p2_uv(params)
-    w = wedge_field(xxz.x1_field(params), xxz.z_field())
-    return BivectorField(
-        CHART_UV,
-        lambda c: p2.value(c) + w.value(c),
-        lambda c: p2.jac(c) + w.jac(c),
-        name="Q",
-    )
-
-
 def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     """leaf.nijenhuis with +mu3 for -mu3 in the (0, 2) entry of N*."""
     N, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
@@ -343,7 +331,7 @@ def run_suite(
     nijenhuis = _flipped_nijenhuis if "nstar_sign" in overrides else leaf_mod.nijenhuis
     if params.symmetric:  # the uv ingredients exist only where the rows reading them apply
         obs_uv = _flipped_h2_observables(params) if "h2_sign" in overrides else xxz.uv_observables(params)
-        Qu = _flipped_q(params) if "q_sign" in overrides else xxz.q_uv(params)
+        Qu = xxz.q_uv(params, 1.0) if "q_sign" in overrides else xxz.q_uv(params)
         P1u = xxz.p1_uv()
         P2u = xxz.p2_uv(params)
         X1 = xxz.x1_field(params)
@@ -357,25 +345,14 @@ def run_suite(
             memo[key] = fn(params, leaf, *args)
         return memo[key]
 
-    def draw(rng):
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
     # ---------------- general-model checks (M chart) ----------------
 
     def fd_m(pt):
         return [grad_fd_residual(f, pt) for f in obs_m.values()]
 
-    pencil_rng = np.random.default_rng([seed, 11])
-
-    def pencil_m(pt):
-        span = _pencil(P1m, P2m, draw(pencil_rng))
+    def pencil_m(pt, t):
+        span = _pencil(P1m, P2m, t)
         return [schouten_residual(span, span, pt)]
-
-    charpoly_rng = np.random.default_rng([seed, 12])
-
-    def charpoly_m(pt):
-        lam = draw(charpoly_rng)
-        return [so4.char_poly_residual(params, lam, draw(charpoly_rng), pt)]
 
     def he_split(pt):
         s = so4.chart_map(pt, CHART_SPLIT)
@@ -396,14 +373,6 @@ def run_suite(
         raw = float(np.abs(back.coords - pt.coords).max())
         return [Residual(raw, float(np.abs(pt.coords).max()))]
 
-    lax_rng = np.random.default_rng([seed, 13])  # shared by both Lax rows, in row order
-
-    def lax_flow(pt):
-        return [so4.lax_flow_residual(params, draw(lax_rng), pt)]
-
-    def lax_comm(pt):
-        return [so4.angular_velocity_commutator_residual(params, draw(lax_rng), pt)]
-
     # ---------------- symmetric-model checks (UV chart) ----------------
 
     def fd_uv(pt):
@@ -412,12 +381,6 @@ def run_suite(
     def uv_scale(pt):
         res = xxz.uv_transport_residuals(params, pt)
         return [res["p1"], res["p2"]]
-
-    charpoly_uv_rng = np.random.default_rng([seed, 14])
-
-    def charpoly_uv(pt):
-        lam = draw(charpoly_uv_rng)
-        return [xxz.char_poly_residual_uv(params, lam, draw(charpoly_uv_rng), pt, obs_uv)]
 
     def x1_match(pt):
         ham, scale = ham_field_scaled(P1u, obs_uv["H1"], pt)
@@ -474,18 +437,6 @@ def run_suite(
         hams = [obs_uv[name] for name in ("H0", "C2", "H1", "H2")]
         return [Residual(abs(br), scale) for br, scale in brackets_scaled(structure, hams, ham_pairs, pt)]
 
-    stackel_rng = np.random.default_rng([seed, 15])
-
-    def stackel(pt):
-        lam = draw(stackel_rng)
-        return [xxz.stackel_residual(params, lam, draw(stackel_rng), pt)]
-
-    curve_rng = np.random.default_rng([seed, 16])
-
-    def trans_curve(pt):
-        lam = draw(curve_rng)
-        return [xxz.transversal_curve_residual(params, lam, draw(curve_rng), pt)]
-
     # ---------------- symmetric-model checks (leaf) ----------------
 
     def embed_roundtrip(leaf):
@@ -516,42 +467,7 @@ def run_suite(
         r_p = Residual(abs(a.p1sum - (lam1 + lam2)), max(abs(a.p1sum), abs(lam1 + lam2)))
         return [r_g, r_f, r_p]
 
-    def lie_y_scalars(leaf):
-        y, _ = leaf_mod.deformation_field(params, leaf)
-        u1, z1, u2, z2 = leaf.coords
-        a = leaf_mod.aux(params, leaf)
-        d_u1u2 = np.array([u2, 0.0, u1, 0.0], dtype=complex)
-        d_g = np.array(
-            [-u2 / u1**2 - 1.0 / u2, 0.0, 1.0 / u1 + u1 / u2**2, 0.0], dtype=complex
-        )
-        d_l = np.array(
-            [
-                2.0 * mu3 * z2 * u1 - mu2 * u2 * (z1 + z2),
-                mu3 * u2**2 - mu2 * u1 * u2,
-                2.0 * mu3 * z1 * u2 - mu2 * u1 * (z1 + z2),
-                mu3 * u1**2 - mu2 * u1 * u2,
-            ],
-            dtype=complex,
-        )
-        y_scale = float(np.abs(y).max())
-        r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.abs(d_u1u2).max()))
-        r2 = Residual(abs(d_g @ y), y_scale * float(np.abs(d_g).max()))
-        target = mu3 * a.G * (u1 * u2 * a.F)
-        got = d_l @ y
-        r3 = Residual(abs(got - target), max(abs(got), abs(target)))
-        return [r1, r2, r3]
-
-    deform_rng = np.random.default_rng([seed, 17])
-
-    def deform_factor(leaf):
-        return list(leaf_mod.deformation_residuals(params, draw(deform_rng), leaf, obs_uv).values())
-
-    term_rng = np.random.default_rng([seed, 18])
-
-    def deform_term(leaf):
-        return [leaf_mod.deformation_tower(params, draw(term_rng), leaf, obs_uv)["termination"]]
-
-    # ---------------- the registry: (name, tolerance, point kind, requires, fn) ----------------
+    # ---------------- the registry: (name, tolerance, point kind, requires, fn[, stream, draws]) ----------------
 
     M, UV, LEAF, SYM, POS = "M_real", "UV_complex", "LEAF", "symmetric", "positive_spectrum"
     registry = [
@@ -559,20 +475,29 @@ def run_suite(
         ("jacobi_p1_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P1m, pt)]),
         ("jacobi_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P2m, P2m, pt)]),
         ("compat_p1_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P2m, pt)]),
-        ("pencil_jacobi_m", TOL_EXACT, M, None, pencil_m),
+        ("pencil_jacobi_m", TOL_EXACT, M, None, pencil_m, 11, 1),
         ("lenard_chain", TOL_EXACT, M, None, lambda pt: list(so4.lenard_residuals_m(params, pt).values())),
-        ("charpoly_identity", TOL_PIPELINE, M, None, charpoly_m),
+        (
+            "charpoly_identity", TOL_PIPELINE, M, None,
+            lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt)], 12, 2,
+        ),
         ("he_split_form", TOL_EXACT, M, None, he_split),
         ("chart_roundtrip", TOL_ROUNDTRIP, M, None, roundtrip),
-        ("lax_flow", TOL_PIPELINE, M, POS, lax_flow),
-        ("lax_angular_commutator", TOL_EXACT, M, POS, lax_comm),
+        ("lax_flow", TOL_PIPELINE, M, POS, lambda pt, lam: [so4.lax_flow_residual(params, lam, pt)], 13, 1),
+        (
+            "lax_angular_commutator", TOL_EXACT, M, POS,
+            lambda pt, lam: [so4.angular_velocity_commutator_residual(params, lam, pt)], 13, 1,
+        ),
         ("gradient_fd_uv", TOL_FD, UV, SYM, fd_uv),
         (
             "observable_transport", TOL_EXACT, UV, SYM,
             lambda pt: list(xxz.observable_transport_residuals(params, pt, obs_uv).values()),
         ),
         ("uv_tensor_scale", TOL_EXACT, UV, SYM, uv_scale),
-        ("charpoly_identity_uv", TOL_PIPELINE, UV, SYM, charpoly_uv),
+        (
+            "charpoly_identity_uv", TOL_PIPELINE, UV, SYM,
+            lambda pt, lam, rho: [xxz.char_poly_residual_uv(params, lam, rho, pt, obs_uv)], 14, 2,
+        ),
         ("jacobi_p1_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(P1u, P1u, pt)]),
         ("jacobi_p2_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(P2u, P2u, pt)]),
         ("jacobi_q_uv", TOL_SCHOUTEN, UV, SYM, lambda pt: [schouten_residual(Qu, Qu, pt)]),
@@ -588,8 +513,14 @@ def run_suite(
         ("q_rank_4", TOL_SCHOUTEN, UV, SYM, q_rank),
         ("involution_p1", TOL_SCHOUTEN, UV, SYM, lambda pt: involution(P1u, pt)),
         ("involution_q", TOL_SCHOUTEN, UV, SYM, lambda pt: involution(Qu, pt)),
-        ("stackel_condition", TOL_PIPELINE, UV, SYM, stackel),
-        ("transversal_curve_factor", TOL_PIPELINE, UV, SYM, trans_curve),
+        (
+            "stackel_condition", TOL_PIPELINE, UV, SYM,
+            lambda pt, lam, rho: [xxz.stackel_residual(params, lam, rho, pt)], 15, 2,
+        ),
+        (
+            "transversal_curve_factor", TOL_PIPELINE, UV, SYM,
+            lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt)], 16, 2,
+        ),
         (
             "zeta1_involution", TOL_SCHOUTEN, UV, SYM,
             lambda pt: list(leaf_mod.zeta1_involution_residuals(params, pt, obs_uv).values()),
@@ -608,9 +539,15 @@ def run_suite(
         ),
         ("aux_relations", TOL_EXACT, LEAF, SYM, aux_relations),
         ("y_field_match", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.deformation_field(params, leaf)[1]]),
-        ("lie_y_invariants", TOL_SCHOUTEN, LEAF, SYM, lie_y_scalars),
-        ("deformation_factorization", TOL_SCHOUTEN, LEAF, SYM, deform_factor),
-        ("deformation_termination", TOL_DN, LEAF, SYM, deform_term),
+        ("lie_y_invariants", TOL_SCHOUTEN, LEAF, SYM, lambda leaf: leaf_mod.lie_y_invariant_residuals(params, leaf)),
+        (
+            "deformation_factorization", TOL_SCHOUTEN, LEAF, SYM,
+            lambda leaf, rho: list(leaf_mod.deformation_residuals(params, rho, leaf, obs_uv).values()), 17, 1,
+        ),
+        (
+            "deformation_termination", TOL_DN, LEAF, SYM,
+            lambda leaf, rho: [leaf_mod.deformation_tower(params, rho, leaf, obs_uv)["termination"]], 18, 1,
+        ),
         (
             "deformation_xi2_agreement", TOL_DN, LEAF, SYM,
             lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv)[2]],
@@ -628,7 +565,7 @@ def run_suite(
     # ---------------- skip rows, sampling, evaluation ----------------
 
     active = [row for row in registry if holds[row[3]]]
-    for name, _, _, requires, _ in registry:
+    for name, _, _, requires, *_ in registry:
         if not holds[requires]:
             report.checks.append(
                 CheckResult(name=name, tolerance=0.0, skipped=True, note=SKIP_NOTES[requires])
@@ -642,15 +579,21 @@ def run_suite(
             report.resamples[kind] = sample.n_resampled
             points[kind] = sample.points
 
-    for name, tol, kind, _, fn in active:
+    streams = {}  # rows naming the same stream continue it, in registry order
+    for name, tol, kind, _, fn, *draws in active:
+        stream, n_draws = draws or (None, 0)
+        if n_draws and stream not in streams:
+            streams[stream] = np.random.default_rng([seed, stream])
+        rng = streams.get(stream)
         effective_tol = tol * tol_scale
         worst = 0.0
         first_nonfinite = None
         n_eval = 0
         n_skip = 0
         for index, pt in enumerate(points[kind]):
+            args = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n_draws)]
             try:
-                residuals = fn(pt)
+                residuals = fn(pt, *args)
             except DegeneracyError:
                 n_skip += 1
                 continue

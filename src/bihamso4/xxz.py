@@ -25,13 +25,13 @@ from .fields import (
     Residual,
     ScalarField,
     VectorField,
-    line_poly_coeffs,
+    line_restriction,
     linear_bivector,
+    mismatch,
     shared_per_model,
     wedge_field,
-    LINE_NODES,
 )
-from .so4 import M_TO_SPLIT, SPLIT_TO_UV, ModelParams, chart_map, det4, lax, observables_m, p1_m, p2_m
+from .so4 import M_TO_SPLIT, SPLIT_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det
 
 Array = np.ndarray
 
@@ -238,16 +238,19 @@ def z_field() -> VectorField:
 
 
 @shared_per_model
-def q_uv(params: ModelParams) -> BivectorField:
-    """Deformed structure Q = P2 - X1 ^ Z (rank 4 with Casimirs H0 and C2)."""
+def q_uv(params: ModelParams, sign: float = -1.0) -> BivectorField:
+    """Deformed structure Q = P2 - X1 ^ Z (rank 4 with Casimirs H0 and C2).
+
+    sign = +1.0 gives P2 + X1 ^ Z, the mutant of the q_sign override.
+    """
     p2 = p2_uv(params)
     w = wedge_field(x1_field(params), z_field())
 
     def value(c: Array) -> Array:
-        return p2.value(c) - w.value(c)
+        return p2.value(c) + sign * w.value(c)
 
     def jac(c: Array) -> Array:
-        return p2.jac(c) - w.jac(c)
+        return p2.jac(c) + sign * w.jac(c)
 
     return BivectorField(CHART_UV, value, jac, name="Q")
 
@@ -269,11 +272,8 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
     ):
         printed = printed_field.value(pt.coords)
         pushed = UV_FROM_M @ m_field.value(m_pt.coords) @ UV_FROM_M.T
-        target = UV_TENSOR_SCALE * pushed
-        raw = float(np.abs(printed - target).max())
-        scale = float(max(np.abs(printed).max(), np.abs(target).max()))
         imax = np.unravel_index(np.argmax(np.abs(pushed)), pushed.shape)
-        out[key] = Residual(raw, scale)
+        out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed)
         out[f"ratio_{key}"] = complex(printed[imax] / pushed[imax])
     return out
 
@@ -317,7 +317,7 @@ def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: P
     c2 = uv["C2"].value(c)
     jsq = np.asarray(params.jsq, dtype=complex)
     m_pt = chart_map(pt, CHART_M, complex_ok=True)
-    det = det4(lax(params, lam, m_pt) - rho * lam * np.eye(4))
+    det = spectral_det(params, lam, rho, m_pt)
     terms = (
         lam**4 * np.prod(jsq - rho),
         lam**2 * rho**2 * h0,
@@ -355,13 +355,11 @@ def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint)
     """
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    zv = z_field().value(pt.coords)
-    vals = []
-    for t in LINE_NODES:
-        shifted = PhasePoint(CHART_UV, pt.coords + t * zv)
-        m_pt = chart_map(shifted, CHART_M, complex_ok=True)
-        vals.append(det4(lax(params, lam, m_pt) - rho * lam * np.eye(4)))
-    return line_poly_coeffs(vals), np.asarray(vals)
+
+    def curve(c):
+        return spectral_det(params, lam, rho, chart_map(PhasePoint(CHART_UV, c), CHART_M, complex_ok=True))
+
+    return line_restriction(curve, z_field().value, pt.coords)
 
 
 def stackel_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:

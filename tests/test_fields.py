@@ -16,9 +16,9 @@ from bihamso4.fields import (
     fd_jac,
     grad_fd_residual,
     line_poly_coeffs,
+    line_restriction,
     linear_bivector,
     schouten_residual,
-    wedge,
     wedge_field,
 )
 from bihamso4.so4 import ModelParams
@@ -87,21 +87,6 @@ def test_fd_jac_linear_field_exact():
     assert np.max(np.abs(J - A)) < 1e-9
 
 
-def test_wedge_antisymmetric():
-    rng = np.random.default_rng(4)
-    x = rng.uniform(-1, 1, 6)
-    z = rng.uniform(-1, 1, 6)
-    X = VectorField(CHART_M, lambda c: x, lambda c: np.zeros((6, 6)), name="X")
-    Z = VectorField(CHART_M, lambda c: z, lambda c: np.zeros((6, 6)), name="Z")
-    pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
-    W = wedge(X, Z, pt)
-    assert np.max(np.abs(W + W.T)) == 0.0
-    # x^z contracted with any df gives <z,df>x - <x,df>z
-    df = rng.uniform(-1, 1, 6)
-    expect = x * (z @ df) - z * (x @ df)
-    assert np.max(np.abs(W @ df - expect)) < 1e-14
-
-
 def test_wedge_field_jacobian():
     rng = np.random.default_rng(5)
     A = rng.uniform(-1, 1, (6, 6))
@@ -131,6 +116,17 @@ def test_line_poly_coeffs_exact_degree_five():
 def test_line_poly_coeffs_dimension_guard():
     with pytest.raises(ValueError, match="dimension mismatch"):
         line_poly_coeffs(np.zeros(5))
+
+
+def test_line_restriction_requires_a_self_parallel_direction():
+    p = np.array([0.3 + 0.1j, -0.7, 0.5j])
+    # w(c) = c moves along the line, so w(p + t w) = (1 + t) w != w
+    with pytest.raises(RuntimeError, match="not self-parallel"):
+        line_restriction(lambda c: c @ c, lambda c: c, p)
+    w = np.array([0.2, 0.0, -1.0 + 0.5j])
+    coeffs, vals = line_restriction(lambda c: c @ c, lambda c: w, p)
+    assert np.allclose(coeffs, [p @ p, 2.0 * (p @ w), w @ w, 0.0, 0.0, 0.0], atol=1e-14)
+    assert np.array_equal(vals, [(p + t * w) @ (p + t * w) for t in LINE_NODES])
 
 
 def test_linear_bivector_jacobian_constant():

@@ -3,7 +3,7 @@ import pytest
 
 from bihamso4 import leaf as leaf_mod
 from bihamso4 import verify, xxz
-from bihamso4.fields import CHART_UV, DegeneracyError, PhasePoint
+from bihamso4.fields import CHART_UV, DegeneracyError, PhasePoint, fd_grad, fd_jac
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 
@@ -217,6 +217,28 @@ def test_dn_gradients_match_fd():
             e[k] = step
             fd = (chart_vec(leaf.coords + e) - chart_vec(leaf.coords - e)) / (2 * step)
             assert np.max(np.abs(grads[:, k] - fd)) < 1e-5
+
+
+def test_hand_coded_jacobians_and_lie_y_gradients_match_fd():
+    # X1.jac, Z.jac and Q.jac feed the Schouten and Lie-bivector rows; dG,
+    # d(u1 u2) and dL feed lie_y_invariants; this is their only independent check.
+    fields = {"X1": xxz.x1_field(PARAMS), "Z": xxz.z_field(), "Q": xxz.q_uv(PARAMS)}
+    for pt in verify.sample_points("UV_complex", 20, 21, guards=verify.uv_guards(PARAMS)).points:
+        for name, field in fields.items():
+            exact = field.jac(pt.coords)
+            fd = fd_jac(field.value, pt.coords)
+            assert np.abs(exact - fd).max() <= 1e-6 * (1.0 + np.abs(exact).max()), name
+    closed_forms = (
+        lambda leaf: leaf.coords[0] * leaf.coords[2],
+        lambda leaf: leaf_mod.aux(PARAMS, leaf).G,
+        lambda leaf: leaf_mod.aux(PARAMS, leaf).L,
+    )
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        leaf = random_leaf(rng)
+        for name, grad, value in zip(("u1u2", "G", "L"), leaf_mod._y_invariant_grads(PARAMS, leaf), closed_forms):
+            fd = fd_grad(lambda c: value(LeafChart(c, leaf.levels)), leaf.coords)
+            assert np.abs(grad - fd).max() <= 1e-6 * (1.0 + np.abs(grad).max()), name
 
 
 def test_dn_brackets_canonical():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bihamso4 import leaf as leaf_mod
-from bihamso4 import so4, verify
+from bihamso4 import so4, verify, xxz
 from bihamso4.fields import Residual
 from bihamso4.so4 import ModelParams
 
@@ -99,6 +99,32 @@ def test_reports_reproducible_bit_for_bit():
     assert a == b
     c = verify.run_suite(PARAMS, seed=7, n_points=8).to_dict()
     assert a != c
+
+
+def test_drawn_rows_read_their_named_streams():
+    # lax_flow and then lax_angular_commutator continue one [seed, 13] stream,
+    # one draw per point each; deformation_termination reads [seed, 18]
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    n = 20
+    report = {c.name: c for c in verify.run_suite(params, seed=0, n_points=n).checks}
+
+    def draw(rng):
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    m_pts = verify.sample_points("M_real", n, 0).points
+    lax_rng = np.random.default_rng([0, 13])
+    flow = max(so4.lax_flow_residual(params, draw(lax_rng), pt).normalized for pt in m_pts)
+    comm = max(so4.angular_velocity_commutator_residual(params, draw(lax_rng), pt).normalized for pt in m_pts)
+    leafs = verify.sample_points("LEAF", n, 2, guards=verify.leaf_guards(params)).points
+    term_rng = np.random.default_rng([0, 18])
+    obs = xxz.uv_observables(params)
+    term = max(
+        leaf_mod.deformation_tower(params, draw(term_rng), leaf, obs)["termination"].normalized for leaf in leafs
+    )
+    assert report["lax_flow"].max_residual == flow
+    assert report["lax_angular_commutator"].max_residual == comm
+    assert report["deformation_termination"].max_residual == term
+    assert report["deformation_termination"].n_skipped_degenerate == 0
 
 
 def test_overrides_leave_shared_ingredients_clean():
