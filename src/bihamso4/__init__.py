@@ -9,7 +9,6 @@ invariant monitoring.
 
 from .dynamics import Trajectory, euler_rhs, integrate
 from .fields import (
-    CHART_LEAF,
     CHART_M,
     CHART_SPLIT,
     CHART_UV,
@@ -43,7 +42,6 @@ from .xxz import p1_uv, p2_uv, q_uv, uv_observables
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHART_LEAF",
     "CHART_M",
     "CHART_SPLIT",
     "CHART_UV",

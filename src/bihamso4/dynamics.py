@@ -78,14 +78,11 @@ def _rk4_sum(k1, k2, k3, k4) -> tuple:
     )
 
 
-def euler_rhs(params: ModelParams, pt: PhasePoint, which: str = "HE") -> np.ndarray:
-    """Right-hand side of the flow of HE (or of H1 = -2 HE) at a real M point."""
+def euler_rhs(params: ModelParams, pt: PhasePoint) -> np.ndarray:
+    """Right-hand side P1 d(HE) of the flow of HE at a real M point."""
     if pt.chart != CHART_M:
         raise ValueError("chart mismatch")
-    if which not in ("HE", "H1"):
-        raise ValueError("which must be 'HE' or 'H1'")
-    rhs = np.array(_rhs(params.a.tolist(), np.asarray(pt.coords, dtype=float).tolist()))
-    return -2.0 * rhs if which == "H1" else rhs
+    return np.array(_rhs(params.a.tolist(), np.asarray(pt.coords, dtype=float).tolist()))
 
 
 def _invariant_row(params: ModelParams, obs: dict, m: np.ndarray) -> np.ndarray:

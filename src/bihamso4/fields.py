@@ -22,7 +22,6 @@ Array = np.ndarray
 CHART_M = "M"
 CHART_SPLIT = "SPLIT"
 CHART_UV = "UV"
-CHART_LEAF = "LEAF"
 
 # Degeneracy guards (absolute, coordinates are sampled at order one).
 EPS_DEG = 1e-8
@@ -55,7 +54,6 @@ class ScalarField:
     chart: str
     value: Callable[[Array], complex]
     grad: Callable[[Array], Array]
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,6 @@ class VectorField:
     chart: str
     value: Callable[[Array], Array]
     jac: Callable[[Array], Array]
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,6 @@ class BivectorField:
     chart: str
     value: Callable[[Array], Array]
     jac: Callable[[Array], Array]
-    name: str = ""
 
 
 class Residual(NamedTuple):
@@ -218,17 +214,16 @@ def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
         t = np.einsum("il,j->ijl", xj, z) + np.einsum("i,jl->ijl", x, zj)
         return t - t.transpose(1, 0, 2)
 
-    name = f"{X.name}^{Z.name}" if (X.name and Z.name) else ""
-    return BivectorField(X.chart, value, jac, name=name)
+    return BivectorField(X.chart, value, jac)
 
 
-def fd_grad(value: Callable[[Array], complex], coords: Array, step: float = FD_STEP) -> Array:
+def fd_grad(value: Callable[[Array], complex], coords: Array) -> Array:
     """Central-difference gradient; steps are real also for complex coordinates."""
     c = np.asarray(coords)
     n = c.shape[0]
     out = np.empty(n, dtype=complex)
     for i in range(n):
-        h = step * (1.0 + abs(c[i]))
+        h = FD_STEP * (1.0 + abs(c[i]))
         e = np.zeros(n)
         e[i] = h
         out[i] = (value(c + e) - value(c - e)) / (2.0 * h)
@@ -237,14 +232,14 @@ def fd_grad(value: Callable[[Array], complex], coords: Array, step: float = FD_S
     return out
 
 
-def fd_jac(value: Callable[[Array], Array], coords: Array, step: float = FD_STEP) -> Array:
+def fd_jac(value: Callable[[Array], Array], coords: Array) -> Array:
     """Central-difference Jacobian of an array-valued map, derivative index last."""
     c = np.asarray(coords)
     n = c.shape[0]
     base = np.asarray(value(c))
     out = np.empty(base.shape + (n,), dtype=complex)
     for i in range(n):
-        h = step * (1.0 + abs(c[i]))
+        h = FD_STEP * (1.0 + abs(c[i]))
         e = np.zeros(n)
         e[i] = h
         out[..., i] = (np.asarray(value(c + e)) - np.asarray(value(c - e))) / (2.0 * h)
@@ -289,7 +284,7 @@ def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array],
     return line_poly_coeffs(vals), vals
 
 
-def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int, name: str = "") -> BivectorField:
+def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int) -> BivectorField:
     """Bivector field whose entries are linear in the coordinates.
 
     The derivative array is assembled once by evaluating at basis vectors,
@@ -302,7 +297,7 @@ def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int, name:
     def jac(_c: Array) -> Array:
         return jac_const
 
-    return BivectorField(chart, value, jac, name=name)
+    return BivectorField(chart, value, jac)
 
 
 def shared_per_model(build: Callable) -> Callable:

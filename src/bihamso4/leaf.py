@@ -50,7 +50,6 @@ ZETA1 = ScalarField(
     CHART_UV,
     lambda c: c[5] - c[2],
     lambda c: np.array([0.0, 0.0, -1.0, 0.0, 0.0, 1.0], dtype=complex),
-    name="zeta1",
 )
 
 
@@ -112,14 +111,9 @@ def project(pt: PhasePoint) -> LeafChart:
     return LeafChart(c[list(LEAF_IN_UV)], (h0, c2))
 
 
-def embed_jacobian(leaf: LeafChart, uv: PhasePoint | None = None) -> Array:
-    """d(uv)/d(leaf), a 6x4 matrix; rows (u1,v1,z1,u2,v2,z2), cols (u1,z1,u2,z2).
-
-    uv, if given, is embed(leaf), so a caller that holds it embeds only once.
-    """
-    u1, z1, u2, z2 = leaf.coords
-    uv = embed(leaf) if uv is None else uv
-    v1, v2 = uv.coords[1], uv.coords[4]
+def embed_jacobian(uv: PhasePoint) -> Array:
+    """d(uv)/d(leaf) at uv = embed(leaf), a 6x4 matrix; rows (u1,v1,z1,u2,v2,z2), cols (u1,z1,u2,z2)."""
+    u1, v1, z1, u2, v2, z2 = uv.coords
     J = np.zeros((6, 4), dtype=complex)
     J[0, 0] = 1.0
     J[1, 0] = -v1 / u1
@@ -135,7 +129,7 @@ def embed_jacobian(leaf: LeafChart, uv: PhasePoint | None = None) -> Array:
 def restrict_grad(field, leaf: LeafChart) -> Array:
     """Gradient of a uv scalar field restricted to the leaf, in leaf coordinates."""
     uv = embed(leaf)
-    return embed_jacobian(leaf, uv).T @ field.grad(uv.coords)
+    return embed_jacobian(uv).T @ field.grad(uv.coords)
 
 
 def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
@@ -167,20 +161,18 @@ def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
     return P, Q
 
 
-def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=None, p_field=None) -> dict:
-    """Printed restricted tensors against sub-brackets of the ambient tensors.
+def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=None) -> dict:
+    """Printed restricted tensors against sub-brackets of p1_uv and q_field (default q_uv).
 
     Valid because H0 and C2 are Casimirs of both p1_uv and q_uv, so brackets
     of leaf coordinate functions close on the leaf.
     """
-    if p_field is None:
-        p_field = p1_uv()
     if q_field is None:
         q_field = q_uv(params)
     uv = embed(leaf)
     P, Q = restricted_tensors(params, leaf)
     out = {}
-    for key, ambient, printed in (("P", p_field, P), ("Q", q_field, Q)):
+    for key, ambient, printed in (("P", p1_uv(), P), ("Q", q_field, Q)):
         amb = ambient.value(uv.coords)
         out[key] = mismatch(amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)], printed)
     return out
@@ -237,7 +229,7 @@ def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None
 
 
 def u_forms(params: ModelParams, u1: complex, u2: complex) -> tuple:
-    """(G, F, theta1), the closed forms that depend on u1, u2 only; the samplers' guards read them too."""
+    """(G, F, theta1), the closed forms that depend on u1, u2 only; the samplers' guard reads them too."""
     _, mu2, mu3, _ = params.mu
     G = u2 / u1 - u1 / u2
     F = mu3 * (u1 / u2 + u2 / u1) - 2.0 * mu2
@@ -425,9 +417,10 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
     relative; a persistent disagreement means the build is broken.
     """
     closed, tower, agreement = xi2_path_agreement(params, leaf)
-    if tower["termination"].normalized > 1e-10:
+    # Written as not (x <= tol) so that a NaN residual raises too.
+    if not (tower["termination"].normalized <= 1e-10):
         raise RuntimeError("deformation did not terminate")
-    if agreement.normalized > 1e-10:
+    if not (agreement.normalized <= 1e-10):
         raise RuntimeError("deformation paths disagree")
     return complex(closed)
 
@@ -479,14 +472,11 @@ def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
     return np.stack([_D_ZETA1, d_xi1, _d_lam2(params, leaf), d_xi2])
 
 
-def dn_bracket_matrix(params: ModelParams, leaf: LeafChart, structure: str = "P") -> Array:
-    """Mutual brackets of the DN coordinates under the restricted P or Q."""
-    P, Q = restricted_tensors(params, leaf)
-    T = {"P": P, "Q": Q}.get(structure)
-    if T is None:
-        raise ValueError("structure must be 'P' or 'Q'")
+def dn_bracket_matrix(params: ModelParams, leaf: LeafChart) -> Array:
+    """Mutual brackets of the DN coordinates under the restricted P."""
+    P, _ = restricted_tensors(params, leaf)
     grads = dn_gradients(params, leaf)
-    return grads @ T @ grads.T
+    return grads @ P @ grads.T
 
 
 def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P") -> Array:

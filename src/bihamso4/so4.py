@@ -90,12 +90,15 @@ UV_TO_SPLIT = np.array(
     ]
 )
 
+# UV coords in terms of M coords, d(uv)/d(m).
+M_TO_UV = SPLIT_TO_UV @ M_TO_SPLIT
+
 _CHART_MAPS = {
     (CHART_M, CHART_SPLIT): M_TO_SPLIT,
     (CHART_SPLIT, CHART_M): M_TO_SPLIT.T,
     (CHART_SPLIT, CHART_UV): SPLIT_TO_UV,
     (CHART_UV, CHART_SPLIT): UV_TO_SPLIT,
-    (CHART_M, CHART_UV): SPLIT_TO_UV @ M_TO_SPLIT,
+    (CHART_M, CHART_UV): M_TO_UV,
     (CHART_UV, CHART_M): M_TO_SPLIT.T @ UV_TO_SPLIT,
 }
 
@@ -195,7 +198,7 @@ def _p1_m_value(m: Array) -> Array:
 @shared_per_model
 def p1_m() -> BivectorField:
     """Lie-Poisson structure of so(4)* in the m coordinates."""
-    return linear_bivector(CHART_M, _p1_m_value, 6, name="P1")
+    return linear_bivector(CHART_M, _p1_m_value, 6)
 
 
 @shared_per_model
@@ -217,7 +220,7 @@ def p2_m(params: ModelParams) -> BivectorField:
             ]
         )
 
-    return linear_bivector(CHART_M, value, 6, name="P2")
+    return linear_bivector(CHART_M, value, 6)
 
 
 @shared_per_model
@@ -253,10 +256,10 @@ def observables_m(params: ModelParams) -> dict:
         return 2.0 * b * m
 
     return {
-        "H0": ScalarField(CHART_M, h0_value, h0_grad, name="H0"),
-        "C": ScalarField(CHART_M, c_value, c_grad, name="C"),
-        "HE": ScalarField(CHART_M, he_value, he_grad, name="HE"),
-        "KE": ScalarField(CHART_M, ke_value, ke_grad, name="KE"),
+        "H0": ScalarField(CHART_M, h0_value, h0_grad),
+        "C": ScalarField(CHART_M, c_value, c_grad),
+        "HE": ScalarField(CHART_M, he_value, he_grad),
+        "KE": ScalarField(CHART_M, ke_value, ke_grad),
     }
 
 

@@ -202,53 +202,39 @@ def _uv_nondegenerate(params: ModelParams, u1: complex, u2: complex) -> bool:
     return abs(g) > EPS_DEG and abs(f) > max(EPS_DEG, EPS_COLL) and abs(theta1) > EPS_DEG
 
 
-def uv_guards(params: ModelParams) -> list:
-    """Default guard predicates for UV_complex sampling."""
-    return [lambda pt: _uv_nondegenerate(params, pt.coords[0], pt.coords[3])]
+def sample_points(kind: str, n: int, seed: int, params: ModelParams) -> SampleSet:
+    """Draw n points of the given kind, deterministically in seed.
 
-
-def leaf_guards(params: ModelParams) -> list:
-    """Default guard predicates for LEAF sampling."""
-    return [lambda leaf: _uv_nondegenerate(params, leaf.coords[0], leaf.coords[2])]
-
-
-def sample_points(kind: str, n: int, seed: int, guards=None) -> SampleSet:
-    """Draw n guarded points of the given kind, deterministically in seed."""
+    M_real points are unguarded; UV_complex and LEAF draws are redrawn until
+    their u1, u2 pass _uv_nondegenerate(params, u1, u2).  That guard keeps
+    |u| > 0.1, so every accepted LEAF draw clears LeafChart's own guard.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    guards = list(guards) if guards is not None else []
     points = []
     n_resampled = 0
 
     def draw():
         if kind == "M_real":
             return PhasePoint(CHART_M, rng.uniform(-1.0, 1.0, 6))
+        re = rng.uniform(-1.0, 1.0, 6)
+        im = rng.uniform(-1.0, 1.0, 6)
+        c = re + 1j * im
         if kind == "UV_complex":
-            re = rng.uniform(-1.0, 1.0, 6)
-            im = rng.uniform(-1.0, 1.0, 6)
-            return PhasePoint(CHART_UV, re + 1j * im)
+            return PhasePoint(CHART_UV, c) if _uv_nondegenerate(params, c[0], c[3]) else None
         if kind == "LEAF":
-            re = rng.uniform(-1.0, 1.0, 6)
-            im = rng.uniform(-1.0, 1.0, 6)
-            c = re + 1j * im
-            return LeafChart(c[:4], (c[4], c[5]))
+            return LeafChart(c[:4], (c[4], c[5])) if _uv_nondegenerate(params, c[0], c[2]) else None
         raise ValueError("unknown point kind")
 
     while len(points) < n:
         rejects = 0
-        while True:
-            try:
-                candidate = draw()
-            except DegeneracyError:
-                candidate = None
-            if candidate is not None and all(g(candidate) for g in guards):
-                points.append(candidate)
-                break
+        while (candidate := draw()) is None:
             rejects += 1
             n_resampled += 1
             if rejects > _MAX_CONSECUTIVE_REJECTS:
                 raise RuntimeError("sampler starved")
+        points.append(candidate)
     return SampleSet(points, n_resampled)
 
 
@@ -268,7 +254,7 @@ def _flipped_h2_observables(params: ModelParams) -> dict:
         return g
 
     out = dict(obs)
-    out["H2"] = ScalarField(CHART_UV, value, grad, name="H2")
+    out["H2"] = ScalarField(CHART_UV, value, grad)
     return out
 
 
@@ -284,7 +270,6 @@ def _pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
         P.chart,
         lambda c: P.value(c) + t * Q.value(c),
         lambda c: P.jac(c) + t * Q.jac(c),
-        name="pencil",
     )
 
 
@@ -453,7 +438,7 @@ def run_suite(
         return [Residual(raw, scale)]
 
     def restricted_oracle(leaf):
-        res = leaf_mod.restricted_oracle_residuals(params, leaf, q_field=Qu, p_field=P1u)
+        res = leaf_mod.restricted_oracle_residuals(params, leaf, q_field=Qu)
         return [res["P"], res["Q"]]
 
     def aux_relations(leaf):
@@ -571,11 +556,10 @@ def run_suite(
                 CheckResult(name=name, tolerance=0.0, skipped=True, note=SKIP_NOTES[requires])
             )
 
-    guards = {M: [], UV: uv_guards(params), LEAF: leaf_guards(params)}
     points = {}
     for offset, kind in enumerate((M, UV, LEAF)):
         if any(row[2] == kind for row in active):
-            sample = sample_points(kind, n_points, seed + offset, guards=guards[kind])
+            sample = sample_points(kind, n_points, seed + offset, params)
             report.resamples[kind] = sample.n_resampled
             points[kind] = sample.points
 

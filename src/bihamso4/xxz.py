@@ -31,12 +31,9 @@ from .fields import (
     shared_per_model,
     wedge_field,
 )
-from .so4 import M_TO_SPLIT, SPLIT_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det
+from .so4 import M_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det
 
 Array = np.ndarray
-
-# d(uv)/d(m): composition of the two printed chart maps.
-UV_FROM_M = SPLIT_TO_UV @ M_TO_SPLIT
 
 # Printed uv tensors over pushforward of the m-chart tensors.
 UV_TENSOR_SCALE = 1j / np.sqrt(2.0)
@@ -110,10 +107,10 @@ def uv_observables(params: ModelParams) -> dict:
         )
 
     return {
-        "H0": ScalarField(CHART_UV, h0_value, h0_grad, name="H0"),
-        "C2": ScalarField(CHART_UV, c2_value, c2_grad, name="C2"),
-        "H1": ScalarField(CHART_UV, h1_value, h1_grad, name="H1"),
-        "H2": ScalarField(CHART_UV, h2_value, h2_grad, name="H2"),
+        "H0": ScalarField(CHART_UV, h0_value, h0_grad),
+        "C2": ScalarField(CHART_UV, c2_value, c2_grad),
+        "H1": ScalarField(CHART_UV, h1_value, h1_grad),
+        "H2": ScalarField(CHART_UV, h2_value, h2_grad),
     }
 
 
@@ -135,7 +132,7 @@ def _p1_uv_value(c: Array) -> Array:
 @shared_per_model
 def p1_uv() -> BivectorField:
     """First Poisson structure in the uv chart (block so(3) x so(3) form)."""
-    return linear_bivector(CHART_UV, _p1_uv_value, 6, name="P1uv")
+    return linear_bivector(CHART_UV, _p1_uv_value, 6)
 
 
 @shared_per_model
@@ -169,7 +166,7 @@ def p2_uv(params: ModelParams) -> BivectorField:
         )
         return mu1 * _p1_uv_value(c) + mu2 * d2 + mu3 * d3
 
-    return linear_bivector(CHART_UV, value, 6, name="P2uv")
+    return linear_bivector(CHART_UV, value, 6)
 
 
 @shared_per_model
@@ -206,7 +203,7 @@ def x1_field(params: ModelParams) -> VectorField:
             ]
         )
 
-    return VectorField(CHART_UV, value, jac, name="X1")
+    return VectorField(CHART_UV, value, jac)
 
 
 def _check_u_nondegenerate(c: Array) -> None:
@@ -234,7 +231,7 @@ def z_field() -> VectorField:
         out[4, 3] = -0.5 / u2**2
         return out
 
-    return VectorField(CHART_UV, value, jac, name="Z")
+    return VectorField(CHART_UV, value, jac)
 
 
 @shared_per_model
@@ -252,7 +249,7 @@ def q_uv(params: ModelParams, sign: float = -1.0) -> BivectorField:
     def jac(c: Array) -> Array:
         return p2.jac(c) + sign * w.jac(c)
 
-    return BivectorField(CHART_UV, value, jac, name="Q")
+    return BivectorField(CHART_UV, value, jac)
 
 
 def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
@@ -271,7 +268,7 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
         ("p2", p2_uv(params), p2_m(params)),
     ):
         printed = printed_field.value(pt.coords)
-        pushed = UV_FROM_M @ m_field.value(m_pt.coords) @ UV_FROM_M.T
+        pushed = M_TO_UV @ m_field.value(m_pt.coords) @ M_TO_UV.T
         imax = np.unravel_index(np.argmax(np.abs(pushed)), pushed.shape)
         out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed)
         out[f"ratio_{key}"] = complex(printed[imax] / pushed[imax])

@@ -30,11 +30,11 @@ def _line(n, ok, detail=""):
 
 
 def _uv_points(n, seed):
-    return verify.sample_points("UV_complex", n, seed, guards=verify.uv_guards(SYM)).points
+    return verify.sample_points("UV_complex", n, seed, SYM).points
 
 
 def _leaves(n, seed):
-    return verify.sample_points("LEAF", n, seed, guards=verify.leaf_guards(SYM)).points
+    return verify.sample_points("LEAF", n, seed, SYM).points
 
 
 def test_criterion_1_structural_identities():

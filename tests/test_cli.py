@@ -47,6 +47,30 @@ def test_verify_bad_mu_exits_two():
     assert result.exit_code == 2
 
 
+def test_verify_starved_sampler_exits_one():
+    # mu2 = mu3 = 0 puts every uv draw on the eigenvalue collision F = 0
+    result = run_cli("verify", "--mu", "1,0,0", "--points", "5")
+    assert result.exit_code == 1
+    assert "error: sampler starved" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["separation", "--mu", "1,2,3", "--uv", "1,0,0.5,0,1,0,2,0,0.25,0,nan,0"], "--uv"),
+        (["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,nan,0", "--h0", "2,0", "--c2", "-1,0"], "--leaf"),
+        (["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "nan,0", "--c2", "-1,0"], "--h0"),
+        (["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "2,0", "--c2", "-1,inf"], "--c2"),
+        (["verify", "--mu", "nan,2,3", "--points", "5"], "--mu"),
+        (["integrate", "--mu", "10,1,2", "--m0", "nan,0,0,0,0,-inf"], "--m0"),
+    ],
+)
+def test_nonfinite_input_is_a_usage_error(args, option):
+    result = run_cli(*args)
+    assert result.exit_code == 2, result.output
+    assert f"{option} expects finite reals" in result.output
+
+
 def test_integrate_csv(tmp_path):
     out = tmp_path / "traj.csv"
     result = run_cli(

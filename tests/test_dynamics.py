@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bihamso4 import dynamics, so4
-from bihamso4.fields import CHART_M, PhasePoint
+from bihamso4.fields import CHART_M, CHART_UV, PhasePoint
 from bihamso4.so4 import ModelParams
 
 PARAMS = ModelParams.from_mu(10.0, 1.0, 2.0)
@@ -26,14 +26,12 @@ def test_rhs_matches_library_form():
         assert np.max(np.abs(a - b)) < 1e-14
 
 
-def test_euler_rhs_chart_guard_and_h1_scaling():
+def test_euler_rhs_chart_guard():
     rng = np.random.default_rng(1)
     pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
-    he = dynamics.euler_rhs(PARAMS, pt, which="HE")
-    h1 = dynamics.euler_rhs(PARAMS, pt, which="H1")
-    assert np.max(np.abs(h1 + 2.0 * he)) < 1e-14
-    with pytest.raises(ValueError):
-        dynamics.euler_rhs(PARAMS, pt, which="bogus")
+    assert np.max(np.abs(dynamics.euler_rhs(PARAMS, pt) - so4.rigid_rhs(PARAMS, pt.coords))) < 1e-14
+    with pytest.raises(ValueError, match="chart mismatch"):
+        dynamics.euler_rhs(PARAMS, PhasePoint(CHART_UV, pt.coords.astype(complex)))
 
 
 def test_invariant_drift_small():

@@ -32,7 +32,7 @@ def test_residual_normalization():
 
 def test_chart_mismatch_guard():
     pt = PhasePoint(CHART_M, np.zeros(6))
-    f = ScalarField(CHART_UV, lambda c: c[0], lambda c: np.eye(6)[0], name="u1")
+    f = ScalarField(CHART_UV, lambda c: c[0], lambda c: np.eye(6)[0])
     with pytest.raises(ValueError, match="chart mismatch"):
         grad_fd_residual(f, pt)
 
@@ -41,9 +41,9 @@ def test_bracket_antisymmetry():
     rng = np.random.default_rng(0)
     A = rng.uniform(-1, 1, (6, 6))
     A = A - A.T
-    P = BivectorField(CHART_M, lambda c: A, lambda c: np.zeros((6, 6, 6)), name="P")
-    f = ScalarField(CHART_M, lambda c: c @ c, lambda c: 2 * c, name="f")
-    g = ScalarField(CHART_M, lambda c: c[0] * c[3], lambda c: np.eye(6)[0] * c[3] + np.eye(6)[3] * c[0], name="g")
+    P = BivectorField(CHART_M, lambda c: A, lambda c: np.zeros((6, 6, 6)))
+    f = ScalarField(CHART_M, lambda c: c @ c, lambda c: 2 * c)
+    g = ScalarField(CHART_M, lambda c: c[0] * c[3], lambda c: np.eye(6)[0] * c[3] + np.eye(6)[3] * c[0])
     for _ in range(20):
         pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
         assert abs(bracket(P, f, g, pt) + bracket(P, g, f, pt)) < 1e-14
@@ -54,7 +54,7 @@ def test_schouten_constant_bivector_vanishes():
     rng = np.random.default_rng(1)
     A = rng.uniform(-1, 1, (6, 6))
     A = A - A.T
-    P = BivectorField(CHART_M, lambda c: A, lambda c: np.zeros((6, 6, 6)), name="P")
+    P = BivectorField(CHART_M, lambda c: A, lambda c: np.zeros((6, 6, 6)))
     pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
     assert schouten_residual(P, P, pt).raw == 0.0
 
@@ -72,7 +72,7 @@ def test_fd_grad_matches_hand_gradient():
         g[2] = 3 * c[2] ** 2
         return g
 
-    f = ScalarField(CHART_M, value, grad, name="f")
+    f = ScalarField(CHART_M, value, grad)
     for _ in range(10):
         pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
         assert grad_fd_residual(f, pt).normalized < 1e-7
@@ -81,7 +81,7 @@ def test_fd_grad_matches_hand_gradient():
 def test_fd_jac_linear_field_exact():
     rng = np.random.default_rng(3)
     A = rng.uniform(-1, 1, (6, 6))
-    X = VectorField(CHART_M, lambda c: A @ c, lambda c: A, name="X")
+    X = VectorField(CHART_M, lambda c: A @ c, lambda c: A)
     pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
     J = fd_jac(X.value, pt.coords)
     assert np.max(np.abs(J - A)) < 1e-9
@@ -91,8 +91,8 @@ def test_wedge_field_jacobian():
     rng = np.random.default_rng(5)
     A = rng.uniform(-1, 1, (6, 6))
     B = rng.uniform(-1, 1, (6, 6))
-    X = VectorField(CHART_M, lambda c: A @ c, lambda c: A, name="X")
-    Z = VectorField(CHART_M, lambda c: B @ c, lambda c: B, name="Z")
+    X = VectorField(CHART_M, lambda c: A @ c, lambda c: A)
+    Z = VectorField(CHART_M, lambda c: B @ c, lambda c: B)
     W = wedge_field(X, Z)
     pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
     step = 1e-6
@@ -138,7 +138,7 @@ def test_linear_bivector_jacobian_constant():
         M[4, 2] = -M[2, 4]
         return M
 
-    P = linear_bivector(CHART_M, value, 6, name="P")
+    P = linear_bivector(CHART_M, value, 6)
     rng = np.random.default_rng(6)
     pt = rng.uniform(-1, 1, 6)
     J = P.jac(pt)
@@ -156,7 +156,7 @@ def test_linear_bivector_jacobian_constant():
 
 
 def _clone(P):
-    return BivectorField(P.chart, P.value, P.jac, name=P.name)
+    return BivectorField(P.chart, P.value, P.jac)
 
 
 def test_schouten_self_bracket_shortcut_is_exact():
@@ -167,10 +167,10 @@ def test_schouten_self_bracket_shortcut_is_exact():
     P1, P2 = so4.p1_m(), so4.p2_m(params)
     t = complex(0.3, -0.7)
     pencil = BivectorField(
-        CHART_M, lambda c: P1.value(c) + t * P2.value(c), lambda c: P1.jac(c) + t * P2.jac(c), name="pencil"
+        CHART_M, lambda c: P1.value(c) + t * P2.value(c), lambda c: P1.jac(c) + t * P2.jac(c)
     )
-    m_pts = verify.sample_points("M_real", 60, 1).points
-    uv_pts = verify.sample_points("UV_complex", 60, 2, guards=verify.uv_guards(params)).points
+    m_pts = verify.sample_points("M_real", 60, 1, params).points
+    uv_pts = verify.sample_points("UV_complex", 60, 2, params).points
     cases = [(P1, m_pts), (P2, m_pts), (pencil, m_pts), (xxz.q_uv(params), uv_pts), (xxz.p2_uv(params), uv_pts)]
     for P, pts in cases:
         clone = _clone(P)

@@ -53,7 +53,7 @@ def test_embed_jacobian_matches_fd():
     rng = np.random.default_rng(1)
     for _ in range(10):
         leaf = random_leaf(rng)
-        J = leaf_mod.embed_jacobian(leaf)
+        J = leaf_mod.embed_jacobian(leaf_mod.embed(leaf))
         step = 1e-6
         for k in range(4):
             e = np.zeros(4, dtype=complex)
@@ -193,6 +193,14 @@ def test_xi2_hand_value_and_path_agreement():
         assert abs(both - closed) < 1e-10 * (1 + abs(closed))
 
 
+def test_deformation_xi2_fails_closed_on_nan():
+    # a NaN level leaves the closed form finite while termination and
+    # agreement both read NaN; a NaN must fail the guards, not slip past them
+    leaf = LeafChart(HAND_LEAF.coords, (np.nan, -1.0))
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="did not terminate"):
+        leaf_mod.deformation_xi2(PARAMS, leaf)
+
+
 def test_dn_chart_hand_values():
     chart = leaf_mod.dn_chart(PARAMS, HAND_LEAF)
     assert chart.zeta1 == -1.0
@@ -223,7 +231,7 @@ def test_hand_coded_jacobians_and_lie_y_gradients_match_fd():
     # X1.jac, Z.jac and Q.jac feed the Schouten and Lie-bivector rows; dG,
     # d(u1 u2) and dL feed lie_y_invariants; this is their only independent check.
     fields = {"X1": xxz.x1_field(PARAMS), "Z": xxz.z_field(), "Q": xxz.q_uv(PARAMS)}
-    for pt in verify.sample_points("UV_complex", 20, 21, guards=verify.uv_guards(PARAMS)).points:
+    for pt in verify.sample_points("UV_complex", 20, 21, PARAMS).points:
         for name, field in fields.items():
             exact = field.jac(pt.coords)
             fd = fd_jac(field.value, pt.coords)
@@ -257,7 +265,7 @@ def test_dn_brackets_pass_at_cancellation_points(seed):
     # the raw residual is roundoff of that cancellation.  Normalized by
     # max |B| the old scale read it as a failure; the summand scale does not.
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
-    leafs = verify.sample_points("LEAF", 200, seed + 2, guards=verify.leaf_guards(params)).points
+    leafs = verify.sample_points("LEAF", 200, seed + 2, params).points
     worst_raw = 0.0
     for leaf in leafs:
         res = leaf_mod.dn_bracket_residuals(params, leaf)
@@ -399,6 +407,6 @@ def test_xi2_paths_agree_where_the_line_fit_was_ill_conditioned(verify_seed, ind
     # leaf samples of `verify --mu 10,1,2 --points 200` where a small Lie_Y^2 H
     # against large node values once read 5.5e-10 and 1.6e-10 > TOL_DN
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
-    leafs = verify.sample_points("LEAF", index + 1, verify_seed + 2, guards=verify.leaf_guards(params)).points
+    leafs = verify.sample_points("LEAF", index + 1, verify_seed + 2, params).points
     _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index])
     assert agreement.normalized <= verify.TOL_DN

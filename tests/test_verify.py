@@ -111,11 +111,11 @@ def test_drawn_rows_read_their_named_streams():
     def draw(rng):
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
-    m_pts = verify.sample_points("M_real", n, 0).points
+    m_pts = verify.sample_points("M_real", n, 0, params).points
     lax_rng = np.random.default_rng([0, 13])
     flow = max(so4.lax_flow_residual(params, draw(lax_rng), pt).normalized for pt in m_pts)
     comm = max(so4.angular_velocity_commutator_residual(params, draw(lax_rng), pt).normalized for pt in m_pts)
-    leafs = verify.sample_points("LEAF", n, 2, guards=verify.leaf_guards(params)).points
+    leafs = verify.sample_points("LEAF", n, 2, params).points
     term_rng = np.random.default_rng([0, 18])
     obs = xxz.uv_observables(params)
     term = max(
@@ -137,8 +137,8 @@ def test_overrides_leave_shared_ingredients_clean():
 
 
 def test_sample_points_deterministic_and_guarded():
-    s1 = verify.sample_points("UV_complex", 20, 11, guards=verify.uv_guards(PARAMS))
-    s2 = verify.sample_points("UV_complex", 20, 11, guards=verify.uv_guards(PARAMS))
+    s1 = verify.sample_points("UV_complex", 20, 11, PARAMS)
+    s2 = verify.sample_points("UV_complex", 20, 11, PARAMS)
     for p, q in zip(s1.points, s2.points):
         assert np.array_equal(p.coords, q.coords)
     for p in s1.points:
@@ -146,17 +146,20 @@ def test_sample_points_deterministic_and_guarded():
 
 
 def test_sample_points_kinds():
-    m = verify.sample_points("M_real", 5, 0)
+    m = verify.sample_points("M_real", 5, 0, PARAMS)
     assert all(p.coords.dtype.kind == "f" for p in m.points)
-    leafs = verify.sample_points("LEAF", 5, 0, guards=verify.leaf_guards(PARAMS))
+    leafs = verify.sample_points("LEAF", 5, 0, PARAMS)
     assert all(p.coords.shape == (4,) for p in leafs.points)
     with pytest.raises(ValueError, match="unknown point kind"):
-        verify.sample_points("imaginary", 5, 0)
+        verify.sample_points("imaginary", 5, 0, PARAMS)
 
 
 def test_sampler_starvation():
-    with pytest.raises(RuntimeError, match="sampler starved"):
-        verify.sample_points("M_real", 1, 0, guards=[lambda pt: False])
+    # mu2 = mu3 = 0 makes F = 0 at every draw, so the guard rejects them all
+    starved = ModelParams.from_mu(1.0, 0.0, 0.0)
+    for kind in ("UV_complex", "LEAF"):
+        with pytest.raises(RuntimeError, match="sampler starved"):
+            verify.sample_points(kind, 1, 0, starved)
 
 
 def test_diagnostics_present():
@@ -289,7 +292,7 @@ def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
             g[5] += 1e-4 * c[2]
             return g
 
-        obs["H2"] = ScalarField(base.chart, lambda c: base.value(c) + 1e-4 * c[2] * c[5], grad, name="H2")
+        obs["H2"] = ScalarField(base.chart, lambda c: base.value(c) + 1e-4 * c[2] * c[5], grad)
         return obs
 
     monkeypatch.setattr(xxz, "uv_observables", perturbed)
@@ -305,7 +308,7 @@ def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
     # dn_gradients is read once per leaf sample by dn_eigenforms: poison one
     # row at sample 4, which a running worst would drop
     real = leaf_mod.dn_gradients
-    leafs = verify.sample_points("LEAF", 6, 2, guards=verify.leaf_guards(PARAMS)).points
+    leafs = verify.sample_points("LEAF", 6, 2, PARAMS).points
     poisoned = leafs[4]
 
     def patched(params, leaf):
