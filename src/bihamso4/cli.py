@@ -59,9 +59,16 @@ def _pair(z: complex) -> list:
 
 @contextmanager
 def _exit_on_error():
-    """Report a library error on stderr: ValueError exits 2 (bad input), RuntimeError exits 1."""
+    """Report a library error on stderr.
+
+    ValueError and OverflowError exit 2 (bad input: finite input can still
+    overflow), RuntimeError exits 1.
+    """
     try:
         yield
+    except OverflowError as exc:
+        click.echo(f"error: input overflows ({exc})", err=True)
+        sys.exit(2)
     except (ValueError, RuntimeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2 if isinstance(exc, ValueError) else 1)
@@ -173,6 +180,8 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
         coords = _complex_vector(leaf_text, 4, "--leaf")
         levels = (_complex_pair(h0_text, "--h0"), _complex_pair(c2_text, "--c2"))
         leaf = LeafChart(coords, levels)
+        if not np.isfinite(leaf_mod.embed(leaf).coords).all():
+            raise ValueError("leaf point embeds to a non-finite uv point")
         chart = leaf_mod.dn_chart(params, leaf)
         brackets = leaf_mod.dn_bracket_residuals(params, leaf)
         p_matrix = leaf_mod.dn_bracket_matrix(params, leaf)

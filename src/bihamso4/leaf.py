@@ -36,6 +36,7 @@ from .fields import (
     brackets_scaled,
     line_restriction,
     mismatch,
+    peak,
 )
 from .so4 import ModelParams
 from .xxz import p1_uv, q_uv, require_symmetric, uv_observables
@@ -600,7 +601,7 @@ def zeta1_involution_residuals(params: ModelParams, pt: PhasePoint, obs=None) ->
         raise ValueError("chart mismatch")
     obs = obs or uv_observables(params)
     res = brackets_scaled(p1_uv(), (obs["H1"], obs["H2"], ZETA1), [(0, 2), (1, 2)], pt)
-    return {name: Residual(float(abs(br)), scale) for name, (br, scale) in zip(("H1", "H2"), res)}
+    return {name: Residual(abs(br), scale) for name, (br, scale) in zip(("H1", "H2"), res)}
 
 
 def _separation_guard(params: ModelParams, pt: PhasePoint) -> None:
@@ -634,7 +635,7 @@ def phi1_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
         beta * obs["H2"].value(c),
         gamma1 * obs["H0"].value(c),
     )
-    return Residual(abs(sum(terms)), float(max(abs(t) for t in terms)))
+    return Residual(abs(sum(terms)), peak(terms, 1))
 
 
 def phi2_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:

@@ -30,13 +30,13 @@ from .fields import (
     Residual,
     ScalarField,
     linear_bivector,
+    peak,
     shared_per_model,
 )
 
 Array = np.ndarray
 
-# Index pairs of the six m-coordinates (0-based), and each pair's complement.
-M_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# The complement of each index pair (12, 13, 14, 23, 24, 34) of the m-coordinates (0-based).
 M_COMPLEMENT = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
 
 # jsq = MU_TO_JSQ @ mu; the matrix has orthogonal rows of squared norm 4,
@@ -163,7 +163,7 @@ def chart_map(pt: PhasePoint, target: str, complex_ok: bool = False) -> PhasePoi
 
     Mapping to a real chart checks that the image is real (a UV point maps to
     a real point iff v_k = conj(u_k) and z_k is real); pass complex_ok=True to
-    keep complexified coordinates.
+    keep complexified coordinates.  Coordinates may be a (6, n) stack.
     """
     if pt.chart == target:
         return PhasePoint(target, np.array(pt.coords))
@@ -172,8 +172,8 @@ def chart_map(pt: PhasePoint, target: str, complex_ok: bool = False) -> PhasePoi
         raise ValueError("chart mismatch")
     out = _CHART_MAPS[key] @ pt.coords
     if target in _REAL_CHARTS:
-        scale = float(np.abs(out).max())
-        if float(np.abs(out.imag).max()) <= _REAL_TOL * (1.0 + scale):
+        # A stack is real only if every point of it is.
+        if (np.abs(out.imag).max(axis=0) <= _REAL_TOL * (1.0 + np.abs(out).max(axis=0))).all():
             return PhasePoint(target, out.real.copy())
         if not complex_ok:
             raise ValueError("non-real point")
@@ -228,9 +228,12 @@ def observables_m(params: ModelParams) -> dict:
     """Scalar fields on the M chart: H0, C, HE, KE with exact gradients."""
     a = params.a
     b = params.b
+    # Python floats as weights: scalar arithmetic on one point is cheaper with them.
+    wa, wb = a.tolist(), b.tolist()
 
     def h0_value(m):
-        return m @ m
+        m12, m13, m14, m23, m24, m34 = m
+        return m12 * m12 + m13 * m13 + m14 * m14 + m23 * m23 + m24 * m24 + m34 * m34
 
     def h0_grad(m):
         return 2.0 * m
@@ -244,16 +247,17 @@ def observables_m(params: ModelParams) -> dict:
         return np.array([m34, -m24, m23, m14, -m13, m12])
 
     def he_value(m):
-        return 0.5 * (a * m) @ m
+        return 0.5 * _square_sum(wa, m)
 
+    # (a * m.T).T is a_i m_i, also on a (6, n) stack, whose point axis .T puts last.
     def he_grad(m):
-        return a * m
+        return (a * m.T).T
 
     def ke_value(m):
-        return (b * m) @ m
+        return _square_sum(wb, m)
 
     def ke_grad(m):
-        return 2.0 * b * m
+        return (2.0 * b * m.T).T
 
     return {
         "H0": ScalarField(CHART_M, h0_value, h0_grad),
@@ -263,20 +267,32 @@ def observables_m(params: ModelParams) -> dict:
     }
 
 
+def _square_sum(w, m) -> float:
+    """sum_i w_i m_i^2, written out so that one point is scalar arithmetic and a stack is per point."""
+    m12, m13, m14, m23, m24, m34 = m
+    w1, w2, w3, w4, w5, w6 = w
+    return w1 * m12 * m12 + w2 * m13 * m13 + w3 * m14 * m14 + w4 * m23 * m23 + w5 * m24 * m24 + w6 * m34 * m34
+
+
 def m_matrix(m: Array) -> Array:
-    """Antisymmetric 4x4 matrix with upper entries (m12, m13, m14, m23, m24, m34)."""
-    out = np.zeros((4, 4), dtype=np.asarray(m).dtype)
-    for idx, (i, j) in enumerate(M_PAIRS):
-        out[i, j] = m[idx]
-        out[j, i] = -m[idx]
-    return out
+    """Antisymmetric 4x4 matrix with upper entries (m12, m13, m14, m23, m24, m34); (4, 4, n) for a stack."""
+    m12, m13, m14, m23, m24, m34 = m
+    zero = 0.0 * m12
+    return np.array(
+        [
+            [zero, m12, m13, m14],
+            [-m12, zero, m23, m24],
+            [-m13, -m23, zero, m34],
+            [-m14, -m24, -m34, zero],
+        ]
+    )
 
 
 def lax(params: ModelParams, lam: complex, pt: PhasePoint) -> Array:
-    """Lax matrix L(lambda) = lambda diag(jsq) + M at an M-chart point."""
+    """Lax matrix L(lambda) = lambda diag(jsq) + M at an M-chart point, or per point of a stack."""
     if pt.chart != CHART_M:
         raise ValueError("chart mismatch")
-    return lam * np.diag(np.asarray(params.jsq, dtype=complex)) + m_matrix(pt.coords)
+    return np.multiply.outer(np.diag(np.asarray(params.jsq, dtype=complex)), lam) + m_matrix(pt.coords)
 
 
 def det4(A: Array) -> complex:
@@ -300,7 +316,7 @@ def det4(A: Array) -> complex:
 
 def spectral_det(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> complex:
     """The spectral determinant Det(L(lambda) - rho lambda I) at an M-chart point."""
-    return det4(lax(params, lam, pt) - rho * lam * np.eye(4))
+    return det4(lax(params, lam, pt) - np.multiply.outer(np.eye(4), rho * lam))
 
 
 def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
@@ -315,19 +331,20 @@ def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: Phas
     he = obs["HE"].value(m)
     ke = obs["KE"].value(m)
     c = obs["C"].value(m)
-    jsq = np.asarray(params.jsq, dtype=complex)
     det = spectral_det(params, lam, rho, pt)
-    p4 = np.prod(jsq - rho)
     terms = (
-        lam**4 * p4,
+        lam**4 * spectrum_product(params, rho),
         lam**2 * rho**2 * h0,
         -2.0 * lam**2 * rho * he,
         lam**2 * ke,
         c**2,
     )
-    closed = sum(terms)
-    scale = max(abs(det), max(abs(t) for t in terms))
-    return Residual(abs(det - closed), float(scale))
+    return Residual(abs(det - sum(terms)), peak([det, *terms], 1))
+
+
+def spectrum_product(params: ModelParams, rho: complex) -> complex:
+    """prod_i (J_i^2 - rho), per value of an array rho."""
+    return np.prod(np.subtract.outer(np.asarray(params.jsq, dtype=complex), rho), axis=0)
 
 
 def _vec_residual(vec: Array, *mags: float) -> Residual:

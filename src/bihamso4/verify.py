@@ -12,6 +12,17 @@ the same stream continue it in registry order.  Each fn calls the one
 library implementation of its identity and passes in the ingredients it
 reads (the uv observables, Q, the nijenhuis callable).  The suite owns
 sampling, draws, skip accounting, normalization and report assembly only.
+
+An M_real or UV_complex row runs once on the whole sample: the points as
+one (6, n) PhasePoint (the field kernels take the trailing point axis), the
+draws as (n,) arrays, one residual per column.  One adapter, the per-sample
+loop with Python complex draws, runs every LEAF row (a LeafChart is one
+point of scalar closed forms), lenard_chain and the two Lax rows (tests pin
+their per-point calls and values) and separation_phi2 (leaf closed forms).
+A stacked row whose guard rejects any column re-runs through the adapter, so
+each rejected sample is skipped and counted on its own.  The draws are the
+same either way; array and scalar complex products round differently, so
+the two paths agree to roundoff, not bit for bit.
 All residuals are compared as raw/(1+scale) against tolerance x tol_scale,
 where scale is the magnitude of the largest term that entered the
 identity.  The suite fails closed: a residual whose raw value or scale is
@@ -38,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -54,12 +66,15 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
+    as_matrices,
     brackets_scaled,
     grad_fd_residual,
     ham_field_scaled,
     lie_bivector,
     lie_bivector_scaled,
     lie_scalar,
+    lift,
+    peak,
     schouten_residual,
 )
 from .leaf import LeafChart
@@ -266,11 +281,62 @@ def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
 
 
 def _pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
+    """P + t Q; t is one value per point of a stack, or a scalar."""
     return BivectorField(
         P.chart,
         lambda c: P.value(c) + t * Q.value(c),
-        lambda c: P.jac(c) + t * Q.jac(c),
+        lambda c: lift(P.jac(c), 3, c) + t * lift(Q.jac(c), 3, c),
     )
+
+
+@dataclass(frozen=True)
+class _PerPoint:
+    """Marks a registry fn that is evaluated one sample at a time."""
+
+    fn: Callable
+
+
+def _per_point(fn, points: list, draws: list) -> tuple:
+    """fn at each sample with its draws; a DegeneracyError skips that sample.
+
+    Returns (raw, scale, evaluated): (k, n) arrays of the k residuals per
+    sample (zero where skipped) and the mask of evaluated samples.
+    """
+    evaluated = np.zeros(len(points), dtype=bool)
+    rows = []
+    for index, pt in enumerate(points):
+        try:
+            rows.append(fn(pt, *draws[index]))
+        except DegeneracyError:
+            continue
+        evaluated[index] = True
+    raw = np.zeros((len(rows[0]) if rows else 0, len(points)))
+    scale = np.zeros_like(raw)
+    raw[:, evaluated] = [[r.raw for r in res] for res in zip(*rows)]
+    scale[:, evaluated] = [[r.scale for r in res] for res in zip(*rows)]
+    return raw, scale, evaluated
+
+
+def _evaluate(fn, points: list, stack, draws: np.ndarray) -> tuple:
+    """(raw, scale, evaluated) of one row over a sample, as _per_point returns them.
+
+    draws is (n, n_draws) complex.  A row is evaluated once on the stack, with
+    one (n,) array per draw.  If a guard rejects any point of the stack, the
+    row is evaluated again one sample at a time, so each rejected sample is
+    skipped and counted on its own; _PerPoint rows and samples without a
+    stack (LEAF) go that way from the start, with Python complex draws.
+    """
+    if not isinstance(fn, _PerPoint) and stack is not None:
+        try:
+            residuals = fn(stack, *draws.T)
+        except DegeneracyError:
+            pass
+        else:
+            n = len(points)
+            raw = np.array([np.broadcast_to(r.raw, (n,)) for r in residuals], dtype=float)
+            scale = np.array([np.broadcast_to(r.scale, (n,)) for r in residuals], dtype=float)
+            return raw, scale, np.ones(n, dtype=bool)
+    return _per_point(getattr(fn, "fn", fn), points, draws.tolist())
 
 
 def _diagnostic(name: str, kind: str, samples: list, value, note: str) -> dict:
@@ -346,17 +412,15 @@ def run_suite(
             2.0 * mu4 * x1 * x2,
             2.0 * mu3 * y1 * y2,
             2.0 * mu2 * z1 * z2,
-            mu1 * float(s.coords @ s.coords),
+            mu1 * np.einsum("i...,i...->...", s.coords, s.coords),
         )
-        closed = sum(terms)
         he = obs_m["HE"].value(pt.coords)
-        return [Residual(abs(he - closed), max(abs(he), max(abs(t) for t in terms)))]
+        return [Residual(abs(he - sum(terms)), peak([he, *terms], 1))]
 
     def roundtrip(pt):
         uv = so4.chart_map(so4.chart_map(pt, CHART_SPLIT), CHART_UV)
         back = so4.chart_map(so4.chart_map(uv, CHART_SPLIT), CHART_M)
-        raw = float(np.abs(back.coords - pt.coords).max())
-        return [Residual(raw, float(np.abs(pt.coords).max()))]
+        return [Residual(peak(back.coords - pt.coords, 1), peak(pt.coords, 1))]
 
     # ---------------- symmetric-model checks (UV chart) ----------------
 
@@ -370,20 +434,20 @@ def run_suite(
     def x1_match(pt):
         ham, scale = ham_field_scaled(P1u, obs_uv["H1"], pt)
         direct = X1.value(pt.coords)
-        return [Residual(float(np.abs(ham - direct).max()), scale)]
+        return [Residual(peak(ham - direct, 1), scale)]
 
     def x1_zeta(pt):
         val = lie_scalar(X1, leaf_mod.ZETA1, pt)
-        return [Residual(abs(val), float(np.abs(X1.value(pt.coords)).max()))]
+        return [Residual(abs(val), peak(X1.value(pt.coords), 1))]
 
     def trans_p1(pt):
         delta, scale = lie_bivector_scaled(Zf, P1u, pt)
-        return [Residual(float(np.abs(delta).max()), scale)]
+        return [Residual(peak(delta, 2), scale)]
 
     def trans_norm(pt):
-        r_h0 = abs(lie_scalar(Zf, obs_uv["H0"], pt) - 1.0)
-        r_c2 = abs(lie_scalar(Zf, obs_uv["C2"], pt))
-        return [Residual(max(r_h0, r_c2), 1.0)]
+        r_h0 = lie_scalar(Zf, obs_uv["H0"], pt) - 1.0
+        r_c2 = lie_scalar(Zf, obs_uv["C2"], pt)
+        return [Residual(peak([r_h0, r_c2], 1), 1.0)]
 
     def trans_h1_h2(pt):
         c = pt.coords
@@ -392,29 +456,31 @@ def run_suite(
         p1sum = lam1 + lam2
         r1 = lie_scalar(Zf, obs_uv["H1"], pt) + p1sum
         r2 = lie_scalar(Zf, obs_uv["H2"], pt) - lam1 * lam2
-        scale = max(abs(p1sum), abs(lam1 * lam2), 1.0)
-        return [Residual(max(abs(r1), abs(r2)), float(scale))]
+        scale = np.maximum(peak([p1sum, lam1 * lam2], 1), 1.0)
+        return [Residual(peak([r1, r2], 1), scale)]
 
     def trans_p2_shape(pt):
-        delta = lie_bivector(Zf, P2u, pt)
-        svals = np.linalg.svd(delta, compute_uv=False)
-        rank_leak = float(svals[2])
+        # Lie_Z P2 has rank 2 and Z in its column space.  The least-squares
+        # miss of Z is its part off the left singular vectors kept at lstsq's
+        # default cutoff (singular values above 6 eps s_0).
+        u, svals, _ = np.linalg.svd(as_matrices(lie_bivector(Zf, P2u, pt)))
         zvec = Zf.value(pt.coords)
-        x, *_ = np.linalg.lstsq(delta, zvec, rcond=None)
-        colspace_miss = float(np.abs(delta @ x - zvec).max())
-        scale = float(max(svals[0], np.abs(zvec).max()))
-        return [Residual(max(rank_leak, colspace_miss), scale)]
+        coef = np.einsum("...ji,j...->...i", u.conj(), zvec)
+        kept = svals > 6.0 * np.finfo(float).eps * svals[..., :1]
+        miss = zvec - np.einsum("...ij,...j->i...", u, np.where(kept, coef, 0.0))
+        raw = np.maximum(svals[..., 2], peak(miss, 1))
+        return [Residual(raw, np.maximum(svals[..., 0], peak(zvec, 1)))]
 
     def q_casimirs(pt):
         out = []
         for name in ("H0", "C2"):
             vec, scale = ham_field_scaled(Qu, obs_uv[name], pt)
-            out.append(Residual(float(np.abs(vec).max()), scale))
+            out.append(Residual(peak(vec, 1), scale))
         return out
 
     def q_rank(pt):
-        svals = np.linalg.svd(Qu.value(pt.coords), compute_uv=False)
-        return [Residual(float(svals[4]), float(svals[0]))]
+        svals = np.linalg.svd(as_matrices(Qu.value(pt.coords)), compute_uv=False)
+        return [Residual(svals[..., 4], svals[..., 0])]
 
     ham_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
@@ -461,17 +527,17 @@ def run_suite(
         ("jacobi_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P2m, P2m, pt)]),
         ("compat_p1_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P2m, pt)]),
         ("pencil_jacobi_m", TOL_EXACT, M, None, pencil_m, 11, 1),
-        ("lenard_chain", TOL_EXACT, M, None, lambda pt: list(so4.lenard_residuals_m(params, pt).values())),
+        ("lenard_chain", TOL_EXACT, M, None, _PerPoint(lambda pt: list(so4.lenard_residuals_m(params, pt).values()))),
         (
             "charpoly_identity", TOL_PIPELINE, M, None,
             lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt)], 12, 2,
         ),
         ("he_split_form", TOL_EXACT, M, None, he_split),
         ("chart_roundtrip", TOL_ROUNDTRIP, M, None, roundtrip),
-        ("lax_flow", TOL_PIPELINE, M, POS, lambda pt, lam: [so4.lax_flow_residual(params, lam, pt)], 13, 1),
+        ("lax_flow", TOL_PIPELINE, M, POS, _PerPoint(lambda pt, lam: [so4.lax_flow_residual(params, lam, pt)]), 13, 1),
         (
             "lax_angular_commutator", TOL_EXACT, M, POS,
-            lambda pt, lam: [so4.angular_velocity_commutator_residual(params, lam, pt)], 13, 1,
+            _PerPoint(lambda pt, lam: [so4.angular_velocity_commutator_residual(params, lam, pt)]), 13, 1,
         ),
         ("gradient_fd_uv", TOL_FD, UV, SYM, fd_uv),
         (
@@ -511,7 +577,7 @@ def run_suite(
             lambda pt: list(leaf_mod.zeta1_involution_residuals(params, pt, obs_uv).values()),
         ),
         ("separation_phi1", TOL_EXACT, UV, SYM, lambda pt: [leaf_mod.phi1_residual(params, pt, obs_uv)]),
-        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)]),
+        ("separation_phi2", TOL_PIPELINE, UV, SYM, _PerPoint(lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)])),
         ("embed_roundtrip", TOL_ROUNDTRIP, LEAF, SYM, embed_roundtrip),
         ("restricted_oracle", TOL_SCHOUTEN, LEAF, SYM, restricted_oracle),
         (
@@ -556,40 +622,36 @@ def run_suite(
                 CheckResult(name=name, tolerance=0.0, skipped=True, note=SKIP_NOTES[requires])
             )
 
-    points = {}
+    points, stacks = {}, {}
     for offset, kind in enumerate((M, UV, LEAF)):
         if any(row[2] == kind for row in active):
             sample = sample_points(kind, n_points, seed + offset, params)
             report.resamples[kind] = sample.n_resampled
             points[kind] = sample.points
+            if kind != LEAF:
+                first = sample.points[0]
+                stacks[kind] = PhasePoint(first.chart, np.stack([pt.coords for pt in sample.points], axis=-1))
 
     streams = {}  # rows naming the same stream continue it, in registry order
-    for name, tol, kind, _, fn, *draws in active:
-        stream, n_draws = draws or (None, 0)
+    for name, tol, kind, _, fn, *drawn in active:
+        stream, n_draws = drawn or (None, 0)
         if n_draws and stream not in streams:
             streams[stream] = np.random.default_rng([seed, stream])
-        rng = streams.get(stream)
+        draws = np.empty((n_points, 0), dtype=complex)
+        if n_draws:
+            # (re, im) pairs in the order of one complex(re, im) per draw per point
+            draws = streams[stream].uniform(-1, 1, size=(n_points, n_draws, 2)).view(complex)[..., 0]
+        raw, scale, evaluated = _evaluate(fn, points[kind], stacks.get(kind), draws)
+        finite = np.isfinite(raw) & np.isfinite(scale)
+        # NaN compares false against everything, so it is caught here rather
+        # than silently losing the comparison below.
+        nonfinite = evaluated & ~finite.all(axis=0)
+        counted = finite & evaluated
+        normalized = np.divide(raw, 1.0 + scale, out=np.zeros_like(raw), where=counted)
         effective_tol = tol * tol_scale
-        worst = 0.0
-        first_nonfinite = None
-        n_eval = 0
-        n_skip = 0
-        for index, pt in enumerate(points[kind]):
-            args = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n_draws)]
-            try:
-                residuals = fn(pt, *args)
-            except DegeneracyError:
-                n_skip += 1
-                continue
-            n_eval += 1
-            for r in residuals:
-                # NaN compares false against everything, so it is caught
-                # here rather than silently losing the comparison below.
-                if not (math.isfinite(r.raw) and math.isfinite(r.scale)):
-                    if first_nonfinite is None:
-                        first_nonfinite = index
-                elif r.normalized > worst:
-                    worst = r.normalized
+        worst = float(normalized.max(initial=0.0))
+        n_eval = int(evaluated.sum())
+        n_skip = n_points - n_eval
         result = CheckResult(
             name=name,
             tolerance=effective_tol,
@@ -597,10 +659,10 @@ def run_suite(
             n_evaluated=n_eval,
             n_skipped_degenerate=n_skip,
         )
-        if first_nonfinite is not None:
+        if nonfinite.any():
             result.passed = False
-            result.note = f"non-finite residual at sample {first_nonfinite}"
-        elif n_eval == 0 or n_skip > 0.05 * len(points[kind]):
+            result.note = f"non-finite residual at sample {int(np.argmax(nonfinite))}"
+        elif n_eval == 0 or n_skip > 0.05 * n_points:
             result.passed = False
             result.note = "inconclusive: too many degenerate skips"
         else:

@@ -25,13 +25,16 @@ from .fields import (
     Residual,
     ScalarField,
     VectorField,
+    as_matrices,
+    lift,
     line_restriction,
     linear_bivector,
     mismatch,
+    peak,
     shared_per_model,
     wedge_field,
 )
-from .so4 import M_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det
+from .so4 import M_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det, spectrum_product
 
 Array = np.ndarray
 
@@ -207,7 +210,8 @@ def x1_field(params: ModelParams) -> VectorField:
 
 
 def _check_u_nondegenerate(c: Array) -> None:
-    if abs(c[0]) <= EPS_DEG or abs(c[3]) <= EPS_DEG:
+    # c[0:4:3] is (u1, u2), one row each also on a stack
+    if (np.abs(c[0:4:3]) <= EPS_DEG).any():
         raise DegeneracyError("degenerate point")
 
 
@@ -218,18 +222,24 @@ def z_field() -> VectorField:
     def value(c: Array) -> Array:
         _check_u_nondegenerate(c)
         u1, u2 = c[0], c[3]
-        out = np.zeros(6, dtype=complex)
-        out[1] = 0.5 / u1
-        out[4] = 0.5 / u2
-        return out
+        zero = 0.0 * u1
+        return np.array([zero, 0.5 / u1, zero, zero, 0.5 / u2, zero])
 
     def jac(c: Array) -> Array:
         _check_u_nondegenerate(c)
         u1, u2 = c[0], c[3]
-        out = np.zeros((6, 6), dtype=complex)
-        out[1, 0] = -0.5 / u1**2
-        out[4, 3] = -0.5 / u2**2
-        return out
+        zero = 0.0 * u1
+        row = [zero] * 6
+        return np.array(
+            [
+                row,
+                [-0.5 / u1**2] + row[1:],
+                row,
+                row,
+                row[:3] + [-0.5 / u2**2] + row[4:],
+                row,
+            ]
+        )
 
     return VectorField(CHART_UV, value, jac)
 
@@ -247,7 +257,7 @@ def q_uv(params: ModelParams, sign: float = -1.0) -> BivectorField:
         return p2.value(c) + sign * w.value(c)
 
     def jac(c: Array) -> Array:
-        return p2.jac(c) + sign * w.jac(c)
+        return lift(p2.jac(c), 3, c) + sign * w.jac(c)
 
     return BivectorField(CHART_UV, value, jac)
 
@@ -268,10 +278,13 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
         ("p2", p2_uv(params), p2_m(params)),
     ):
         printed = printed_field.value(pt.coords)
-        pushed = M_TO_UV @ m_field.value(m_pt.coords) @ M_TO_UV.T
-        imax = np.unravel_index(np.argmax(np.abs(pushed)), pushed.shape)
-        out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed)
-        out[f"ratio_{key}"] = complex(printed[imax] / pushed[imax])
+        pushed = np.moveaxis(M_TO_UV @ as_matrices(m_field.value(m_pt.coords)) @ M_TO_UV.T, (-2, -1), (0, 1))
+        out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed, 2)
+        # the ratio at each point's largest pushed entry (the first, in row-major order)
+        flat = pushed.reshape((36,) + pushed.shape[2:])
+        k = np.expand_dims(np.argmax(np.abs(flat), axis=0), 0)
+        ratio = (np.take_along_axis(printed.reshape(flat.shape), k, 0) / np.take_along_axis(flat, k, 0))[0]
+        out[f"ratio_{key}"] = complex(ratio) if np.ndim(ratio) == 0 else ratio
     return out
 
 
@@ -292,10 +305,7 @@ def observable_transport_residuals(params: ModelParams, pt: PhasePoint, obs=None
         "H1": (uv["H1"].value(pt.coords), -2.0 * mo["HE"].value(m_pt.coords)),
         "H2": (uv["H2"].value(pt.coords), mo["KE"].value(m_pt.coords)),
     }
-    return {
-        name: Residual(abs(a - b), max(abs(a), abs(b)))
-        for name, (a, b) in pairs.items()
-    }
+    return {name: Residual(abs(a - b), peak([a, b], 1)) for name, (a, b) in pairs.items()}
 
 
 def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, obs=None) -> Residual:
@@ -312,19 +322,16 @@ def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: P
     h1 = uv["H1"].value(c)
     h2 = uv["H2"].value(c)
     c2 = uv["C2"].value(c)
-    jsq = np.asarray(params.jsq, dtype=complex)
     m_pt = chart_map(pt, CHART_M, complex_ok=True)
     det = spectral_det(params, lam, rho, m_pt)
     terms = (
-        lam**4 * np.prod(jsq - rho),
+        lam**4 * spectrum_product(params, rho),
         lam**2 * rho**2 * h0,
         lam**2 * rho * h1,
         lam**2 * h2,
         0.25 * c2**2,
     )
-    closed = sum(terms)
-    scale = max(abs(det), max(abs(t) for t in terms))
-    return Residual(abs(det - closed), float(scale))
+    return Residual(abs(det - sum(terms)), peak([det, *terms], 1))
 
 
 def constant_eigenvalue(params: ModelParams) -> float:
@@ -362,13 +369,8 @@ def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint)
 def stackel_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
     """Second and higher Lie derivatives of the spectral curve along Z."""
     coeffs, vals = _curve_line(params, lam, rho, pt)
-    raw = max(
-        2.0 * abs(coeffs[2]),
-        6.0 * abs(coeffs[3]),
-        24.0 * abs(coeffs[4]),
-        120.0 * abs(coeffs[5]),
-    )
-    return Residual(float(raw), float(np.abs(vals).max()))
+    lie = [2.0 * np.abs(coeffs[2]), 6.0 * np.abs(coeffs[3]), 24.0 * np.abs(coeffs[4]), 120.0 * np.abs(coeffs[5])]
+    return Residual(peak(lie, 1), peak(vals, 1))
 
 
 def transversal_curve_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
@@ -377,6 +379,4 @@ def transversal_curve_residual(params: ModelParams, lam: complex, rho: complex, 
     l1 = constant_eigenvalue(params)
     l2 = variable_eigenvalue(params, pt.coords)
     closed = lam**2 * (rho - l1) * (rho - l2)
-    raw = abs(coeffs[1] - closed)
-    scale = max(abs(coeffs[1]), abs(closed))
-    return Residual(float(raw), float(scale))
+    return Residual(abs(coeffs[1] - closed), peak([coeffs[1], closed], 1))

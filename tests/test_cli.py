@@ -71,6 +71,25 @@ def test_nonfinite_input_is_a_usage_error(args, option):
     assert f"{option} expects finite reals" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["separation", "--mu", "1,2,3", "--uv", "1e200,0,0.5,0,1,0,2,0,0.25,0,0,0"],
+            "error: input overflows",
+        ),
+        (
+            ["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "1e308,0", "--c2", "-1e308,0"],
+            "error: leaf point embeds to a non-finite uv point",
+        ),
+    ],
+)
+def test_finite_input_that_overflows_is_a_usage_error(args, message):
+    result = run_cli(*args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
 def test_integrate_csv(tmp_path):
     out = tmp_path / "traj.csv"
     result = run_cli(

@@ -4,6 +4,7 @@ import pytest
 from bihamso4 import so4, verify, xxz
 from bihamso4.fields import (
     CHART_M,
+    FD_STEP,
     CHART_UV,
     LINE_NODES,
     PhasePoint,
@@ -12,12 +13,17 @@ from bihamso4.fields import (
     VectorField,
     BivectorField,
     bracket,
+    brackets_scaled,
     fd_grad,
     fd_jac,
     grad_fd_residual,
+    ham_field_scaled,
+    lie_bivector_scaled,
+    lie_scalar,
     line_poly_coeffs,
     line_restriction,
     linear_bivector,
+    peak,
     schouten_residual,
     wedge_field,
 )
@@ -178,3 +184,76 @@ def test_schouten_self_bracket_shortcut_is_exact():
         for pt in pts:
             assert schouten_residual(P, P, pt) == schouten_residual(P, clone, pt)
 
+
+
+# Stacked and per-point evaluation may round differently (numpy's array loops
+# and its scalar arithmetic are not bit-identical), so a stacked column must
+# match its per-point call within this many units of the summand scale.  A
+# central difference divides that roundoff of the values by its step.
+STACK_ROUNDOFF = 1e-13
+FD_STACK_ROUNDOFF = STACK_ROUNDOFF / FD_STEP
+
+
+def _stack(points):
+    return PhasePoint(points[0].chart, np.stack([pt.coords for pt in points], axis=-1))
+
+
+def _lie_scalar_scaled(Z, f, pt):
+    return lie_scalar(Z, f, pt), peak(f.grad(pt.coords) * Z.value(pt.coords), 1)
+
+
+def _transport(params, pt):
+    res = xxz.uv_transport_residuals(params, pt)
+    return [res["p1"], res["p2"], (res["ratio_p1"], 1.0), (res["ratio_p2"], 1.0)]
+
+
+def test_stacked_kernels_agree_with_per_point_calls():
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    n = 30
+    m_pts = verify.sample_points("M_real", n, 1, params).points
+    uv_pts = verify.sample_points("UV_complex", n, 2, params).points
+    draws = np.random.default_rng(3).uniform(-1, 1, size=(n, 2, 2)).view(complex)[..., 0]
+    P1m, P2m = so4.p1_m(), so4.p2_m(params)
+    P1u, P2u, Q = xxz.p1_uv(), xxz.p2_uv(params), xxz.q_uv(params)
+    X1, Z = xxz.x1_field(params), xxz.z_field()
+    obs = xxz.uv_observables(params)
+    hams = [obs[name] for name in ("H0", "C2", "H1", "H2")]
+    # each case maps (point, lam, rho) to a list of (value, scale) pairs
+    exact = [
+        (m_pts, lambda pt, lam, rho: [schouten_residual(P1m, P2m, pt), schouten_residual(P2m, P2m, pt)]),
+        (m_pts, lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt)]),
+        (uv_pts, lambda pt, lam, rho: [schouten_residual(Q, Q, pt), schouten_residual(P1u, Q, pt)]),
+        (uv_pts, lambda pt, lam, rho: brackets_scaled(Q, hams, [(0, 2), (2, 3)], pt)),
+        (uv_pts, lambda pt, lam, rho: [ham_field_scaled(Q, obs["H0"], pt)]),
+        (uv_pts, lambda pt, lam, rho: [_lie_scalar_scaled(Z, obs["H1"], pt), _lie_scalar_scaled(X1, obs["H2"], pt)]),
+        (uv_pts, lambda pt, lam, rho: [lie_bivector_scaled(Z, P2u, pt)]),
+        (uv_pts, lambda pt, lam, rho: [xxz.stackel_residual(params, lam, rho, pt)]),
+        (uv_pts, lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt)]),
+        (uv_pts, lambda pt, lam, rho: _transport(params, pt)),
+        (uv_pts, lambda pt, lam, rho: list(xxz.observable_transport_residuals(params, pt).values())),
+    ]
+    fd = [
+        (m_pts, lambda pt, lam, rho: [grad_fd_residual(f, pt) for f in so4.observables_m(params).values()]),
+        (uv_pts, lambda pt, lam, rho: [grad_fd_residual(f, pt) for f in obs.values()]),
+    ]
+    cases = [(pts, STACK_ROUNDOFF, kernel) for pts, kernel in exact]
+    cases += [(pts, FD_STACK_ROUNDOFF, kernel) for pts, kernel in fd]
+    for pts, roundoff, kernel in cases:
+        stacked = kernel(_stack(pts), draws[:, 0], draws[:, 1])
+        for k, pt in enumerate(pts):
+            single = kernel(pt, complex(draws[k, 0]), complex(draws[k, 1]))
+            assert len(single) == len(stacked)
+            for (x_stack, s_stack), (x, s) in zip(stacked, single):
+                bound = roundoff * (1.0 + s)
+                assert np.abs(np.asarray(x_stack)[..., k] - x).max() <= bound
+                assert abs(np.broadcast_to(s_stack, (n,))[k] - s) <= bound
+
+
+def test_line_restriction_checks_each_column_of_a_stack():
+    p = np.arange(12.0).reshape(3, 4) + 1.0
+    # w = 0 is self-parallel; w(c) = c is not, and only column 3 has it
+    with pytest.raises(RuntimeError, match="not self-parallel"):
+        line_restriction(lambda c: c[0], lambda c: c * np.array([0.0, 0.0, 0.0, 1.0]), p)
+    coeffs, vals = line_restriction(lambda c: c[0] * c[1], lambda c: 0.0 * c, p)
+    assert coeffs.shape == (6, 4) and vals.shape == (6, 4)
+    assert np.allclose(coeffs[0], p[0] * p[1], rtol=1e-15) and np.allclose(coeffs[1:], 0.0, atol=1e-13)

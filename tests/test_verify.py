@@ -327,3 +327,85 @@ def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
     assert eig.passed is False
     assert eig.note == "non-finite residual at sample 4"
     assert not report.overall
+
+
+def test_nan_in_a_stacked_row_names_its_sample(monkeypatch):
+    # jacobi_p1_m is evaluated once on the stack of M points: poison column 5
+    real = verify.schouten_residual
+    p1 = so4.p1_m()
+
+    def patched(P, Q, pt):
+        out = real(P, Q, pt)
+        if P is p1 and Q is p1:
+            assert pt.coords.shape == (6, 8)
+            raw = out.raw.copy()
+            raw[5] = float("nan")
+            out = Residual(raw, out.scale)
+        return out
+
+    monkeypatch.setattr(verify, "schouten_residual", patched)
+    report = verify.run_suite(PARAMS, seed=0, n_points=8)
+    by_name = {c.name: c for c in report.checks}
+    jacobi = by_name["jacobi_p1_m"]
+    assert jacobi.passed is False
+    assert jacobi.note == "non-finite residual at sample 5"
+    assert jacobi.n_evaluated == 8
+    assert 0.0 <= jacobi.max_residual < verify.TOL_EXACT
+    assert [name for name, c in by_name.items() if not c.skipped and not c.passed] == ["jacobi_p1_m"]
+
+
+def test_degenerate_column_falls_back_to_per_point(monkeypatch):
+    # one UV point with |u1| <= EPS_DEG: the stacked rows that read Z raise on
+    # the stack, run again point by point, and skip that one point
+    real = verify.sample_points
+    n, bad = 24, 7
+
+    def patched(kind, n_points, seed, params):
+        sample = real(kind, n_points, seed, params)
+        if kind == "UV_complex":
+            coords = sample.points[bad].coords.copy()
+            coords[0] = 0.5 * verify.EPS_DEG
+            sample.points[bad] = verify.PhasePoint(sample.points[bad].chart, coords)
+        return sample
+
+    monkeypatch.setattr(verify, "sample_points", patched)
+    report = {c.name: c for c in verify.run_suite(PARAMS, seed=0, n_points=n).checks}
+    reads_z = (
+        "jacobi_q_uv", "compat_p1_q_uv", "transversal_p1_symmetry", "transversal_normalization",
+        "transversal_h1_h2", "transversal_p2_rank", "q_casimirs", "q_rank_4", "involution_q",
+        "stackel_condition", "transversal_curve_factor",
+    )
+    for name in reads_z:
+        assert (report[name].n_evaluated, report[name].n_skipped_degenerate) == (n - 1, 1), name
+        assert report[name].passed, name
+    for name in ("jacobi_p1_uv", "involution_p1", "x1_hamiltonian", "gradient_fd_uv"):
+        assert (report[name].n_evaluated, report[name].n_skipped_degenerate) == (n, 0), name
+    # the fallback is the per-point evaluation itself
+    pts = patched("UV_complex", n, 1, PARAMS).points
+    q = xxz.q_uv(PARAMS)
+    expected = 0.0
+    for k, pt in enumerate(pts):
+        if k != bad:
+            s = np.linalg.svd(q.value(pt.coords), compute_uv=False)
+            expected = max(expected, Residual(s[4], s[0]).normalized)
+    assert report["q_rank_4"].max_residual == expected
+
+
+@pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])
+def test_stacked_suite_matches_per_point_suite(monkeypatch, mu):
+    # every row forced through the per-point adapter gives the same verdicts
+    # and counts, and worst residuals within 1e-2 of each tolerance
+    params = ModelParams.from_mu(*mu)
+    stacked = verify.run_suite(params, seed=3, n_points=40).checks
+    monkeypatch.setattr(
+        verify,
+        "_evaluate",
+        lambda fn, points, stack, draws: verify._per_point(getattr(fn, "fn", fn), points, draws.tolist()),
+    )
+    per_point = verify.run_suite(params, seed=3, n_points=40).checks
+    for a, b in zip(stacked, per_point):
+        assert (a.name, a.passed, a.skipped, a.n_evaluated, a.n_skipped_degenerate, a.note) == (
+            b.name, b.passed, b.skipped, b.n_evaluated, b.n_skipped_degenerate, b.note
+        )
+        if not a.skipped:
+            assert abs(a.max_residual - b.max_residual) <= 1e-2 * a.tolerance, a.name
