@@ -59,14 +59,16 @@ def _pair(z: complex) -> list:
 
 @contextmanager
 def _exit_on_error():
-    """Report a library error on stderr.
+    """Report a library error on stderr as one line.
 
-    ValueError and OverflowError exit 2 (bad input: finite input can still
-    overflow), RuntimeError exits 1.
+    The body runs with numpy overflow raising.  ValueError, OverflowError and
+    FloatingPointError exit 2 (bad input: finite input can still overflow),
+    RuntimeError exits 1.
     """
     try:
-        yield
-    except OverflowError as exc:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
         click.echo(f"error: input overflows ({exc})", err=True)
         sys.exit(2)
     except (ValueError, RuntimeError) as exc:
@@ -180,7 +182,9 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
         coords = _complex_vector(leaf_text, 4, "--leaf")
         levels = (_complex_pair(h0_text, "--h0"), _complex_pair(c2_text, "--c2"))
         leaf = LeafChart(coords, levels)
-        if not np.isfinite(leaf_mod.embed(leaf).coords).all():
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below reports these
+            embedded = leaf_mod.embed(leaf).coords
+        if not np.isfinite(embedded).all():
             raise ValueError("leaf point embeds to a non-finite uv point")
         chart = leaf_mod.dn_chart(params, leaf)
         brackets = leaf_mod.dn_bracket_residuals(params, leaf)

@@ -42,7 +42,7 @@ FD_RTOL = 1e-6
 
 
 class DegeneracyError(ValueError):
-    """A guard rejected the evaluation point; samplers catch this and redraw."""
+    """A guard rejected the evaluation point, or some point of a stack."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,22 @@ def mismatch(a: Array, b: Array, rank: int | None = None) -> Residual:
 
 def as_matrices(x: Array) -> Array:
     """A (k, k) value as is, a (k, k, n) stack as n matrices (n, k, k), as numpy.linalg and @ take them."""
-    return np.moveaxis(x, (0, 1), (-2, -1))
+    return x.transpose((*range(2, x.ndim), 0, 1))
+
+
+def from_matrices(x: Array) -> Array:
+    """The inverse of as_matrices: n matrices (n, k, k) as a (k, k, n) stack."""
+    return x.transpose((x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)))
+
+
+def matmul(a: Array, b: Array) -> Array:
+    """a @ b at each point for matrices (k, l[, n]) and (l, m[, n]): @ itself at one point, batched on a stack."""
+    return a @ b if a.ndim == b.ndim == 2 else from_matrices(as_matrices(a) @ as_matrices(b))
+
+
+def matvec(a: Array, v: Array) -> Array:
+    """a @ v at each point for a matrix (k, l[, n]) and a vector (l[, n]): @ itself at one point."""
+    return a @ v if a.ndim == 2 and v.ndim == 1 else np.einsum("ij...,j...->i...", a, v)
 
 
 def lift(x, rank: int, c: Array) -> Array:

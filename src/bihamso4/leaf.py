@@ -16,6 +16,14 @@ Sign conventions fixed here (each enforced numerically elsewhere):
     a reproducible nonzero residual and is rejected by the test suite.
   * xi1 uses the principal branch of the complex logarithm; assertions about
     xi1 go through its gradient, which is branch-independent.
+
+A LeafChart is one point, coords (4,), or a stack of n points, coords
+(4, n) with one level pair per column.  Every function below takes either by
+one code path: arrays are built from entries (a constant entry is written
+from `zero = 0.0 * u1`, so it carries the point axis), values keep the
+trailing point axis, residuals reduce with `peak`, matrix products go through
+`matmul`/`matvec` (@ itself at one point) and eigvals/solve run batched.  A
+guard raises DegeneracyError if any column of a stack fails it.
 """
 
 from __future__ import annotations
@@ -33,8 +41,12 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
+    as_matrices,
     brackets_scaled,
+    from_matrices,
     line_restriction,
+    matmul,
+    matvec,
     mismatch,
     peak,
 )
@@ -56,24 +68,29 @@ ZETA1 = ScalarField(
 
 @dataclass(frozen=True)
 class LeafChart:
-    """Leaf coordinates (u1, z1, u2, z2) with fixed Casimir levels (h0, c2)."""
+    """Leaf coordinates (u1, z1, u2, z2) with fixed Casimir levels (h0, c2).
+
+    coords is (4,) with two levels, or (4, n) with two (n,) level arrays.
+    """
 
     coords: Array
     levels: tuple
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=complex)
-        if coords.shape != (4,):
+        # [()] makes a 0-d level a numpy scalar and leaves an (n,) one an array
+        h0, c2 = np.asarray(self.levels[0], dtype=complex)[()], np.asarray(self.levels[1], dtype=complex)[()]
+        if coords.shape[:1] != (4,) or coords.ndim > 2 or h0.shape != coords.shape[1:] or c2.shape != h0.shape:
             raise ValueError("dimension mismatch")
-        if abs(coords[0]) <= EPS_DEG or abs(coords[2]) <= EPS_DEG:
+        if np.count_nonzero(abs(coords[0::2]) <= EPS_DEG):
             raise DegeneracyError("degenerate point")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "levels", (complex(self.levels[0]), complex(self.levels[1])))
+        object.__setattr__(self, "levels", (h0, c2))
 
 
 @dataclass(frozen=True)
 class AuxFunctions:
-    """The five scalars steering the DN construction."""
+    """The five scalars steering the DN construction (one (n,) array each on a stack)."""
 
     G: complex
     F: complex
@@ -94,11 +111,15 @@ class DNChart:
 
 def embed(leaf: LeafChart) -> PhasePoint:
     """Embed a leaf point into the uv chart by eliminating v1, v2."""
-    u1, z1, u2, z2 = leaf.coords
-    h0, c2 = leaf.levels
+    return PhasePoint(CHART_UV, _embed_coords(leaf.coords, leaf.levels))
+
+
+def _embed_coords(coords: Array, levels: tuple) -> Array:
+    u1, z1, u2, z2 = coords
+    h0, c2 = levels
     v1 = 0.5 * (h0 - c2 - 2.0 * z1**2) / u1
     v2 = 0.5 * (h0 + c2 - 2.0 * z2**2) / u2
-    return PhasePoint(CHART_UV, np.array([u1, v1, z1, u2, v2, z2]))
+    return np.array([u1, v1, z1, u2, v2, z2])
 
 
 def project(pt: PhasePoint) -> LeafChart:
@@ -115,22 +136,24 @@ def project(pt: PhasePoint) -> LeafChart:
 def embed_jacobian(uv: PhasePoint) -> Array:
     """d(uv)/d(leaf) at uv = embed(leaf), a 6x4 matrix; rows (u1,v1,z1,u2,v2,z2), cols (u1,z1,u2,z2)."""
     u1, v1, z1, u2, v2, z2 = uv.coords
-    J = np.zeros((6, 4), dtype=complex)
-    J[0, 0] = 1.0
-    J[1, 0] = -v1 / u1
-    J[1, 1] = -2.0 * z1 / u1
-    J[2, 1] = 1.0
-    J[3, 2] = 1.0
-    J[4, 2] = -v2 / u2
-    J[4, 3] = -2.0 * z2 / u2
-    J[5, 3] = 1.0
-    return J
+    zero = 0.0 * u1
+    one = zero + 1.0
+    return np.array(
+        [
+            [one, zero, zero, zero],
+            [-v1 / u1, -2.0 * z1 / u1, zero, zero],
+            [zero, one, zero, zero],
+            [zero, zero, one, zero],
+            [zero, zero, -v2 / u2, -2.0 * z2 / u2],
+            [zero, zero, zero, one],
+        ]
+    )
 
 
 def restrict_grad(field, leaf: LeafChart) -> Array:
     """Gradient of a uv scalar field restricted to the leaf, in leaf coordinates."""
     uv = embed(leaf)
-    return embed_jacobian(uv).T @ field.grad(uv.coords)
+    return matvec(np.swapaxes(embed_jacobian(uv), 0, 1), field.grad(uv.coords))
 
 
 def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
@@ -138,7 +161,7 @@ def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
     require_symmetric(params)
     mu1, mu2, mu3, _ = params.mu
     u1, _, u2, _ = leaf.coords
-    zero = 0.0j
+    zero = 0.0 * u1
     P = np.array(
         [
             [zero, -u1, zero, zero],
@@ -175,7 +198,7 @@ def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=No
     out = {}
     for key, ambient, printed in (("P", p1_uv(), P), ("Q", q_field, Q)):
         amb = ambient.value(uv.coords)
-        out[key] = mismatch(amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)], printed)
+        out[key] = mismatch(amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)], printed, 2)
     return out
 
 
@@ -190,18 +213,18 @@ def nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     u1, _, u2, _ = leaf.coords
     r12 = u1 / u2
     r21 = u2 / u1
+    zero = 0.0 * u1
     N = np.array(
         [
-            [mu3 * r21 + mu1, 0.0, mu2 * r21 - mu3, 0.0],
-            [0.0, mu3 * r21 + mu1, 0.0, mu3 * r21 - mu2],
-            [mu2 * r12 - mu3, 0.0, mu3 * r12 + mu1, 0.0],
-            [0.0, mu3 * r12 - mu2, 0.0, mu3 * r12 + mu1],
-        ],
-        dtype=complex,
+            [mu3 * r21 + mu1, zero, mu2 * r21 - mu3, zero],
+            [zero, mu3 * r21 + mu1, zero, mu3 * r21 - mu2],
+            [mu2 * r12 - mu3, zero, mu3 * r12 + mu1, zero],
+            [zero, mu3 * r12 - mu2, zero, mu3 * r12 + mu1],
+        ]
     )
-    lam1 = complex(mu1 + mu2)
+    lam1 = zero + (mu1 + mu2)
     lam2 = mu1 - mu2 + mu3 * (r12 + r21)
-    if abs(lam2 - lam1) < EPS_COLL:
+    if np.count_nonzero(abs(lam2 - lam1) < EPS_COLL):
         raise DegeneracyError("eigenvalue collision")
     return N, lam1, lam2
 
@@ -213,7 +236,7 @@ def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, nstar=N
     """
     P, Q = restricted_tensors(params, leaf)
     N, _, _ = (nstar or nijenhuis)(params, leaf)
-    return mismatch(N, np.linalg.solve(P, Q))
+    return mismatch(N, from_matrices(np.linalg.solve(as_matrices(P), as_matrices(Q))), 2)
 
 
 def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None) -> Residual:
@@ -222,11 +245,11 @@ def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None
     nstar is the callable giving (N*, lambda1, lambda2); default nijenhuis.
     """
     N, lam1, lam2 = (nstar or nijenhuis)(params, leaf)
-    computed = np.linalg.eigvals(N)
+    computed = np.moveaxis(np.linalg.eigvals(as_matrices(N)), -1, 0)
     expected = np.array([lam1, lam1, lam2, lam2])
-    diff = [[abs(c - e) for e in expected] for c in computed]  # the 16 differences, formed once
-    best = min(max(diff[p[i]][i] for i in range(4)) for p in permutations(range(4)))
-    return Residual(float(best), float(max(abs(lam1), abs(lam2))))
+    diff = np.abs(computed[:, None] - expected[None, :])  # the 16 differences, formed once
+    best = np.min([diff[list(p), range(4)].max(axis=0) for p in permutations(range(4))], axis=0)
+    return Residual(best, peak([lam1, lam2], 1))
 
 
 def u_forms(params: ModelParams, u1: complex, u2: complex) -> tuple:
@@ -246,33 +269,35 @@ def aux(params: ModelParams, leaf: LeafChart) -> AuxFunctions:
     G, F, theta1 = u_forms(params, u1, u2)
     L = mu3 * (z2 * u1**2 + z1 * u2**2) - mu2 * u1 * u2 * (z1 + z2)
     p1sum = 2.0 * mu1 + mu3 * (u1 / u2 + u2 / u1)
-    return AuxFunctions(complex(G), complex(F), complex(L), complex(theta1), complex(p1sum))
+    return AuxFunctions(G, F, L, theta1, p1sum)
 
 
 # Hand-coded gradients wrt (u1, z1, u2, z2) of zeta1 and of the closed forms above.
-_D_ZETA1 = np.array([0.0, -1.0, 0.0, 1.0], dtype=complex)
-_D_ZETA1.flags.writeable = False
+def _d_zeta1(leaf: LeafChart) -> Array:
+    zero = 0.0 * leaf.coords[0]
+    return np.array([zero, zero - 1.0, zero, zero + 1.0])
 
 
 def _d_lam2(params: ModelParams, leaf: LeafChart) -> Array:
     """Gradient of lambda2, equal to that of p1sum = lambda1 + lambda2."""
     mu3 = params.mu[2]
     u1, _, u2, _ = leaf.coords
+    zero = 0.0 * u1
     return np.array(
         [
             mu3 * (1.0 / u2 - u2 / u1**2),
-            0.0,
+            zero,
             mu3 * (1.0 / u1 - u1 / u2**2),
-            0.0,
-        ],
-        dtype=complex,
+            zero,
+        ]
     )
 
 
 def _d_theta1(params: ModelParams, leaf: LeafChart) -> Array:
     _, mu2, mu3, _ = params.mu
     u1, _, u2, _ = leaf.coords
-    return np.array([mu3 * u1 - mu2 * u2, 0.0, mu3 * u2 - mu2 * u1, 0.0], dtype=complex)
+    zero = 0.0 * u1
+    return np.array([mu3 * u1 - mu2 * u2, zero, mu3 * u2 - mu2 * u1, zero])
 
 
 def _d_l(params: ModelParams, leaf: LeafChart) -> Array:
@@ -284,22 +309,27 @@ def _d_l(params: ModelParams, leaf: LeafChart) -> Array:
             mu3 * u2**2 - mu2 * u1 * u2,
             2.0 * mu3 * z1 * u2 - mu2 * u1 * (z1 + z2),
             mu3 * u1**2 - mu2 * u1 * u2,
-        ],
-        dtype=complex,
+        ]
     )
 
 
 def _y_invariant_grads(params: ModelParams, leaf: LeafChart) -> tuple:
     """Gradients of u1 u2, G and L, whose Y-derivatives lie_y_invariant_residuals checks."""
     u1, _, u2, _ = leaf.coords
-    d_u1u2 = np.array([u2, 0.0, u1, 0.0], dtype=complex)
-    d_g = np.array([-u2 / u1**2 - 1.0 / u2, 0.0, 1.0 / u1 + u1 / u2**2, 0.0], dtype=complex)
+    zero = 0.0 * u1
+    d_u1u2 = np.array([u2, zero, u1, zero])
+    d_g = np.array([-u2 / u1**2 - 1.0 / u2, zero, 1.0 / u1 + u1 / u2**2, zero])
     return d_u1u2, d_g, _d_l(params, leaf)
+
+
+def _dot(a: Array, b: Array):
+    """a . b at each point, for vectors (k[, n])."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def _y_vector(params: ModelParams, leaf: LeafChart) -> Array:
     """Y = -P d(p1sum), the generic recipe of the deformation field."""
-    return -restricted_tensors(params, leaf)[0] @ _d_lam2(params, leaf)
+    return -matvec(restricted_tensors(params, leaf)[0], _d_lam2(params, leaf))
 
 
 def deformation_field(params: ModelParams, leaf: LeafChart) -> tuple:
@@ -311,8 +341,9 @@ def deformation_field(params: ModelParams, leaf: LeafChart) -> tuple:
     y = _y_vector(params, leaf)
     a = aux(params, leaf)
     mu3 = params.mu[2]
-    printed = np.array([0.0, mu3 * a.G, 0.0, mu3 * a.G], dtype=complex)
-    return y, mismatch(y, printed)
+    zero = 0.0 * a.G
+    printed = np.array([zero, mu3 * a.G, zero, mu3 * a.G])
+    return y, mismatch(y, printed, 1)
 
 
 def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart) -> list:
@@ -322,12 +353,12 @@ def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart) -> list:
     y = _y_vector(params, leaf)
     a = aux(params, leaf)
     d_u1u2, d_g, d_l = _y_invariant_grads(params, leaf)
-    y_scale = float(np.abs(y).max())
-    r1 = Residual(abs(d_u1u2 @ y), y_scale * float(np.abs(d_u1u2).max()))
-    r2 = Residual(abs(d_g @ y), y_scale * float(np.abs(d_g).max()))
+    y_scale = peak(y, 1)
+    r1 = Residual(abs(_dot(d_u1u2, y)), y_scale * peak(d_u1u2, 1))
+    r2 = Residual(abs(_dot(d_g, y)), y_scale * peak(d_g, 1))
     target = mu3 * a.G * (u1 * u2 * a.F)
-    got = d_l @ y
-    r3 = Residual(abs(got - target), max(abs(got), abs(target)))
+    got = _dot(d_l, y)
+    r3 = Residual(abs(got - target), peak([got, target], 1))
     return [r1, r2, r3]
 
 
@@ -343,21 +374,20 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=No
     """
     obs = obs or uv_observables(params)
 
+    # Y moves z only, so every node keeps the leaf's u1, u2, which its own guard has checked
     def h_rho(c):
-        uv = embed(LeafChart(c, leaf.levels)).coords
+        uv = _embed_coords(c, leaf.levels)
         return rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
 
     coeffs, vals = line_restriction(h_rho, lambda c: _y_vector(params, LeafChart(c, leaf.levels)), leaf.coords)
-    scale = float(np.abs(vals).max())
-    lie1 = coeffs[1]
-    lie2 = 2.0 * coeffs[2]
-    lie3_and_up = max(6.0 * abs(coeffs[3]), 24.0 * abs(coeffs[4]), 120.0 * abs(coeffs[5]))
+    scale = peak(vals, 1)
+    lie3_and_up = peak([6.0 * np.abs(coeffs[3]), 24.0 * np.abs(coeffs[4]), 120.0 * np.abs(coeffs[5])], 1)
     return {
         "coeffs": coeffs,
         "scale": scale,
-        "lie1": lie1,
-        "lie2": lie2,
-        "termination": Residual(float(lie3_and_up), scale),
+        "lie1": coeffs[1],
+        "lie2": 2.0 * coeffs[2],
+        "termination": Residual(lie3_and_up, scale),
     }
 
 
@@ -376,13 +406,12 @@ def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, ob
         ("factorization", tower["lie1"], 4.0 * mu3 * (rho - mu1 - mu2) / (u1 * u2) * a.G * a.L),
         ("second", tower["lie2"], 4.0 * mu3**2 * (rho - mu1 - mu2) * a.G**2 * a.F),
     ):
-        scale = max(abs(got), abs(closed), tower["scale"])
-        out[key] = Residual(float(abs(got - closed)), float(scale))
+        out[key] = Residual(abs(got - closed), peak([got, closed, tower["scale"]], 1))
     return out
 
 
 def _check_gf(a: AuxFunctions) -> None:
-    if abs(a.G) <= EPS_DEG or abs(a.F) <= EPS_DEG:
+    if np.count_nonzero((abs(a.G) <= EPS_DEG) | (abs(a.F) <= EPS_DEG)):
         raise DegeneracyError("separation chart degenerate")
 
 
@@ -407,7 +436,7 @@ def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs=None) -> tuple:
     _, _, lam2 = nijenhuis(params, leaf)
     tower = deformation_tower(params, lam2, leaf, obs)
     algorithmic = tower["lie1"] / tower["lie2"]
-    return closed, tower, Residual(abs(algorithmic - closed), max(abs(algorithmic), abs(closed)))
+    return closed, tower, Residual(abs(algorithmic - closed), peak([algorithmic, closed], 1))
 
 
 def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
@@ -447,7 +476,7 @@ def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
         raise DegeneracyError("degenerate deformation parameter")
     u1, _, u2, _ = leaf.coords
     a = aux(params, leaf)
-    if abs(a.theta1) <= EPS_DEG:
+    if np.count_nonzero(abs(a.theta1) <= EPS_DEG):
         raise DegeneracyError("theta degenerate")
     _check_gf(a)
 
@@ -459,39 +488,44 @@ def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
     dL = _d_l(params, leaf)
     dF_du1 = mu3 * (u1**2 - u2**2) / (u1**2 * u2)
     dF_du2 = mu3 * (u2**2 - u1**2) / (u1 * u2**2)
+    zero = 0.0 * u1
     dD = np.array(
         [
             mu3 * (-2.0 * u1 * a.F + (u2**2 - u1**2) * dF_du1),
-            0.0,
+            zero,
             mu3 * (2.0 * u2 * a.F + (u2**2 - u1**2) * dF_du2),
-            0.0,
-        ],
-        dtype=complex,
+            zero,
+        ]
     )
     d_xi2 = (dL * D - Lval * dD) / D**2
 
-    return np.stack([_D_ZETA1, d_xi1, _d_lam2(params, leaf), d_xi2])
+    return np.stack([_d_zeta1(leaf), d_xi1, _d_lam2(params, leaf), d_xi2])
+
+
+def _brackets(grads: Array, T: Array) -> Array:
+    """B = G T G^T at each point."""
+    return matmul(matmul(grads, T), np.swapaxes(grads, 0, 1))
 
 
 def dn_bracket_matrix(params: ModelParams, leaf: LeafChart) -> Array:
     """Mutual brackets of the DN coordinates under the restricted P."""
     P, _ = restricted_tensors(params, leaf)
-    grads = dn_gradients(params, leaf)
-    return grads @ P @ grads.T
+    return _brackets(dn_gradients(params, leaf), P)
 
 
 def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P") -> Array:
-    """Expected DN bracket table: canonical under P, eigenvalue-weighted under Q."""
+    """Expected DN bracket table: canonical under P, eigenvalue-weighted under Q; (4, 4, n) for (n,) eigenvalues."""
     if structure not in ("P", "Q"):
         raise ValueError("structure must be 'P' or 'Q'")
+    zero = 0.0 * lam2
     if structure == "P":
-        lam1 = lam2 = 1.0
+        lam1 = lam2 = zero + 1.0
     return np.array(
         [
-            [0.0, lam1, 0.0, 0.0],
-            [-lam1, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, lam2],
-            [0.0, 0.0, -lam2, 0.0],
+            [zero, lam1, zero, zero],
+            [-lam1, zero, zero, zero],
+            [zero, zero, zero, lam2],
+            [zero, zero, -lam2, zero],
         ],
         dtype=complex,
     )
@@ -511,11 +545,8 @@ def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
     out = {}
     for structure, T in zip(("P", "Q"), restricted_tensors(params, leaf)):
         target = canonical_bracket_target(lam1, lam2, structure)
-        B = grads @ T @ grads.T
-        raw = float(np.abs(B - target).max())
-        summand = (g[:, None, :, None] * np.abs(T)[None, None, :, :] * g[None, :, None, :]).max()
-        scale = float(max(summand, np.abs(target).max()))
-        out[structure] = Residual(raw, scale)
+        summand = peak(g[:, None, :, None] * np.abs(T)[None, None, :, :] * g[None, :, None, :], 4)
+        out[structure] = Residual(peak(_brackets(grads, T) - target, 2), np.maximum(summand, peak(target, 2)))
     return out
 
 
@@ -529,10 +560,8 @@ def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar=None) -> 
     grads = dn_gradients(params, leaf)
     out = []
     for g, lam in zip(grads, (lam1, lam1, lam2, lam2)):
-        image = N @ g
-        raw = float(np.abs(image - lam * g).max())
-        scale = float(max(np.abs(image).max(), abs(lam) * np.abs(g).max()))
-        out.append(Residual(raw, scale))
+        image = matvec(N, g)
+        out.append(Residual(peak(image - lam * g, 1), np.maximum(peak(image, 1), abs(lam) * peak(g, 1))))
     return out
 
 
@@ -540,9 +569,9 @@ def theta_bracket_residual(params: ModelParams, leaf: LeafChart) -> Residual:
     """{zeta1, theta1}_P = -2 theta1, the relation fixing xi1."""
     P, _ = restricted_tensors(params, leaf)
     a = aux(params, leaf)
-    br = _D_ZETA1 @ P @ _d_theta1(params, leaf)
+    br = _dot(_d_zeta1(leaf), matvec(P, _d_theta1(params, leaf)))
     target = -2.0 * a.theta1
-    return Residual(float(abs(br - target)), float(max(abs(br), abs(target))))
+    return Residual(abs(br - target), peak([br, target], 1))
 
 
 def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs=None) -> dict:
@@ -556,14 +585,14 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs=None) -> di
     P, Q = restricted_tensors(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
     g2 = restrict_grad(obs["H2"], leaf)
-    lhs = Q @ g1 - P @ g2
-    col = P @ g1
-    denom = np.vdot(col, col)
-    if abs(denom) == 0.0:
+    lhs = matvec(Q, g1) - matvec(P, g2)
+    col = matvec(P, g1)
+    denom = _dot(col.conj(), col)
+    if np.count_nonzero(denom == 0.0):
         raise DegeneracyError("degenerate point")
-    c = complex(np.vdot(col, lhs) / denom)
-    resid = float(np.abs(lhs - c * col).max())
-    scale = float(max(np.abs(lhs).max(), np.abs(c * col).max()))
+    c = _dot(col.conj(), lhs) / denom
+    resid = peak(lhs - c * col, 1)
+    scale = np.maximum(peak(lhs, 1), peak(c * col, 1))
     a = aux(params, leaf)
     return {
         "c": c,
@@ -585,13 +614,11 @@ def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs=None) ->
     _, lam1, lam2 = nijenhuis(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
     g2 = restrict_grad(obs["H2"], leaf)
-    chain = Q @ g2 + lam1 * lam2 * (P @ g1)
-    chain_scale = float(max(np.abs(Q @ g2).max(), np.abs(lam1 * lam2 * (P @ g1)).max()))
-    h1_image = Q @ g1
-    h1_scale = float(np.abs(Q).max() * np.abs(g1).max())
+    q_g2 = matvec(Q, g2)
+    p_g1 = lam1 * lam2 * matvec(P, g1)
     return {
-        "qdh2_chain": Residual(float(np.abs(chain).max()), chain_scale),
-        "qdh1_norm": Residual(float(np.abs(h1_image).max()), h1_scale),
+        "qdh2_chain": Residual(peak(q_g2 + p_g1, 1), np.maximum(peak(q_g2, 1), peak(p_g1, 1))),
+        "qdh1_norm": Residual(peak(matvec(Q, g1), 1), peak(Q, 2) * peak(g1, 1)),
     }
 
 
@@ -663,7 +690,7 @@ def phi2_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
         lam2**2 * obs["H0"].value(c),
         -mu3 * a.F * a.G * obs["C2"].value(c),
     )
-    return Residual(abs(sum(terms)), float(max(abs(t) for t in terms)))
+    return Residual(abs(sum(terms)), peak(terms, 1))
 
 
 def separation_residuals(params: ModelParams, pt: PhasePoint) -> tuple:

@@ -29,7 +29,10 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
+    lift,
     linear_bivector,
+    matmul,
+    matvec,
     peak,
     shared_per_model,
 )
@@ -292,7 +295,12 @@ def lax(params: ModelParams, lam: complex, pt: PhasePoint) -> Array:
     """Lax matrix L(lambda) = lambda diag(jsq) + M at an M-chart point, or per point of a stack."""
     if pt.chart != CHART_M:
         raise ValueError("chart mismatch")
-    return np.multiply.outer(np.diag(np.asarray(params.jsq, dtype=complex)), lam) + m_matrix(pt.coords)
+    return _diag_times(np.asarray(params.jsq, dtype=complex), lam, pt.coords) + m_matrix(pt.coords)
+
+
+def _diag_times(d: Array, lam, c: Array) -> Array:
+    """lambda diag(d) with the point axes of c; lambda is one value or one per point."""
+    return lift(np.multiply.outer(np.diag(d), lam), 2, c)
 
 
 def det4(A: Array) -> complex:
@@ -348,12 +356,12 @@ def spectrum_product(params: ModelParams, rho: complex) -> complex:
 
 
 def _vec_residual(vec: Array, *mags: float) -> Residual:
-    return Residual(float(np.abs(vec).max()), float(max(mags)))
+    return Residual(peak(vec, 1), peak(mags, 1))
 
 
 def _prod_mag(P: Array, g: Array) -> float:
     # Largest single summand |P_ij g_j| of the matrix-vector product.
-    return float((np.abs(P) * np.abs(g)[None, :]).max())
+    return peak(np.abs(P) * np.abs(g)[None, :], 2)
 
 
 def lenard_residuals_m(params: ModelParams, pt: PhasePoint) -> dict:
@@ -372,18 +380,18 @@ def lenard_residuals_m(params: ModelParams, pt: PhasePoint) -> dict:
     g2 = obs["KE"].grad(m)
     gc = obs["C"].grad(m)
     return {
-        "chain_start": _vec_residual(P1 @ g0, _prod_mag(P1, g0)),
-        "chain_step_1": _vec_residual(P2 @ g0 - P1 @ g1, _prod_mag(P2, g0), _prod_mag(P1, g1)),
-        "chain_step_2": _vec_residual(P2 @ g1 - P1 @ g2, _prod_mag(P2, g1), _prod_mag(P1, g2)),
-        "chain_end": _vec_residual(P2 @ g2, _prod_mag(P2, g2)),
-        "casimir_c_p1": _vec_residual(P1 @ gc, _prod_mag(P1, gc)),
-        "casimir_c_p2": _vec_residual(P2 @ gc, _prod_mag(P2, gc)),
+        "chain_start": _vec_residual(matvec(P1, g0), _prod_mag(P1, g0)),
+        "chain_step_1": _vec_residual(matvec(P2, g0) - matvec(P1, g1), _prod_mag(P2, g0), _prod_mag(P1, g1)),
+        "chain_step_2": _vec_residual(matvec(P2, g1) - matvec(P1, g2), _prod_mag(P2, g1), _prod_mag(P1, g2)),
+        "chain_end": _vec_residual(matvec(P2, g2), _prod_mag(P2, g2)),
+        "casimir_c_p1": _vec_residual(matvec(P1, gc), _prod_mag(P1, gc)),
+        "casimir_c_p2": _vec_residual(matvec(P2, gc), _prod_mag(P2, gc)),
     }
 
 
 def rigid_rhs(params: ModelParams, m: Array) -> Array:
-    """Energy-flow right-hand side dm/dt = P1(m) d(HE) in the M chart."""
-    return _p1_m_value(m) @ (params.a * m)
+    """Energy-flow right-hand side dm/dt = P1(m) d(HE) in the M chart, per point of a (6, n) stack."""
+    return matvec(_p1_m_value(m), (params.a * m.T).T)
 
 
 def lax_energy_partner(params: ModelParams, lam: complex, pt: PhasePoint) -> Array:
@@ -396,8 +404,8 @@ def lax_energy_partner(params: ModelParams, lam: complex, pt: PhasePoint) -> Arr
         raise ValueError("chart mismatch")
     jsq = np.asarray(params.jsq)
     t_sum = float(np.sum(jsq))
-    am = m_matrix(params.a * pt.coords)
-    return am + lam * np.diag(jsq * (t_sum - jsq)).astype(complex)
+    am = m_matrix((params.a * pt.coords.T).T)
+    return am + _diag_times((jsq * (t_sum - jsq)).astype(complex), lam, pt.coords)
 
 
 def lax_flow_residual(params: ModelParams, lam: complex, pt: PhasePoint) -> Residual:
@@ -405,14 +413,8 @@ def lax_flow_residual(params: ModelParams, lam: complex, pt: PhasePoint) -> Resi
     L = lax(params, lam, pt)
     B = lax_energy_partner(params, lam, pt)
     mdot = m_matrix(rigid_rhs(params, pt.coords))
-    comm = B @ L - L @ B
-    raw = float(np.abs(mdot - comm).max())
-    scale = max(
-        float(np.abs(mdot).max()),
-        float(np.abs(B @ L).max()),
-        float(np.abs(L @ B).max()),
-    )
-    return Residual(raw, scale)
+    bl, lb = matmul(B, L), matmul(L, B)
+    return Residual(peak(mdot - (bl - lb), 2), peak([peak(mdot, 2), peak(bl, 2), peak(lb, 2)], 1))
 
 
 def angular_velocity(params: ModelParams, pt: PhasePoint) -> Array:
@@ -422,29 +424,23 @@ def angular_velocity(params: ModelParams, pt: PhasePoint) -> Array:
         raise ValueError("inertia spectrum not positive")
     j = np.sqrt(jsq)
     denom = j[:, None] + j[None, :]
-    return m_matrix(pt.coords) / denom
+    return m_matrix(pt.coords) / lift(denom, 2, pt.coords)
 
 
 def _angular_partner(params: ModelParams, lam: complex, pt: PhasePoint) -> tuple:
     """(Omega, L(lambda), Omega + lambda J) at an M-chart point."""
     omega = angular_velocity(params, pt)
-    B = omega + lam * np.diag(np.sqrt(np.asarray(params.jsq))).astype(complex)
+    B = omega + _diag_times(np.sqrt(np.asarray(params.jsq)).astype(complex), lam, pt.coords)
     return omega, lax(params, lam, pt), B
 
 
 def angular_velocity_commutator_residual(params: ModelParams, lam: complex, pt: PhasePoint) -> Residual:
     """Residual of [L(lambda), Omega + lambda J] = [M, Omega] (lambda-independence)."""
     omega, L, B = _angular_partner(params, lam, pt)
-    lhs = L @ B - B @ L
+    lb, bl = matmul(L, B), matmul(B, L)
     M = m_matrix(pt.coords)
-    rhs = M @ omega - omega @ M
-    raw = float(np.abs(lhs - rhs).max())
-    scale = max(
-        float(np.abs(L @ B).max()),
-        float(np.abs(B @ L).max()),
-        float(np.abs(rhs).max()),
-    )
-    return Residual(raw, scale)
+    rhs = matmul(M, omega) - matmul(omega, M)
+    return Residual(peak((lb - bl) - rhs, 2), peak([peak(lb, 2), peak(bl, 2), peak(rhs, 2)], 1))
 
 
 def angular_velocity_flow_mismatch(params: ModelParams, lam: complex, pt: PhasePoint) -> float:
@@ -456,10 +452,7 @@ def angular_velocity_flow_mismatch(params: ModelParams, lam: complex, pt: PhaseP
     """
     _, L, B = _angular_partner(params, lam, pt)
     mdot = m_matrix(rigid_rhs(params, pt.coords))
-    comm = L @ B - B @ L
-    scale = max(float(np.abs(mdot).max()), float(np.abs(comm).max()))
-    best = min(
-        float(np.abs(mdot - comm).max()),
-        float(np.abs(mdot + comm).max()),
-    )
+    comm = matmul(L, B) - matmul(B, L)
+    scale = np.maximum(peak(mdot, 2), peak(comm, 2))
+    best = np.minimum(peak(mdot - comm, 2), peak(mdot + comm, 2))
     return best / (1.0 + scale)

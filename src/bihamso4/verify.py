@@ -13,16 +13,15 @@ library implementation of its identity and passes in the ingredients it
 reads (the uv observables, Q, the nijenhuis callable).  The suite owns
 sampling, draws, skip accounting, normalization and report assembly only.
 
-An M_real or UV_complex row runs once on the whole sample: the points as
-one (6, n) PhasePoint (the field kernels take the trailing point axis), the
-draws as (n,) arrays, one residual per column.  One adapter, the per-sample
-loop with Python complex draws, runs every LEAF row (a LeafChart is one
-point of scalar closed forms), lenard_chain and the two Lax rows (tests pin
-their per-point calls and values) and separation_phi2 (leaf closed forms).
-A stacked row whose guard rejects any column re-runs through the adapter, so
-each rejected sample is skipped and counted on its own.  The draws are the
-same either way; array and scalar complex products round differently, so
-the two paths agree to roundoff, not bit for bit.
+Every row runs once on its whole sample, by one code path: the points as
+one stack (a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels),
+the draws as (n,) arrays, one residual per column; so do the per-sample
+diagnostics.  The sampler's guard (|u| > 0.1, and G, F, theta1 away from
+zero) is stronger than every guard of the library, up to roundoff, and a
+symmetric model with mu3 = 0 is rejected before sampling, so no sampled
+column is degenerate and n_skipped_degenerate reads 0.  A DegeneracyError
+inside a row therefore means that a sample got past the sampler's guard:
+the row fails, with nothing evaluated and a note naming the guard.
 All residuals are compared as raw/(1+scale) against tolerance x tol_scale,
 where scale is the magnitude of the largest term that entered the
 identity.  The suite fails closed: a residual whose raw value or scale is
@@ -49,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -253,6 +251,14 @@ def sample_points(kind: str, n: int, seed: int, params: ModelParams) -> SampleSe
     return SampleSet(points, n_resampled)
 
 
+def _stack(points: list):
+    """A list of sampled points as one stack: a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels."""
+    coords = np.stack([pt.coords for pt in points], axis=-1)
+    if isinstance(points[0], LeafChart):
+        return LeafChart(coords, tuple(np.array([pt.levels for pt in points]).T))
+    return PhasePoint(points[0].chart, coords)
+
+
 def _flipped_h2_observables(params: ModelParams) -> dict:
     """uv observables whose H2 carries +2 mu3^2 (z1-z2)^2 in place of -2 mu3^2 (z1-z2)^2."""
     obs = xxz.uv_observables(params)
@@ -289,61 +295,22 @@ def _pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
     )
 
 
-@dataclass(frozen=True)
-class _PerPoint:
-    """Marks a registry fn that is evaluated one sample at a time."""
+def _evaluate(fn, stack, draws: np.ndarray) -> list:
+    """The Residuals of one row on its sample stack; draws is (n, n_draws), one (n,) array per draw.
 
-    fn: Callable
-
-
-def _per_point(fn, points: list, draws: list) -> tuple:
-    """fn at each sample with its draws; a DegeneracyError skips that sample.
-
-    Returns (raw, scale, evaluated): (k, n) arrays of the k residuals per
-    sample (zero where skipped) and the mask of evaluated samples.
+    Its own function so that a test can substitute a column-by-column evaluation.
     """
-    evaluated = np.zeros(len(points), dtype=bool)
-    rows = []
-    for index, pt in enumerate(points):
-        try:
-            rows.append(fn(pt, *draws[index]))
-        except DegeneracyError:
-            continue
-        evaluated[index] = True
-    raw = np.zeros((len(rows[0]) if rows else 0, len(points)))
-    scale = np.zeros_like(raw)
-    raw[:, evaluated] = [[r.raw for r in res] for res in zip(*rows)]
-    scale[:, evaluated] = [[r.scale for r in res] for res in zip(*rows)]
-    return raw, scale, evaluated
-
-
-def _evaluate(fn, points: list, stack, draws: np.ndarray) -> tuple:
-    """(raw, scale, evaluated) of one row over a sample, as _per_point returns them.
-
-    draws is (n, n_draws) complex.  A row is evaluated once on the stack, with
-    one (n,) array per draw.  If a guard rejects any point of the stack, the
-    row is evaluated again one sample at a time, so each rejected sample is
-    skipped and counted on its own; _PerPoint rows and samples without a
-    stack (LEAF) go that way from the start, with Python complex draws.
-    """
-    if not isinstance(fn, _PerPoint) and stack is not None:
-        try:
-            residuals = fn(stack, *draws.T)
-        except DegeneracyError:
-            pass
-        else:
-            n = len(points)
-            raw = np.array([np.broadcast_to(r.raw, (n,)) for r in residuals], dtype=float)
-            scale = np.array([np.broadcast_to(r.scale, (n,)) for r in residuals], dtype=float)
-            return raw, scale, np.ones(n, dtype=bool)
-    return _per_point(getattr(fn, "fn", fn), points, draws.tolist())
+    return fn(stack, *draws.T)
 
 
 def _diagnostic(name: str, kind: str, samples: list, value, note: str) -> dict:
-    """A diagnostics row, or null with a note naming the first sample with a non-finite value."""
-    for index, v in enumerate(samples):
-        if not np.isfinite(v).all():
-            return {"name": name, "value": None, "note": f"non-finite value at {kind} sample {index}"}
+    """A diagnostics row, or null with a note naming the first sample where one of `samples` is not finite.
+
+    samples holds the quantities read, each one value per sample (an (n,) array) or one value.
+    """
+    bad = ~np.isfinite(np.broadcast_arrays(*samples)).all(axis=0)
+    if bad.any():
+        return {"name": name, "value": None, "note": f"non-finite value at {kind} sample {int(np.argmax(bad))}"}
     return {"name": name, "value": value, "note": note}
 
 
@@ -361,6 +328,8 @@ def run_suite(
             raise ValueError(f"unknown override: {name}")
     if params.symmetric and abs(params.mu[0] + params.mu[1]) <= EPS_DEG:
         raise ValueError("degenerate constant eigenvalue")
+    if params.symmetric and abs(params.mu[2]) <= EPS_DEG:
+        raise ValueError("degenerate deformation parameter")
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise ValueError("tol_scale must be finite and positive")
 
@@ -387,14 +356,6 @@ def run_suite(
         P2u = xxz.p2_uv(params)
         X1 = xxz.x1_field(params)
         Zf = xxz.z_field()
-
-    memo = {}  # rows and diagnostics that read one library result per leaf sample share it
-
-    def once(fn, leaf, *args):
-        key = (fn, id(leaf))
-        if key not in memo:
-            memo[key] = fn(params, leaf, *args)
-        return memo[key]
 
     # ---------------- general-model checks (M chart) ----------------
 
@@ -495,13 +456,9 @@ def run_suite(
         h0 = obs_uv["H0"].value(uv.coords)
         c2 = obs_uv["C2"].value(uv.coords)
         back = leaf_mod.project(uv)
-        raw = max(
-            abs(h0 - leaf.levels[0]),
-            abs(c2 - leaf.levels[1]),
-            float(np.abs(back.coords - leaf.coords).max()),
-        )
-        scale = max(abs(leaf.levels[0]), abs(leaf.levels[1]), float(np.abs(leaf.coords).max()))
-        return [Residual(raw, scale)]
+        h0_level, c2_level = leaf.levels
+        raw = peak([h0 - h0_level, c2 - c2_level, peak(back.coords - leaf.coords, 1)], 1)
+        return [Residual(raw, peak([h0_level, c2_level, peak(leaf.coords, 1)], 1))]
 
     def restricted_oracle(leaf):
         res = leaf_mod.restricted_oracle_residuals(params, leaf, q_field=Qu)
@@ -513,9 +470,9 @@ def run_suite(
         # (u2/u1 - u1/u2)^2 = (u1/u2 + u2/u1)^2 - 4, and the second factor
         # is (lambda2 - mu1 + mu2)/mu3.
         g_target = ((lam2 - mu1 + mu2) / mu3) ** 2 - 4.0
-        r_g = Residual(abs(a.G**2 - g_target), max(abs(a.G**2), abs(g_target)))
-        r_f = Residual(abs(a.F - (lam2 - lam1)), max(abs(a.F), abs(lam2 - lam1)))
-        r_p = Residual(abs(a.p1sum - (lam1 + lam2)), max(abs(a.p1sum), abs(lam1 + lam2)))
+        r_g = Residual(abs(a.G**2 - g_target), peak([a.G**2, g_target], 1))
+        r_f = Residual(abs(a.F - (lam2 - lam1)), peak([a.F, lam2 - lam1], 1))
+        r_p = Residual(abs(a.p1sum - (lam1 + lam2)), peak([a.p1sum, lam1 + lam2], 1))
         return [r_g, r_f, r_p]
 
     # ---------------- the registry: (name, tolerance, point kind, requires, fn[, stream, draws]) ----------------
@@ -527,17 +484,17 @@ def run_suite(
         ("jacobi_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P2m, P2m, pt)]),
         ("compat_p1_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P2m, pt)]),
         ("pencil_jacobi_m", TOL_EXACT, M, None, pencil_m, 11, 1),
-        ("lenard_chain", TOL_EXACT, M, None, _PerPoint(lambda pt: list(so4.lenard_residuals_m(params, pt).values()))),
+        ("lenard_chain", TOL_EXACT, M, None, lambda pt: list(so4.lenard_residuals_m(params, pt).values())),
         (
             "charpoly_identity", TOL_PIPELINE, M, None,
             lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt)], 12, 2,
         ),
         ("he_split_form", TOL_EXACT, M, None, he_split),
         ("chart_roundtrip", TOL_ROUNDTRIP, M, None, roundtrip),
-        ("lax_flow", TOL_PIPELINE, M, POS, _PerPoint(lambda pt, lam: [so4.lax_flow_residual(params, lam, pt)]), 13, 1),
+        ("lax_flow", TOL_PIPELINE, M, POS, lambda pt, lam: [so4.lax_flow_residual(params, lam, pt)], 13, 1),
         (
             "lax_angular_commutator", TOL_EXACT, M, POS,
-            _PerPoint(lambda pt, lam: [so4.angular_velocity_commutator_residual(params, lam, pt)]), 13, 1,
+            lambda pt, lam: [so4.angular_velocity_commutator_residual(params, lam, pt)], 13, 1,
         ),
         ("gradient_fd_uv", TOL_FD, UV, SYM, fd_uv),
         (
@@ -577,7 +534,7 @@ def run_suite(
             lambda pt: list(leaf_mod.zeta1_involution_residuals(params, pt, obs_uv).values()),
         ),
         ("separation_phi1", TOL_EXACT, UV, SYM, lambda pt: [leaf_mod.phi1_residual(params, pt, obs_uv)]),
-        ("separation_phi2", TOL_PIPELINE, UV, SYM, _PerPoint(lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)])),
+        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)]),
         ("embed_roundtrip", TOL_ROUNDTRIP, LEAF, SYM, embed_roundtrip),
         ("restricted_oracle", TOL_SCHOUTEN, LEAF, SYM, restricted_oracle),
         (
@@ -603,13 +560,13 @@ def run_suite(
             "deformation_xi2_agreement", TOL_DN, LEAF, SYM,
             lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv)[2]],
         ),
-        ("dn_canonical_p", TOL_DN, LEAF, SYM, lambda leaf: [once(leaf_mod.dn_bracket_residuals, leaf)["P"]]),
-        ("dn_brackets_q", TOL_DN, LEAF, SYM, lambda leaf: [once(leaf_mod.dn_bracket_residuals, leaf)["Q"]]),
+        ("dn_canonical_p", TOL_DN, LEAF, SYM, lambda leaf: [leaf_mod.dn_bracket_residuals(params, leaf)["P"]]),
+        ("dn_brackets_q", TOL_DN, LEAF, SYM, lambda leaf: [leaf_mod.dn_bracket_residuals(params, leaf)["Q"]]),
         ("dn_eigenforms", TOL_PIPELINE, LEAF, SYM, lambda leaf: leaf_mod.dn_eigenform_residuals(params, leaf, nijenhuis)),
         ("theta_bracket", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.theta_bracket_residual(params, leaf)]),
         (
             "q_dh2_chain", TOL_SCHOUTEN, LEAF, SYM,
-            lambda leaf: [once(leaf_mod.q_extra_casimir_residuals, leaf, obs_uv)["qdh2_chain"]],
+            lambda leaf: [leaf_mod.q_extra_casimir_residuals(params, leaf, obs_uv)["qdh2_chain"]],
         ),
     ]
 
@@ -628,9 +585,7 @@ def run_suite(
             sample = sample_points(kind, n_points, seed + offset, params)
             report.resamples[kind] = sample.n_resampled
             points[kind] = sample.points
-            if kind != LEAF:
-                first = sample.points[0]
-                stacks[kind] = PhasePoint(first.chart, np.stack([pt.coords for pt in sample.points], axis=-1))
+            stacks[kind] = _stack(sample.points)
 
     streams = {}  # rows naming the same stream continue it, in registry order
     for name, tol, kind, _, fn, *drawn in active:
@@ -641,69 +596,60 @@ def run_suite(
         if n_draws:
             # (re, im) pairs in the order of one complex(re, im) per draw per point
             draws = streams[stream].uniform(-1, 1, size=(n_points, n_draws, 2)).view(complex)[..., 0]
-        raw, scale, evaluated = _evaluate(fn, points[kind], stacks.get(kind), draws)
+        result = CheckResult(name=name, tolerance=tol * tol_scale, max_residual=0.0, passed=False)
+        report.checks.append(result)
+        try:
+            residuals = _evaluate(fn, stacks[kind], draws)
+        except DegeneracyError as exc:
+            result.note = f"guard rejected a sample: {exc}"
+            continue
+        raw = np.array([np.broadcast_to(r.raw, (n_points,)) for r in residuals], dtype=float)
+        scale = np.array([np.broadcast_to(r.scale, (n_points,)) for r in residuals], dtype=float)
         finite = np.isfinite(raw) & np.isfinite(scale)
         # NaN compares false against everything, so it is caught here rather
         # than silently losing the comparison below.
-        nonfinite = evaluated & ~finite.all(axis=0)
-        counted = finite & evaluated
-        normalized = np.divide(raw, 1.0 + scale, out=np.zeros_like(raw), where=counted)
-        effective_tol = tol * tol_scale
-        worst = float(normalized.max(initial=0.0))
-        n_eval = int(evaluated.sum())
-        n_skip = n_points - n_eval
-        result = CheckResult(
-            name=name,
-            tolerance=effective_tol,
-            max_residual=worst,
-            n_evaluated=n_eval,
-            n_skipped_degenerate=n_skip,
-        )
+        nonfinite = ~finite.all(axis=0)
+        normalized = np.divide(raw, 1.0 + scale, out=np.zeros_like(raw), where=finite)
+        result.max_residual = float(normalized.max(initial=0.0))
+        result.n_evaluated = n_points
         if nonfinite.any():
-            result.passed = False
             result.note = f"non-finite residual at sample {int(np.argmax(nonfinite))}"
-        elif n_eval == 0 or n_skip > 0.05 * n_points:
-            result.passed = False
-            result.note = "inconclusive: too many degenerate skips"
         else:
-            result.passed = bool(worst <= effective_tol)
-        report.checks.append(result)
+            result.passed = bool(result.max_residual <= result.tolerance)
 
     # ---------------- diagnostics ----------------
 
     if holds[SYM]:
-        leaf_pts = points[LEAF][:20]
-        lenard = [leaf_mod.generalized_lenard_fit(params, leaf, obs_uv) for leaf in leaf_pts]
-        fits = [(fit["residual"].normalized, float(fit["p1_mismatch"])) for fit in lenard]
-        h1_norms = [
-            once(leaf_mod.q_extra_casimir_residuals, leaf, obs_uv)["qdh1_norm"].normalized for leaf in leaf_pts
-        ]
+        leafs = _stack(points[LEAF][:20])
+        lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv)
+        fits, p1_mismatch = lenard["residual"].normalized, lenard["p1_mismatch"]
+        h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv)["qdh1_norm"].normalized
         ratio = xxz.uv_transport_residuals(params, points[UV][0])["ratio_p1"]
         report.diagnostics += [
             _diagnostic(
                 "generalized_lenard_fit",
                 "leaf",
-                fits,
-                max(r for r, _ in fits),
-                f"fitted coefficient matches the eigenvalue sum p1 within {max(m for _, m in fits):.3e}",
+                [fits, p1_mismatch],
+                float(np.max(fits)),
+                f"fitted coefficient matches the eigenvalue sum p1 within {np.max(p1_mismatch):.3e}",
             ),
             _diagnostic(
                 "q_dh1_not_casimir",
                 "leaf",
-                h1_norms,
-                float(min(h1_norms)),
+                [h1_norms],
+                float(np.min(h1_norms)),
                 "H1 is not a Casimir of Q: Q dH1 = P dH2 + p1 P dH1; H0 and C2 are the Casimirs",
             ),
             _diagnostic(
                 "uv_tensor_ratio",
                 "UV",
-                [(ratio.real, ratio.imag)],
+                [ratio.real, ratio.imag],
                 [ratio.real, ratio.imag],
                 "printed uv tensors over pushforward of m-chart tensors; i/sqrt(2)",
             ),
         ]
     if holds[POS]:
-        mismatches = [so4.angular_velocity_flow_mismatch(params, 0.7 + 0.3j, pt) for pt in points[M]]
+        mismatches = so4.angular_velocity_flow_mismatch(params, 0.7 + 0.3j, stacks[M])
         report.diagnostics += [
             {
                 "name": "lax_partner_sign",
@@ -713,8 +659,8 @@ def run_suite(
             _diagnostic(
                 "angular_partner_flow_mismatch",
                 "M",
-                mismatches,
-                float(min(mismatches)),
+                [mismatches],
+                float(np.min(mismatches)),
                 "best-sign mismatch of dL/dt against [L, Omega + lambda J]: that partner generates a different flow; its identity is [L, Omega + lambda J] = [M, Omega]",
             ),
         ]

@@ -25,10 +25,10 @@ from .fields import (
     Residual,
     ScalarField,
     VectorField,
-    as_matrices,
     lift,
     line_restriction,
     linear_bivector,
+    matmul,
     mismatch,
     peak,
     shared_per_model,
@@ -278,7 +278,7 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
         ("p2", p2_uv(params), p2_m(params)),
     ):
         printed = printed_field.value(pt.coords)
-        pushed = np.moveaxis(M_TO_UV @ as_matrices(m_field.value(m_pt.coords)) @ M_TO_UV.T, (-2, -1), (0, 1))
+        pushed = matmul(matmul(M_TO_UV, m_field.value(m_pt.coords)), M_TO_UV.T)
         out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed, 2)
         # the ratio at each point's largest pushed entry (the first, in row-major order)
         flat = pushed.reshape((36,) + pushed.shape[2:])

@@ -48,10 +48,18 @@ def test_verify_bad_mu_exits_two():
 
 
 def test_verify_starved_sampler_exits_one():
-    # mu2 = mu3 = 0 puts every uv draw on the eigenvalue collision F = 0
-    result = run_cli("verify", "--mu", "1,0,0", "--points", "5")
+    # with mu2 = 0 and mu3 = 2e-8, |F| = mu3 |u1/u2 + u2/u1| < 3e-7 for every
+    # draw the |u| > 0.1 guard passes, so each uv draw is within 1e-6 of the
+    # eigenvalue collision F = 0
+    result = run_cli("verify", "--mu", "1,0,2e-8", "--points", "5")
     assert result.exit_code == 1
     assert "error: sampler starved" in result.output
+
+
+def test_verify_degenerate_deformation_parameter_exits_two():
+    result = run_cli("verify", "--mu", "1,2,0", "--points", "20")
+    assert result.exit_code == 2
+    assert result.stderr == "error: degenerate deformation parameter\n"
 
 
 @pytest.mark.parametrize(
@@ -82,12 +90,18 @@ def test_nonfinite_input_is_a_usage_error(args, option):
             ["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "1e308,0", "--c2", "-1e308,0"],
             "error: leaf point embeds to a non-finite uv point",
         ),
+        (
+            ["dn", "--mu", "1,2,3", "--leaf", "1e200,0,1,0,2,0,0,0", "--h0", "2,0", "--c2", "-1,0"],
+            "error: input overflows",
+        ),
     ],
 )
 def test_finite_input_that_overflows_is_a_usage_error(args, message):
+    # one error line is the whole of stderr: no numpy warning precedes it
     result = run_cli(*args)
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), result.stderr
 
 
 def test_integrate_csv(tmp_path):

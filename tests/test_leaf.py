@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bihamso4 import leaf as leaf_mod
 from bihamso4 import verify, xxz
-from bihamso4.fields import CHART_UV, DegeneracyError, PhasePoint, fd_grad, fd_jac
+from bihamso4.fields import CHART_UV, EPS_DEG, DegeneracyError, PhasePoint, Residual, fd_grad, fd_jac
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 
@@ -400,6 +402,78 @@ def test_leaf_chart_validation():
         LeafChart(np.zeros(3, dtype=complex), (0j, 0j))
     with pytest.raises(DegeneracyError, match="degenerate point"):
         LeafChart(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex), (0j, 0j))
+
+
+def test_leaf_stack_with_one_degenerate_column_is_rejected():
+    rng = np.random.default_rng(31)
+    coords = np.stack([random_leaf(rng).coords for _ in range(5)], axis=-1)
+    levels = (np.ones(5, dtype=complex), np.zeros(5, dtype=complex))
+    LeafChart(coords, levels)
+    coords[2, 3] = 0.5 * EPS_DEG  # u2 of column 3
+    with pytest.raises(DegeneracyError, match="degenerate point"):
+        LeafChart(coords, levels)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        LeafChart(coords[:, :4], levels)
+
+
+def _numbers(out) -> list:
+    """The numbers a leaf function returns, in order; a Residual stays one item."""
+    if isinstance(out, dict):
+        out = list(out.values())
+    if isinstance(out, Residual):
+        return [out]
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
+    if isinstance(out, (list, tuple)):
+        return [x for item in out for x in _numbers(item)]
+    return [out]
+
+
+STACKABLE = {
+    "embed": lambda leaf, rho: leaf_mod.embed(leaf).coords,
+    "embed_jacobian": lambda leaf, rho: leaf_mod.embed_jacobian(leaf_mod.embed(leaf)),
+    "aux": lambda leaf, rho: leaf_mod.aux(PARAMS, leaf),
+    "restricted_tensors": lambda leaf, rho: leaf_mod.restricted_tensors(PARAMS, leaf),
+    "nijenhuis": lambda leaf, rho: leaf_mod.nijenhuis(PARAMS, leaf),
+    "dn_gradients": lambda leaf, rho: leaf_mod.dn_gradients(PARAMS, leaf),
+    "dn_bracket_matrix": lambda leaf, rho: leaf_mod.dn_bracket_matrix(PARAMS, leaf),
+    "deformation_tower": lambda leaf, rho: leaf_mod.deformation_tower(PARAMS, rho, leaf),
+    "restricted_oracle_residuals": lambda leaf, rho: leaf_mod.restricted_oracle_residuals(PARAMS, leaf),
+    "nijenhuis_closed_form_residual": lambda leaf, rho: leaf_mod.nijenhuis_closed_form_residual(PARAMS, leaf),
+    "nijenhuis_spectrum_residual": lambda leaf, rho: leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf),
+    "deformation_field": lambda leaf, rho: leaf_mod.deformation_field(PARAMS, leaf),
+    "lie_y_invariant_residuals": lambda leaf, rho: leaf_mod.lie_y_invariant_residuals(PARAMS, leaf),
+    "deformation_residuals": lambda leaf, rho: leaf_mod.deformation_residuals(PARAMS, rho, leaf),
+    "xi2_path_agreement": lambda leaf, rho: leaf_mod.xi2_path_agreement(PARAMS, leaf)[::2],
+    "dn_bracket_residuals": lambda leaf, rho: leaf_mod.dn_bracket_residuals(PARAMS, leaf),
+    "dn_eigenform_residuals": lambda leaf, rho: leaf_mod.dn_eigenform_residuals(PARAMS, leaf),
+    "theta_bracket_residual": lambda leaf, rho: leaf_mod.theta_bracket_residual(PARAMS, leaf),
+    "generalized_lenard_fit": lambda leaf, rho: leaf_mod.generalized_lenard_fit(PARAMS, leaf),
+    "q_extra_casimir_residuals": lambda leaf, rho: leaf_mod.q_extra_casimir_residuals(PARAMS, leaf),
+    "phi2_residual": lambda leaf, rho: leaf_mod.phi2_residual(PARAMS, leaf_mod.embed(leaf)),
+}
+
+
+@pytest.mark.parametrize("name", STACKABLE)
+def test_stacked_leaf_function_agrees_with_its_columns(name):
+    # a (4, n) stack against the 1-D call at each column, number by number,
+    # each with the point axis.  Array and scalar complex products round
+    # differently, so the bound is roundoff: 1e-13 of 1 + the largest number
+    # of the 1-D result, or of 1 + its scale for both parts of a Residual
+    # (2.2e-14 observed, on the tower)
+    fn = STACKABLE[name]
+    rng = np.random.default_rng(30)
+    leafs = [random_leaf(rng) for _ in range(12)]
+    rhos = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
+    stacked = _numbers(fn(verify._stack(leafs), rhos))
+    for k, leaf in enumerate(leafs):
+        point = _numbers(fn(leaf, rhos[k]))
+        assert len(stacked) == len(point)
+        for s, p in zip(stacked, point):
+            pairs = zip(s, p, (p.scale, p.scale)) if isinstance(p, Residual) else [(s, p, np.abs(p).max())]
+            for s_part, p_part, size in pairs:
+                assert np.shape(s_part) == np.shape(p_part) + (12,)
+                assert np.abs(np.asarray(s_part)[..., k] - p_part).max() <= 1e-13 * (1.0 + size)
 
 
 @pytest.mark.parametrize("verify_seed, index", [(902951197, 158), (1452449053, 14)])

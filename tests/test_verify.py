@@ -5,7 +5,8 @@ import pytest
 
 from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4, verify, xxz
-from bihamso4.fields import Residual
+from bihamso4.fields import PhasePoint, Residual
+from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 
 PARAMS = ModelParams.from_mu(1.0, 2.0, 3.0)
@@ -46,6 +47,14 @@ def test_degenerate_constant_eigenvalue_rejected():
     # only the symmetric reduction needs mu1 + mu2 != 0
     report = verify.run_suite(ModelParams.from_mu(1.0, -1.0, 3.0, 0.2), seed=0, n_points=5)
     assert report.overall
+
+
+def test_degenerate_deformation_parameter_rejected():
+    # mu3 = 0 divides every leaf closed form; the model is rejected before sampling
+    with pytest.raises(ValueError, match="degenerate deformation parameter"):
+        verify.run_suite(ModelParams.from_mu(1.0, 2.0, 0.0), seed=0, n_points=20)
+    # only the symmetric reduction needs mu3 != 0
+    assert verify.run_suite(ModelParams.from_mu(1.0, 2.0, 0.0, 0.5), seed=0, n_points=5).overall
 
 
 def test_unknown_override_rejected():
@@ -108,19 +117,17 @@ def test_drawn_rows_read_their_named_streams():
     n = 20
     report = {c.name: c for c in verify.run_suite(params, seed=0, n_points=n).checks}
 
-    def draw(rng):
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    def draws(rng):
+        return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
 
-    m_pts = verify.sample_points("M_real", n, 0, params).points
+    m_pts = verify._stack(verify.sample_points("M_real", n, 0, params).points)
     lax_rng = np.random.default_rng([0, 13])
-    flow = max(so4.lax_flow_residual(params, draw(lax_rng), pt).normalized for pt in m_pts)
-    comm = max(so4.angular_velocity_commutator_residual(params, draw(lax_rng), pt).normalized for pt in m_pts)
-    leafs = verify.sample_points("LEAF", n, 2, params).points
+    flow = so4.lax_flow_residual(params, draws(lax_rng), m_pts).normalized.max()
+    comm = so4.angular_velocity_commutator_residual(params, draws(lax_rng), m_pts).normalized.max()
+    leafs = verify._stack(verify.sample_points("LEAF", n, 2, params).points)
     term_rng = np.random.default_rng([0, 18])
     obs = xxz.uv_observables(params)
-    term = max(
-        leaf_mod.deformation_tower(params, draw(term_rng), leaf, obs)["termination"].normalized for leaf in leafs
-    )
+    term = leaf_mod.deformation_tower(params, draws(term_rng), leafs, obs)["termination"].normalized.max()
     assert report["lax_flow"].max_residual == flow
     assert report["lax_angular_commutator"].max_residual == comm
     assert report["deformation_termination"].max_residual == term
@@ -171,15 +178,14 @@ def test_diagnostics_present():
 
 
 def test_nan_residual_fails_closed(monkeypatch):
-    # lenard_chain is evaluated once per M point, in sample order: poison sample 3
+    # lenard_chain is evaluated once on the stack of M points: poison column 3
     real = so4.lenard_residuals_m
-    calls = []
 
     def patched(params, pt):
         out = real(params, pt)
-        if len(calls) == 3:
-            out["chain_step_1"] = Residual(float("nan"), out["chain_step_1"].scale)
-        calls.append(pt)
+        raw = out["chain_step_1"].raw.copy()
+        raw[3] = float("nan")
+        out["chain_step_1"] = Residual(raw, out["chain_step_1"].scale)
         return out
 
     monkeypatch.setattr(so4, "lenard_residuals_m", patched)
@@ -202,16 +208,15 @@ def test_bad_tol_scale_rejected(tol_scale):
 
 
 def test_nan_diagnostic_fails_closed(monkeypatch):
-    # generalized_lenard_fit is read at the first 20 leaf samples in order:
-    # poison sample 2, which a running max would drop
+    # generalized_lenard_fit is read once on the stack of the first 20 leaf
+    # samples: poison column 2, which a running max would drop
     real = leaf_mod.generalized_lenard_fit
-    calls = []
 
     def patched(params, leaf, obs=None):
         out = real(params, leaf, obs)
-        if len(calls) == 2:
-            out["residual"] = Residual(float("nan"), out["residual"].scale)
-        calls.append(leaf)
+        raw = out["residual"].raw.copy()
+        raw[2] = float("nan")
+        out["residual"] = Residual(raw, out["residual"].scale)
         return out
 
     monkeypatch.setattr(leaf_mod, "generalized_lenard_fit", patched)
@@ -305,23 +310,20 @@ def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
 
 
 def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
-    # dn_gradients is read once per leaf sample by dn_eigenforms: poison one
-    # row at sample 4, which a running worst would drop
+    # dn_gradients is read once on the leaf stack by dn_eigenforms: poison one
+    # row at column 4, which a running worst would drop
     real = leaf_mod.dn_gradients
-    leafs = verify.sample_points("LEAF", 6, 2, PARAMS).points
-    poisoned = leafs[4]
+    leafs = verify._stack(verify.sample_points("LEAF", 6, 2, PARAMS).points)
 
     def patched(params, leaf):
-        out = real(params, leaf)
-        if np.array_equal(leaf.coords, poisoned.coords):
-            out = out.copy()
-            out[1, 0] = float("nan")
+        out = real(params, leaf).copy()
+        out[1, 0, 4] = float("nan")
         return out
 
     monkeypatch.setattr(leaf_mod, "dn_gradients", patched)
-    res = leaf_mod.dn_eigenform_residuals(PARAMS, poisoned)
+    res = leaf_mod.dn_eigenform_residuals(PARAMS, leafs)
     assert len(res) == 4
-    assert not np.isfinite(res[1].raw)
+    assert [bool(np.isfinite(x)) for x in res[1].raw] == [True, True, True, True, False, True]
     report = verify.run_suite(PARAMS, seed=0, n_points=6)
     eig = next(c for c in report.checks if c.name == "dn_eigenforms")
     assert eig.passed is False
@@ -354,9 +356,9 @@ def test_nan_in_a_stacked_row_names_its_sample(monkeypatch):
     assert [name for name, c in by_name.items() if not c.skipped and not c.passed] == ["jacobi_p1_m"]
 
 
-def test_degenerate_column_falls_back_to_per_point(monkeypatch):
-    # one UV point with |u1| <= EPS_DEG: the stacked rows that read Z raise on
-    # the stack, run again point by point, and skip that one point
+def test_degenerate_column_fails_its_rows(monkeypatch):
+    # one UV point with |u1| <= EPS_DEG, which the sampler's guard would have
+    # rejected: every row whose library guard sees it fails, nothing evaluated
     real = verify.sample_points
     n, bad = 24, 7
 
@@ -369,39 +371,45 @@ def test_degenerate_column_falls_back_to_per_point(monkeypatch):
         return sample
 
     monkeypatch.setattr(verify, "sample_points", patched)
-    report = {c.name: c for c in verify.run_suite(PARAMS, seed=0, n_points=n).checks}
-    reads_z = (
+    report = verify.run_suite(PARAMS, seed=0, n_points=n)
+    by_name = {c.name: c for c in report.checks}
+    # the 11 rows that read Z, and separation_phi2, whose leaf chart guards u
+    guarded = {
         "jacobi_q_uv", "compat_p1_q_uv", "transversal_p1_symmetry", "transversal_normalization",
         "transversal_h1_h2", "transversal_p2_rank", "q_casimirs", "q_rank_4", "involution_q",
-        "stackel_condition", "transversal_curve_factor",
-    )
-    for name in reads_z:
-        assert (report[name].n_evaluated, report[name].n_skipped_degenerate) == (n - 1, 1), name
-        assert report[name].passed, name
+        "stackel_condition", "transversal_curve_factor", "separation_phi2",
+    }
+    assert {c.name for c in report.checks if not c.skipped and not c.passed} == guarded
+    for name in guarded:
+        c = by_name[name]
+        assert (c.passed, c.n_evaluated, c.n_skipped_degenerate) == (False, 0, 0), name
+        assert c.note == "guard rejected a sample: degenerate point", name
     for name in ("jacobi_p1_uv", "involution_p1", "x1_hamiltonian", "gradient_fd_uv"):
-        assert (report[name].n_evaluated, report[name].n_skipped_degenerate) == (n, 0), name
-    # the fallback is the per-point evaluation itself
-    pts = patched("UV_complex", n, 1, PARAMS).points
-    q = xxz.q_uv(PARAMS)
-    expected = 0.0
-    for k, pt in enumerate(pts):
-        if k != bad:
-            s = np.linalg.svd(q.value(pt.coords), compute_uv=False)
-            expected = max(expected, Residual(s[4], s[0]).normalized)
-    assert report["q_rank_4"].max_residual == expected
+        assert (by_name[name].n_evaluated, by_name[name].n_skipped_degenerate) == (n, 0), name
+    assert not report.overall
+    doc = json.loads(report.to_json())
+    verify.validate_report(doc)
+
+
+def _column(stack, k):
+    """Column k of a sample stack as one point."""
+    if isinstance(stack, LeafChart):
+        return LeafChart(stack.coords[:, k], tuple(level[k] for level in stack.levels))
+    return PhasePoint(stack.chart, stack.coords[:, k])
 
 
 @pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])
 def test_stacked_suite_matches_per_point_suite(monkeypatch, mu):
-    # every row forced through the per-point adapter gives the same verdicts
+    # every row evaluated one 1-D column at a time gives the same verdicts
     # and counts, and worst residuals within 1e-2 of each tolerance
     params = ModelParams.from_mu(*mu)
     stacked = verify.run_suite(params, seed=3, n_points=40).checks
-    monkeypatch.setattr(
-        verify,
-        "_evaluate",
-        lambda fn, points, stack, draws: verify._per_point(getattr(fn, "fn", fn), points, draws.tolist()),
-    )
+
+    def column_by_column(fn, stack, draws):
+        cols = [fn(_column(stack, k), *draws[k]) for k in range(len(draws))]
+        return [Residual(np.array([r.raw for r in rows]), np.array([r.scale for r in rows])) for rows in zip(*cols)]
+
+    monkeypatch.setattr(verify, "_evaluate", column_by_column)
     per_point = verify.run_suite(params, seed=3, n_points=40).checks
     for a, b in zip(stacked, per_point):
         assert (a.name, a.passed, a.skipped, a.n_evaluated, a.n_skipped_degenerate, a.note) == (
