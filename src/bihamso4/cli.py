@@ -181,6 +181,7 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
             raise ValueError("model not rotationally symmetric")
         coords = _complex_vector(leaf_text, 4, "--leaf")
         levels = (_complex_pair(h0_text, "--h0"), _complex_pair(c2_text, "--c2"))
+        leaf_mod.guard(params, coords[0], coords[2], theta=True)
         leaf = LeafChart(coords, levels)
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below reports these
             embedded = leaf_mod.embed(leaf).coords
@@ -229,7 +230,8 @@ def separation_command(mu_text, uv_text):
     with _exit_on_error():
         params = _params(mu_text)
         pt = PhasePoint(CHART_UV, _complex_vector(uv_text, 6, "--uv"))
-        r1 = leaf_mod.phi1_residual(params, pt)
+        r1 = leaf_mod.phi1_residual(params, pt)  # holds on the whole chart
+        leaf_mod.guard(params, pt.coords[0], pt.coords[3])
         r2 = leaf_mod.phi2_residual(params, pt)
 
     click.echo(f"phi1: residual={r1.raw:.6e}  normalized={r1.normalized:.6e}")

@@ -22,13 +22,21 @@ A LeafChart is one point, coords (4,), or a stack of n points, coords
 one code path: arrays are built from entries (a constant entry is written
 from `zero = 0.0 * u1`, so it carries the point axis), values keep the
 trailing point axis, residuals reduce with `peak`, matrix products go through
-`matmul`/`matvec` (@ itself at one point) and eigvals/solve run batched.  A
-guard raises DegeneracyError if any column of a stack fails it.
+`matmul`/`matvec` (@ itself at one point) and eigvals/solve run batched.
+
+The closed forms are rational in (u1, z1, u2, z2) and singular only where u1
+or u2, G, F = lambda2 - lambda1 or mu3 vanish.  That policy is decided once,
+by `degeneracy` and `guard` next to `u_forms`, and only at the boundaries:
+the sampler, `verify.run_suite` and the `dn`/`separation` commands.  The
+formulas do not guard or cast; they are arithmetic on whatever numbers they
+get, so they also run on a stack or on symbols.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -77,15 +85,10 @@ class LeafChart:
     levels: tuple
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex)
-        # [()] makes a 0-d level a numpy scalar and leaves an (n,) one an array
-        h0, c2 = np.asarray(self.levels[0], dtype=complex)[()], np.asarray(self.levels[1], dtype=complex)[()]
-        if coords.shape[:1] != (4,) or coords.ndim > 2 or h0.shape != coords.shape[1:] or c2.shape != h0.shape:
+        shape = np.shape(self.coords)
+        h0, c2 = self.levels
+        if shape[:1] != (4,) or len(shape) > 2 or np.shape(h0) != shape[1:] or np.shape(c2) != shape[1:]:
             raise ValueError("dimension mismatch")
-        if np.count_nonzero(abs(coords[0::2]) <= EPS_DEG):
-            raise DegeneracyError("degenerate point")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "levels", (h0, c2))
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,6 @@ def nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     )
     lam1 = zero + (mu1 + mu2)
     lam2 = mu1 - mu2 + mu3 * (r12 + r21)
-    if np.count_nonzero(abs(lam2 - lam1) < EPS_COLL):
-        raise DegeneracyError("eigenvalue collision")
     return N, lam1, lam2
 
 
@@ -253,12 +254,43 @@ def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None
 
 
 def u_forms(params: ModelParams, u1: complex, u2: complex) -> tuple:
-    """(G, F, theta1), the closed forms that depend on u1, u2 only; the samplers' guard reads them too."""
+    """(G, F, theta1), the closed forms that depend on u1, u2 only; the degeneracy guard reads them too."""
     _, mu2, mu3, _ = params.mu
     G = u2 / u1 - u1 / u2
     F = mu3 * (u1 / u2 + u2 / u1) - 2.0 * mu2
     theta1 = 0.5 * mu3 * u1**2 - mu2 * u1 * u2 + 0.5 * mu3 * u2**2
     return G, F, theta1
+
+
+def degeneracy(params: ModelParams, u1: complex, u2: complex, theta: bool = False) -> tuple:
+    """Where the closed forms are singular, at a point or over (n,) stacks of u1, u2.
+
+    Returns (degenerate, message).  degenerate is a bool, or an (n,) mask,
+    true where |u1| or |u2| <= EPS_DEG, with theta where |theta1| <= EPS_DEG
+    (theta1 = u1 u2 F / 2; `dn` takes its log, the separation relations do
+    not read it), where |F| < EPS_COLL or where |G| <= EPS_DEG.  message names the
+    first of those conditions that some point meets, else |mu3| <= EPS_DEG,
+    else it is None.
+    """
+    # a vanishing u leaves inf or nan in the forms, and its own condition
+    # names it; a form that overflows is not flagged and reaches the formulas
+    with np.errstate(all="ignore"):
+        G, F, theta1 = u_forms(params, u1, u2)
+    conditions = [("degenerate point", (abs(u1) <= EPS_DEG) | (abs(u2) <= EPS_DEG))]
+    if theta:
+        conditions.append(("theta degenerate", abs(theta1) <= EPS_DEG))
+    conditions += [("eigenvalue collision", abs(F) < EPS_COLL), ("separation chart degenerate", abs(G) <= EPS_DEG)]
+    degenerate = reduce(operator.or_, [meets for _, meets in conditions])
+    if np.count_nonzero(degenerate):
+        return degenerate, next(message for message, meets in conditions if np.count_nonzero(meets))
+    return degenerate, None if abs(params.mu[2]) > EPS_DEG else "degenerate deformation parameter"
+
+
+def guard(params: ModelParams, u1: complex, u2: complex, theta: bool = False) -> None:
+    """Raise DegeneracyError naming the condition `degeneracy` finds failed, if any."""
+    _, message = degeneracy(params, u1, u2, theta)
+    if message:
+        raise DegeneracyError(message)
 
 
 def aux(params: ModelParams, leaf: LeafChart) -> AuxFunctions:
@@ -374,7 +406,7 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=No
     """
     obs = obs or uv_observables(params)
 
-    # Y moves z only, so every node keeps the leaf's u1, u2, which its own guard has checked
+    # Y moves z only, so every node keeps the leaf's u1, u2
     def h_rho(c):
         uv = _embed_coords(c, leaf.levels)
         return rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
@@ -410,18 +442,10 @@ def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, ob
     return out
 
 
-def _check_gf(a: AuxFunctions) -> None:
-    if np.count_nonzero((abs(a.G) <= EPS_DEG) | (abs(a.F) <= EPS_DEG)):
-        raise DegeneracyError("separation chart degenerate")
-
-
 def xi2_closed_form(params: ModelParams, leaf: LeafChart) -> complex:
     """xi2 = L / (mu3 u1 u2 G F); the sign making {lambda2, xi2}_P = +1."""
     mu3 = params.mu[2]
-    if abs(mu3) <= EPS_DEG:
-        raise DegeneracyError("degenerate deformation parameter")
     a = aux(params, leaf)
-    _check_gf(a)
     u1, _, u2, _ = leaf.coords
     return a.L / (mu3 * u1 * u2 * a.G * a.F)
 
@@ -452,33 +476,23 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
         raise RuntimeError("deformation did not terminate")
     if not (agreement.normalized <= 1e-10):
         raise RuntimeError("deformation paths disagree")
-    return complex(closed)
+    return closed
 
 
 def dn_chart(params: ModelParams, leaf: LeafChart) -> DNChart:
     """The four DN coordinates (zeta1, xi1, lambda2, xi2) at a leaf point."""
     _, _, lam2 = nijenhuis(params, leaf)
-    a = aux(params, leaf)
-    if abs(a.theta1) <= EPS_DEG:
-        raise DegeneracyError("theta degenerate")
     _, z1, _, z2 = leaf.coords
-    zeta1 = z2 - z1
-    xi1 = -0.5 * np.log(complex(a.theta1))
-    xi2 = deformation_xi2(params, leaf)
-    return DNChart(complex(zeta1), complex(xi1), complex(lam2), complex(xi2))
+    xi1 = -0.5 * np.log(aux(params, leaf).theta1)
+    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf))
 
 
 def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
     """Rows: gradients of (zeta1, xi1, lambda2, xi2) wrt (u1, z1, u2, z2)."""
     require_symmetric(params)
     mu3 = params.mu[2]
-    if abs(mu3) <= EPS_DEG:
-        raise DegeneracyError("degenerate deformation parameter")
     u1, _, u2, _ = leaf.coords
     a = aux(params, leaf)
-    if np.count_nonzero(abs(a.theta1) <= EPS_DEG):
-        raise DegeneracyError("theta degenerate")
-    _check_gf(a)
 
     d_xi1 = -_d_theta1(params, leaf) / (2.0 * a.theta1)
 
@@ -587,10 +601,7 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs=None) -> di
     g2 = restrict_grad(obs["H2"], leaf)
     lhs = matvec(Q, g1) - matvec(P, g2)
     col = matvec(P, g1)
-    denom = _dot(col.conj(), col)
-    if np.count_nonzero(denom == 0.0):
-        raise DegeneracyError("degenerate point")
-    c = _dot(col.conj(), lhs) / denom
+    c = _dot(col.conj(), lhs) / _dot(col.conj(), col)
     resid = peak(lhs - c * col, 1)
     scale = np.maximum(peak(lhs, 1), peak(c * col, 1))
     a = aux(params, leaf)
@@ -679,7 +690,6 @@ def phi2_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
     c = pt.coords
     leaf = project(pt)
     a = aux(params, leaf)
-    _check_gf(a)
     _, _, lam2 = nijenhuis(params, leaf)
     xi2 = xi2_closed_form(params, leaf)
     p = -2.0 * mu3**2 * a.F**2 * a.G**2

@@ -16,12 +16,13 @@ sampling, draws, skip accounting, normalization and report assembly only.
 Every row runs once on its whole sample, by one code path: the points as
 one stack (a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels),
 the draws as (n,) arrays, one residual per column; so do the per-sample
-diagnostics.  The sampler's guard (|u| > 0.1, and G, F, theta1 away from
-zero) is stronger than every guard of the library, up to roundoff, and a
-symmetric model with mu3 = 0 is rejected before sampling, so no sampled
-column is degenerate and n_skipped_degenerate reads 0.  A DegeneracyError
-inside a row therefore means that a sample got past the sampler's guard:
-the row fails, with nothing evaluated and a note naming the guard.
+diagnostics.  The formulas do not guard.  The sampler accepts a UV or LEAF
+draw only where leaf.degeneracy finds it nondegenerate (theta1 included)
+and |u1|, |u2| > 0.1, and a symmetric model with mu3 = 0 is rejected before
+sampling, so n_skipped_degenerate reads 0.  The suite still applies the
+guard once to each UV and LEAF stack it is given: if any column fails it,
+every row of that kind fails, with nothing evaluated and a note naming the
+condition.
 All residuals are compared as raw/(1+scale) against tolerance x tol_scale,
 where scale is the magnitude of the largest term that entered the
 identity.  The suite fails closed: a residual whose raw value or scale is
@@ -57,10 +58,8 @@ from .fields import (
     CHART_M,
     CHART_SPLIT,
     CHART_UV,
-    EPS_COLL,
     EPS_DEG,
     BivectorField,
-    DegeneracyError,
     PhasePoint,
     Residual,
     ScalarField,
@@ -99,10 +98,13 @@ SKIP_NOTES = {
 
 _MAX_CONSECUTIVE_REJECTS = 1000
 
+# The row of u2 in a UV_complex and a LEAF stack; u1 is row 0 of both.
+_U2_ROW = {"UV_complex": 3, "LEAF": 2}
+
 
 @dataclass
 class SampleSet:
-    points: list
+    stack: object  # a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels
     n_resampled: int
 
 
@@ -207,56 +209,45 @@ def validate_report(doc: dict) -> None:
             raise ValueError("bad diagnostic row")
 
 
-def _uv_nondegenerate(params: ModelParams, u1: complex, u2: complex) -> bool:
-    if abs(u1) <= 0.1 or abs(u2) <= 0.1:
-        return False
-    g, f, theta1 = leaf_mod.u_forms(params, u1, u2)
-    # f equals lambda2 - lambda1, so the collision threshold subsumes eps_deg.
-    return abs(g) > EPS_DEG and abs(f) > max(EPS_DEG, EPS_COLL) and abs(theta1) > EPS_DEG
+def _degeneracy(params: ModelParams, kind: str, coords: np.ndarray) -> tuple:
+    """leaf.degeneracy, theta1 included, at the (u1, u2) rows of UV_complex or LEAF coordinates."""
+    return leaf_mod.degeneracy(params, coords[0], coords[_U2_ROW[kind]], theta=True)
 
 
 def sample_points(kind: str, n: int, seed: int, params: ModelParams) -> SampleSet:
-    """Draw n points of the given kind, deterministically in seed.
+    """Draw n points of the given kind as one stack, deterministically in seed.
 
-    M_real points are unguarded; UV_complex and LEAF draws are redrawn until
-    their u1, u2 pass _uv_nondegenerate(params, u1, u2).  That guard keeps
-    |u| > 0.1, so every accepted LEAF draw clears LeafChart's own guard.
+    Each point takes the next six doubles of default_rng(seed) (M_real), or
+    twelve as six real then six imaginary parts (UV_complex, LEAF).  M_real
+    points are unguarded.  A UV_complex or LEAF draw is accepted where
+    leaf.degeneracy, theta1 included, finds its u1, u2 nondegenerate and
+    |u1|, |u2| > 0.1; the first n accepted draws are kept, and more than
+    _MAX_CONSECUTIVE_REJECTS rejects in a row starve the sampler.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    points = []
-    n_resampled = 0
-
-    def draw():
-        if kind == "M_real":
-            return PhasePoint(CHART_M, rng.uniform(-1.0, 1.0, 6))
-        re = rng.uniform(-1.0, 1.0, 6)
-        im = rng.uniform(-1.0, 1.0, 6)
-        c = re + 1j * im
-        if kind == "UV_complex":
-            return PhasePoint(CHART_UV, c) if _uv_nondegenerate(params, c[0], c[3]) else None
-        if kind == "LEAF":
-            return LeafChart(c[:4], (c[4], c[5])) if _uv_nondegenerate(params, c[0], c[2]) else None
+    if kind not in ("M_real", *_U2_ROW):
         raise ValueError("unknown point kind")
-
-    while len(points) < n:
-        rejects = 0
-        while (candidate := draw()) is None:
-            rejects += 1
-            n_resampled += 1
-            if rejects > _MAX_CONSECUTIVE_REJECTS:
-                raise RuntimeError("sampler starved")
-        points.append(candidate)
-    return SampleSet(points, n_resampled)
-
-
-def _stack(points: list):
-    """A list of sampled points as one stack: a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels."""
-    coords = np.stack([pt.coords for pt in points], axis=-1)
-    if isinstance(points[0], LeafChart):
-        return LeafChart(coords, tuple(np.array([pt.levels for pt in points]).T))
-    return PhasePoint(points[0].chart, coords)
+    rng = np.random.default_rng(seed)
+    if kind == "M_real":
+        return SampleSet(PhasePoint(CHART_M, np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n, 6)).T)), 0)
+    blocks = []
+    while True:  # one block of n + _MAX_CONSECUTIVE_REJECTS draws nearly always decides
+        block = rng.uniform(-1.0, 1.0, (n + _MAX_CONSECUTIVE_REJECTS, 12))
+        blocks.append((block[:, :6] + 1j * block[:, 6:]).T)
+        c = np.concatenate(blocks, axis=1)
+        degenerate, _ = _degeneracy(params, kind, c)
+        kept = np.flatnonzero(~degenerate & (abs(c[0]) > 0.1) & (abs(c[_U2_ROW[kind]]) > 0.1))
+        # the rejects in a row before each of the first n accepted draws, or after the last draw
+        if (np.diff(kept, prepend=-1, append=c.shape[1]) - 1)[:n].max() > _MAX_CONSECUTIVE_REJECTS:
+            raise RuntimeError("sampler starved")
+        if len(kept) >= n:
+            break
+    c = np.ascontiguousarray(c[:, kept[:n]])
+    n_resampled = int(kept[n - 1]) + 1 - n
+    if kind == "UV_complex":
+        return SampleSet(PhasePoint(CHART_UV, c), n_resampled)
+    return SampleSet(LeafChart(c[:4], (c[4], c[5])), n_resampled)
 
 
 def _flipped_h2_observables(params: ModelParams) -> dict:
@@ -579,13 +570,14 @@ def run_suite(
                 CheckResult(name=name, tolerance=0.0, skipped=True, note=SKIP_NOTES[requires])
             )
 
-    points, stacks = {}, {}
+    stacks, rejected = {}, {}
     for offset, kind in enumerate((M, UV, LEAF)):
         if any(row[2] == kind for row in active):
             sample = sample_points(kind, n_points, seed + offset, params)
             report.resamples[kind] = sample.n_resampled
-            points[kind] = sample.points
-            stacks[kind] = _stack(sample.points)
+            stacks[kind] = sample.stack
+            if kind != M:  # the one guard, once per stack: a rejected stack fails all its rows
+                rejected[kind] = _degeneracy(params, kind, sample.stack.coords)[1]
 
     streams = {}  # rows naming the same stream continue it, in registry order
     for name, tol, kind, _, fn, *drawn in active:
@@ -598,11 +590,10 @@ def run_suite(
             draws = streams[stream].uniform(-1, 1, size=(n_points, n_draws, 2)).view(complex)[..., 0]
         result = CheckResult(name=name, tolerance=tol * tol_scale, max_residual=0.0, passed=False)
         report.checks.append(result)
-        try:
-            residuals = _evaluate(fn, stacks[kind], draws)
-        except DegeneracyError as exc:
-            result.note = f"guard rejected a sample: {exc}"
+        if rejected.get(kind):
+            result.note = f"guard rejected a sample: {rejected[kind]}"
             continue
+        residuals = _evaluate(fn, stacks[kind], draws)
         raw = np.array([np.broadcast_to(r.raw, (n_points,)) for r in residuals], dtype=float)
         scale = np.array([np.broadcast_to(r.scale, (n_points,)) for r in residuals], dtype=float)
         finite = np.isfinite(raw) & np.isfinite(scale)
@@ -620,11 +611,12 @@ def run_suite(
     # ---------------- diagnostics ----------------
 
     if holds[SYM]:
-        leafs = _stack(points[LEAF][:20])
+        leaf_stack = stacks[LEAF]
+        leafs = LeafChart(leaf_stack.coords[:, :20], tuple(level[:20] for level in leaf_stack.levels))
         lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv)
         fits, p1_mismatch = lenard["residual"].normalized, lenard["p1_mismatch"]
         h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv)["qdh1_norm"].normalized
-        ratio = xxz.uv_transport_residuals(params, points[UV][0])["ratio_p1"]
+        ratio = xxz.uv_transport_residuals(params, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))["ratio_p1"]
         report.diagnostics += [
             _diagnostic(
                 "generalized_lenard_fit",

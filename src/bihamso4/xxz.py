@@ -18,9 +18,7 @@ import numpy as np
 from .fields import (
     CHART_M,
     CHART_UV,
-    EPS_DEG,
     BivectorField,
-    DegeneracyError,
     PhasePoint,
     Residual,
     ScalarField,
@@ -209,24 +207,16 @@ def x1_field(params: ModelParams) -> VectorField:
     return VectorField(CHART_UV, value, jac)
 
 
-def _check_u_nondegenerate(c: Array) -> None:
-    # c[0:4:3] is (u1, u2), one row each also on a stack
-    if (np.abs(c[0:4:3]) <= EPS_DEG).any():
-        raise DegeneracyError("degenerate point")
-
-
 @shared_per_model
 def z_field() -> VectorField:
     """Transversal vector field (1/2u1) d/dv1 + (1/2u2) d/dv2."""
 
     def value(c: Array) -> Array:
-        _check_u_nondegenerate(c)
         u1, u2 = c[0], c[3]
         zero = 0.0 * u1
         return np.array([zero, 0.5 / u1, zero, zero, 0.5 / u2, zero])
 
     def jac(c: Array) -> Array:
-        _check_u_nondegenerate(c)
         u1, u2 = c[0], c[3]
         zero = 0.0 * u1
         row = [zero] * 6
@@ -284,7 +274,7 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
         flat = pushed.reshape((36,) + pushed.shape[2:])
         k = np.expand_dims(np.argmax(np.abs(flat), axis=0), 0)
         ratio = (np.take_along_axis(printed.reshape(flat.shape), k, 0) / np.take_along_axis(flat, k, 0))[0]
-        out[f"ratio_{key}"] = complex(ratio) if np.ndim(ratio) == 0 else ratio
+        out[f"ratio_{key}"] = ratio
     return out
 
 
@@ -344,7 +334,6 @@ def variable_eigenvalue(params: ModelParams, c: Array) -> complex:
     """lambda2 = mu1 - mu2 + mu3 (u1/u2 + u2/u1) from the u coordinates."""
     require_symmetric(params)
     mu1, mu2, mu3, _ = params.mu
-    _check_u_nondegenerate(c)
     u1, u2 = c[0], c[3]
     return mu1 - mu2 + mu3 * (u1 / u2 + u2 / u1)
 

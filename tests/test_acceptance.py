@@ -19,6 +19,7 @@ from bihamso4.fields import (
     lie_bivector,
     schouten_residual,
 )
+from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 
 SYM = ModelParams.from_mu(1.0, 2.0, 3.0)
@@ -30,11 +31,13 @@ def _line(n, ok, detail=""):
 
 
 def _uv_points(n, seed):
-    return verify.sample_points("UV_complex", n, seed, SYM).points
+    stack = verify.sample_points("UV_complex", n, seed, SYM).stack
+    return [PhasePoint(CHART_UV, c) for c in stack.coords.T]
 
 
 def _leaves(n, seed):
-    return verify.sample_points("LEAF", n, seed, SYM).points
+    stack = verify.sample_points("LEAF", n, seed, SYM).stack
+    return [LeafChart(c, (h0, c2)) for c, h0, c2 in zip(stack.coords.T, *stack.levels)]
 
 
 def test_criterion_1_structural_identities():

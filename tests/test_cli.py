@@ -223,3 +223,40 @@ def test_verify_bad_tol_scale_exits_two(value):
     result = run_cli("verify", "--mu", "1,2,3", "--points", "5", "--tol-scale", value)
     assert result.exit_code == 2, result.output
     assert "tol_scale must be finite and positive" in result.output
+
+
+# u1 = r (1 + 5e-8) with r + 1/r = 4/3, u2 = 1: F = lambda2 - lambda1 is 2.2e-7
+# at mu = (1, 2, 3), inside the collision threshold 1e-6 but above 1e-8,
+# while G and theta1 = u1 u2 F / 2 = 1.1e-7 stay clear of theirs.
+_NEAR_COLLISION_U1 = "0.6666667,0.7453560297677294"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["dn", "--mu", "1,2,3", "--leaf", "0,0,1,0,2,0,0,0", "--h0", "2,0", "--c2", "-1,0"], "degenerate point"),
+        (
+            ["dn", "--mu", "1,2,3", "--leaf", f"{_NEAR_COLLISION_U1},0.3,0,1,0,-0.2,0", "--h0", "1,0", "--c2", "0,0"],
+            "eigenvalue collision",
+        ),
+        # u = (1e-5, 2e-5): F = 3.5 and G = 1.5, but theta1 = 3.5e-10
+        (["dn", "--mu", "1,2,3", "--leaf", "1e-5,0,1,0,2e-5,0,0,0", "--h0", "2,0", "--c2", "-1,0"], "theta degenerate"),
+        (
+            ["dn", "--mu", "1,2,0", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "2,0", "--c2", "-1,0"],
+            "degenerate deformation parameter",
+        ),
+        (["dn", "--mu", "1,2,3", "--leaf", "1,0,0,0,1,0,0,0", "--h0", "2,0", "--c2", "0,0"], "separation chart degenerate"),
+        (["separation", "--mu", "1,2,3", "--uv", "0,0,0,0,1,0,1,0,1,0,0,0"], "degenerate point"),
+        (["separation", "--mu", "1,2,3", "--uv", "1,0,0.5,0,1,0,1,0,0.25,0,0,0"], "separation chart degenerate"),
+        (
+            ["separation", "--mu", "1,2,3", "--uv", f"{_NEAR_COLLISION_U1},0.5,0,0.3,0,1,0,0.25,0,-0.2,0"],
+            "eigenvalue collision",
+        ),
+        (["separation", "--mu", "1,2,0", "--uv", "1,0,0.5,0,1,0,2,0,0.25,0,0,0"], "degenerate deformation parameter"),
+    ],
+)
+def test_degenerate_input_names_its_condition(args, message):
+    # each input fails exactly one degeneracy condition; stderr is that one line
+    result = run_cli(*args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"

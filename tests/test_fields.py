@@ -175,8 +175,8 @@ def test_schouten_self_bracket_shortcut_is_exact():
     pencil = BivectorField(
         CHART_M, lambda c: P1.value(c) + t * P2.value(c), lambda c: P1.jac(c) + t * P2.jac(c)
     )
-    m_pts = verify.sample_points("M_real", 60, 1, params).points
-    uv_pts = verify.sample_points("UV_complex", 60, 2, params).points
+    m_pts = _columns(verify.sample_points("M_real", 60, 1, params).stack)
+    uv_pts = _columns(verify.sample_points("UV_complex", 60, 2, params).stack)
     cases = [(P1, m_pts), (P2, m_pts), (pencil, m_pts), (xxz.q_uv(params), uv_pts), (xxz.p2_uv(params), uv_pts)]
     for P, pts in cases:
         clone = _clone(P)
@@ -198,6 +198,10 @@ def _stack(points):
     return PhasePoint(points[0].chart, np.stack([pt.coords for pt in points], axis=-1))
 
 
+def _columns(stack):
+    return [PhasePoint(stack.chart, c) for c in stack.coords.T]
+
+
 def _lie_scalar_scaled(Z, f, pt):
     return lie_scalar(Z, f, pt), peak(f.grad(pt.coords) * Z.value(pt.coords), 1)
 
@@ -210,8 +214,8 @@ def _transport(params, pt):
 def test_stacked_kernels_agree_with_per_point_calls():
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
     n = 30
-    m_pts = verify.sample_points("M_real", n, 1, params).points
-    uv_pts = verify.sample_points("UV_complex", n, 2, params).points
+    m_pts = _columns(verify.sample_points("M_real", n, 1, params).stack)
+    uv_pts = _columns(verify.sample_points("UV_complex", n, 2, params).stack)
     draws = np.random.default_rng(3).uniform(-1, 1, size=(n, 2, 2)).view(complex)[..., 0]
     P1m, P2m = so4.p1_m(), so4.p2_m(params)
     P1u, P2u, Q = xxz.p1_uv(), xxz.p2_uv(params), xxz.q_uv(params)

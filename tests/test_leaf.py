@@ -117,10 +117,10 @@ def test_eigenvalue_collision_guard():
     u1 = (2.0 + 1j * np.sqrt(5.0)) / 3.0
     leaf = LeafChart(np.array([u1, 0.3, 1.0, -0.2], dtype=complex), (1.0 + 0j, 0j))
     with pytest.raises(DegeneracyError, match="eigenvalue collision"):
-        leaf_mod.nijenhuis(PARAMS, leaf)
+        leaf_mod.guard(PARAMS, leaf.coords[0], leaf.coords[2])
     # theta1 = u1 u2 F / 2 vanishes at the same point
     with pytest.raises(DegeneracyError, match="theta degenerate"):
-        leaf_mod.dn_gradients(PARAMS, leaf)
+        leaf_mod.guard(PARAMS, leaf.coords[0], leaf.coords[2], theta=True)
 
 
 def test_aux_hand_values():
@@ -233,7 +233,8 @@ def test_hand_coded_jacobians_and_lie_y_gradients_match_fd():
     # X1.jac, Z.jac and Q.jac feed the Schouten and Lie-bivector rows; dG,
     # d(u1 u2) and dL feed lie_y_invariants; this is their only independent check.
     fields = {"X1": xxz.x1_field(PARAMS), "Z": xxz.z_field(), "Q": xxz.q_uv(PARAMS)}
-    for pt in verify.sample_points("UV_complex", 20, 21, PARAMS).points:
+    for c in verify.sample_points("UV_complex", 20, 21, PARAMS).stack.coords.T:
+        pt = PhasePoint(CHART_UV, c)
         for name, field in fields.items():
             exact = field.jac(pt.coords)
             fd = fd_jac(field.value, pt.coords)
@@ -267,7 +268,7 @@ def test_dn_brackets_pass_at_cancellation_points(seed):
     # the raw residual is roundoff of that cancellation.  Normalized by
     # max |B| the old scale read it as a failure; the summand scale does not.
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
-    leafs = verify.sample_points("LEAF", 200, seed + 2, params).points
+    leafs = _columns(verify.sample_points("LEAF", 200, seed + 2, params).stack)
     worst_raw = 0.0
     for leaf in leafs:
         res = leaf_mod.dn_bracket_residuals(params, leaf)
@@ -387,7 +388,7 @@ def test_separation_chart_degeneracy_guard():
     # u1 = u2 makes G = 0
     c = np.array([1.0, 0.3, 0.2, 1.0, 0.5, -0.1], dtype=complex)
     with pytest.raises(DegeneracyError, match="separation chart degenerate"):
-        leaf_mod.phi2_residual(PARAMS, PhasePoint(CHART_UV, c))
+        leaf_mod.guard(PARAMS, c[0], c[3])
 
 
 def test_separation_residuals_pair():
@@ -400,20 +401,32 @@ def test_separation_residuals_pair():
 def test_leaf_chart_validation():
     with pytest.raises(ValueError, match="dimension mismatch"):
         LeafChart(np.zeros(3, dtype=complex), (0j, 0j))
+    coords = np.array([0.0, 1.0, 1.0, 1.0], dtype=complex)
     with pytest.raises(DegeneracyError, match="degenerate point"):
-        LeafChart(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex), (0j, 0j))
+        leaf_mod.guard(PARAMS, coords[0], coords[2])
 
 
 def test_leaf_stack_with_one_degenerate_column_is_rejected():
     rng = np.random.default_rng(31)
     coords = np.stack([random_leaf(rng).coords for _ in range(5)], axis=-1)
     levels = (np.ones(5, dtype=complex), np.zeros(5, dtype=complex))
-    LeafChart(coords, levels)
+    leaf_mod.guard(PARAMS, coords[0], coords[2])
     coords[2, 3] = 0.5 * EPS_DEG  # u2 of column 3
     with pytest.raises(DegeneracyError, match="degenerate point"):
-        LeafChart(coords, levels)
+        leaf_mod.guard(PARAMS, coords[0], coords[2])
     with pytest.raises(ValueError, match="dimension mismatch"):
         LeafChart(coords[:, :4], levels)
+
+
+def _stack(leafs) -> LeafChart:
+    """Leaf points as one (4, n) stack with (n,) levels."""
+    levels = tuple(np.array([leaf.levels for leaf in leafs]).T)
+    return LeafChart(np.stack([leaf.coords for leaf in leafs], axis=-1), levels)
+
+
+def _columns(stack) -> list:
+    """A (4, n) leaf stack as its n points."""
+    return [LeafChart(c, (h0, c2)) for c, h0, c2 in zip(stack.coords.T, *stack.levels)]
 
 
 def _numbers(out) -> list:
@@ -465,7 +478,7 @@ def test_stacked_leaf_function_agrees_with_its_columns(name):
     rng = np.random.default_rng(30)
     leafs = [random_leaf(rng) for _ in range(12)]
     rhos = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
-    stacked = _numbers(fn(verify._stack(leafs), rhos))
+    stacked = _numbers(fn(_stack(leafs), rhos))
     for k, leaf in enumerate(leafs):
         point = _numbers(fn(leaf, rhos[k]))
         assert len(stacked) == len(point)
@@ -481,6 +494,6 @@ def test_xi2_paths_agree_where_the_line_fit_was_ill_conditioned(verify_seed, ind
     # leaf samples of `verify --mu 10,1,2 --points 200` where a small Lie_Y^2 H
     # against large node values once read 5.5e-10 and 1.6e-10 > TOL_DN
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
-    leafs = verify.sample_points("LEAF", index + 1, verify_seed + 2, params).points
+    leafs = _columns(verify.sample_points("LEAF", index + 1, verify_seed + 2, params).stack)
     _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index])
     assert agreement.normalized <= verify.TOL_DN

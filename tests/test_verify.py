@@ -11,6 +11,26 @@ from bihamso4.so4 import ModelParams
 
 PARAMS = ModelParams.from_mu(1.0, 2.0, 3.0)
 
+# The rows evaluated on the UV_complex stack, in registry order.
+UV_ROWS = (
+    "gradient_fd_uv", "observable_transport", "uv_tensor_scale", "charpoly_identity_uv", "jacobi_p1_uv",
+    "jacobi_p2_uv", "jacobi_q_uv", "compat_p1_p2_uv", "compat_p1_q_uv", "x1_hamiltonian", "x1_conserves_zeta1",
+    "transversal_p1_symmetry", "transversal_normalization", "transversal_h1_h2", "transversal_p2_rank",
+    "q_casimirs", "q_rank_4", "involution_p1", "involution_q", "stackel_condition", "transversal_curve_factor",
+    "zeta1_involution", "separation_phi1", "separation_phi2",
+)
+
+
+def _column(stack, k):
+    """Column k of a sample stack as one point."""
+    if isinstance(stack, LeafChart):
+        return LeafChart(stack.coords[:, k], tuple(level[k] for level in stack.levels))
+    return PhasePoint(stack.chart, stack.coords[:, k])
+
+
+def _columns(stack) -> list:
+    return [_column(stack, k) for k in range(stack.coords.shape[1])]
+
 
 def test_suite_passes_symmetric_model():
     report = verify.run_suite(PARAMS, seed=0, n_points=15)
@@ -120,11 +140,11 @@ def test_drawn_rows_read_their_named_streams():
     def draws(rng):
         return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
 
-    m_pts = verify._stack(verify.sample_points("M_real", n, 0, params).points)
+    m_pts = verify.sample_points("M_real", n, 0, params).stack
     lax_rng = np.random.default_rng([0, 13])
     flow = so4.lax_flow_residual(params, draws(lax_rng), m_pts).normalized.max()
     comm = so4.angular_velocity_commutator_residual(params, draws(lax_rng), m_pts).normalized.max()
-    leafs = verify._stack(verify.sample_points("LEAF", n, 2, params).points)
+    leafs = verify.sample_points("LEAF", n, 2, params).stack
     term_rng = np.random.default_rng([0, 18])
     obs = xxz.uv_observables(params)
     term = leaf_mod.deformation_tower(params, draws(term_rng), leafs, obs)["termination"].normalized.max()
@@ -144,19 +164,65 @@ def test_overrides_leave_shared_ingredients_clean():
 
 
 def test_sample_points_deterministic_and_guarded():
-    s1 = verify.sample_points("UV_complex", 20, 11, PARAMS)
-    s2 = verify.sample_points("UV_complex", 20, 11, PARAMS)
-    for p, q in zip(s1.points, s2.points):
+    s1 = verify.sample_points("UV_complex", 20, 11, PARAMS).stack
+    s2 = verify.sample_points("UV_complex", 20, 11, PARAMS).stack
+    for p, q in zip(_columns(s1), _columns(s2)):
         assert np.array_equal(p.coords, q.coords)
-    for p in s1.points:
+    for p in _columns(s1):
         assert abs(p.coords[0]) > 0.1 and abs(p.coords[3]) > 0.1
 
 
+def _sample_one_draw_at_a_time(kind, n, seed, params):
+    """The sampler as a loop over single draws: (coords of the n kept draws, n_resampled)."""
+    rng = np.random.default_rng(seed)
+    u2_row = {"UV_complex": 3, "LEAF": 2}[kind]
+    kept, n_resampled, rejects = [], 0, 0
+    while len(kept) < n:
+        c = rng.uniform(-1.0, 1.0, 6) + 1j * rng.uniform(-1.0, 1.0, 6)
+        degenerate, _ = leaf_mod.degeneracy(params, c[0], c[u2_row], theta=True)
+        if not degenerate and abs(c[0]) > 0.1 and abs(c[u2_row]) > 0.1:
+            kept.append(c)
+            rejects = 0
+            continue
+        n_resampled += 1
+        rejects += 1
+        if rejects > 1000:
+            raise RuntimeError("sampler starved")
+    return np.stack(kept, axis=-1), n_resampled
+
+
+@pytest.mark.parametrize(
+    "kind, mu, n, seed, starves",
+    [
+        ("UV_complex", (1.0, 2.0, 3.0), 50, 0, False),
+        ("LEAF", (10.0, 1.0, 2.0), 200, 1, False),
+        # |F| >= 1e-6 needs |u1/u2 + u2/u1| > 8 here: thousands of rejects,
+        # over several blocks, and runs of more than 1000 in some seeds
+        ("UV_complex", (1.0, 0.0, 1.2e-7), 20, 0, False),
+        ("LEAF", (1.0, 0.0, 1.2e-7), 20, 4, False),
+        ("UV_complex", (1.0, 0.0, 1.2e-7), 20, 1, True),
+        ("LEAF", (1.0, 0.0, 2e-8), 5, 0, True),
+    ],
+)
+def test_block_sampler_matches_one_draw_at_a_time(kind, mu, n, seed, starves):
+    params = ModelParams.from_mu(*mu)
+    if starves:
+        for sampler in (verify.sample_points, _sample_one_draw_at_a_time):
+            with pytest.raises(RuntimeError, match="sampler starved"):
+                sampler(kind, n, seed, params)
+        return
+    coords, n_resampled = _sample_one_draw_at_a_time(kind, n, seed, params)
+    sample = verify.sample_points(kind, n, seed, params)
+    s = sample.stack
+    assert np.array_equal(s.coords if kind == "UV_complex" else np.vstack([s.coords, *s.levels]), coords)
+    assert sample.n_resampled == n_resampled
+
+
 def test_sample_points_kinds():
-    m = verify.sample_points("M_real", 5, 0, PARAMS)
-    assert all(p.coords.dtype.kind == "f" for p in m.points)
-    leafs = verify.sample_points("LEAF", 5, 0, PARAMS)
-    assert all(p.coords.shape == (4,) for p in leafs.points)
+    m = verify.sample_points("M_real", 5, 0, PARAMS).stack
+    assert all(p.coords.dtype.kind == "f" for p in _columns(m))
+    leafs = verify.sample_points("LEAF", 5, 0, PARAMS).stack
+    assert all(p.coords.shape == (4,) for p in _columns(leafs))
     with pytest.raises(ValueError, match="unknown point kind"):
         verify.sample_points("imaginary", 5, 0, PARAMS)
 
@@ -313,7 +379,7 @@ def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
     # dn_gradients is read once on the leaf stack by dn_eigenforms: poison one
     # row at column 4, which a running worst would drop
     real = leaf_mod.dn_gradients
-    leafs = verify._stack(verify.sample_points("LEAF", 6, 2, PARAMS).points)
+    leafs = verify.sample_points("LEAF", 6, 2, PARAMS).stack
 
     def patched(params, leaf):
         out = real(params, leaf).copy()
@@ -357,45 +423,31 @@ def test_nan_in_a_stacked_row_names_its_sample(monkeypatch):
 
 
 def test_degenerate_column_fails_its_rows(monkeypatch):
-    # one UV point with |u1| <= EPS_DEG, which the sampler's guard would have
-    # rejected: every row whose library guard sees it fails, nothing evaluated
+    # one UV point with |u1| <= EPS_DEG, which the sampler would have
+    # rejected: the guard rejects the whole UV stack, so every UV row fails
+    # with nothing evaluated, and the rows of the other kinds run as usual
     real = verify.sample_points
     n, bad = 24, 7
 
     def patched(kind, n_points, seed, params):
         sample = real(kind, n_points, seed, params)
         if kind == "UV_complex":
-            coords = sample.points[bad].coords.copy()
-            coords[0] = 0.5 * verify.EPS_DEG
-            sample.points[bad] = verify.PhasePoint(sample.points[bad].chart, coords)
+            sample.stack.coords[0, bad] = 0.5 * verify.EPS_DEG
         return sample
 
     monkeypatch.setattr(verify, "sample_points", patched)
     report = verify.run_suite(PARAMS, seed=0, n_points=n)
-    by_name = {c.name: c for c in report.checks}
-    # the 11 rows that read Z, and separation_phi2, whose leaf chart guards u
-    guarded = {
-        "jacobi_q_uv", "compat_p1_q_uv", "transversal_p1_symmetry", "transversal_normalization",
-        "transversal_h1_h2", "transversal_p2_rank", "q_casimirs", "q_rank_4", "involution_q",
-        "stackel_condition", "transversal_curve_factor", "separation_phi2",
-    }
-    assert {c.name for c in report.checks if not c.skipped and not c.passed} == guarded
-    for name in guarded:
-        c = by_name[name]
-        assert (c.passed, c.n_evaluated, c.n_skipped_degenerate) == (False, 0, 0), name
-        assert c.note == "guard rejected a sample: degenerate point", name
-    for name in ("jacobi_p1_uv", "involution_p1", "x1_hamiltonian", "gradient_fd_uv"):
-        assert (by_name[name].n_evaluated, by_name[name].n_skipped_degenerate) == (n, 0), name
+    run = [c for c in report.checks if not c.skipped]
+    assert [c.name for c in run if not c.passed] == list(UV_ROWS)
+    for c in run:
+        if c.name in UV_ROWS:
+            assert (c.passed, c.n_evaluated, c.n_skipped_degenerate) == (False, 0, 0), c.name
+            assert c.note == "guard rejected a sample: degenerate point", c.name
+        else:
+            assert (c.passed, c.n_evaluated, c.n_skipped_degenerate) == (True, n, 0), c.name
     assert not report.overall
     doc = json.loads(report.to_json())
     verify.validate_report(doc)
-
-
-def _column(stack, k):
-    """Column k of a sample stack as one point."""
-    if isinstance(stack, LeafChart):
-        return LeafChart(stack.coords[:, k], tuple(level[k] for level in stack.levels))
-    return PhasePoint(stack.chart, stack.coords[:, k])
 
 
 @pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])

@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4, xxz
 from bihamso4.fields import (
     CHART_M,
@@ -177,12 +178,10 @@ def test_requires_symmetric_model():
 
 
 def test_degenerate_u_guard():
+    # the u condition of the one guard, at the point where Z and lambda2 divide by zero
     pt = PhasePoint(CHART_UV, np.array([0, 1, 1, 1, 1, 1], dtype=complex))
     with pytest.raises(DegeneracyError, match="degenerate point"):
-        xxz.variable_eigenvalue(PARAMS, pt.coords)
-    Z = xxz.z_field()
-    with pytest.raises(DegeneracyError, match="degenerate point"):
-        Z.value(pt.coords)
+        leaf_mod.guard(PARAMS, pt.coords[0], pt.coords[3])
 
 
 MODEL_CONSTRUCTORS = (so4.p2_m, so4.observables_m, xxz.uv_observables, xxz.p2_uv, xxz.x1_field, xxz.q_uv)
