@@ -189,10 +189,8 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
             raise ValueError("leaf point embeds to a non-finite uv point")
         chart = leaf_mod.dn_chart(params, leaf)
         brackets = leaf_mod.dn_bracket_residuals(params, leaf)
-        p_matrix = leaf_mod.dn_bracket_matrix(params, leaf)
-
-    # The P target is the constant canonical table; it reads no eigenvalue.
-    residual = np.abs(p_matrix - leaf_mod.canonical_bracket_target(1.0, 1.0))
+        if not as_json:  # only the printed table reads the bracket matrix
+            p_matrix = leaf_mod.dn_bracket_matrix(params, leaf)
 
     if as_json:
         doc = {
@@ -212,7 +210,8 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
         click.echo(f"lambda2 = {_fmt_complex(chart.lambda2)}")
         click.echo(f"xi2     = {_fmt_complex(chart.xi2)}")
         click.echo("bracket residual vs canonical (structure P):")
-        for row in residual:
+        # The P target is the constant canonical table; it reads no eigenvalue.
+        for row in np.abs(p_matrix - leaf_mod.canonical_bracket_target(1.0, 1.0)):
             click.echo("  " + "  ".join(f"{x:9.3e}" for x in row))
     sys.exit(0)
 

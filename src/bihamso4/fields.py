@@ -13,12 +13,18 @@ take either, by one code path: contractions run over the leading (per-point)
 axes, and each residual is a float at one point and one value per column of
 a stack.  A derivative that does not depend on the point (the Jacobian of a
 linear bivector, the gradient of zeta1) stays one shared array without the
-point axis and broadcasts against the stack.
+point axis, in the dtype of the values, and broadcasts against the stack.
+
+schouten_residual, the costliest kernel, moves the point axis first and
+contracts by one batched matmul (a shared Jacobian is a batch of one); it
+reduces only the 20 components i < j < k of the trivector, so every bivector
+it is given must be exactly antisymmetric.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -189,15 +195,32 @@ def ham_field_scaled(P: BivectorField, f: ScalarField, pt: PhasePoint) -> tuple:
     return np.einsum("ij...,j...->i...", p, g), peak(np.abs(p) * np.abs(g)[None, :], 2)
 
 
+@functools.cache
+def _cyclic_slots(dim: int) -> Array:
+    """Rows: flat positions in an [i, k, j] table of T^ijk, T^kij and T^jki, one column per i < j < k."""
+    i, j, k = np.array(list(itertools.combinations(range(dim), 3))).T
+    slots = np.array([(a * dim + c) * dim + b for a, b, c in ((i, j, k), (k, i, j), (j, k, i))])
+    slots.flags.writeable = False  # every call returns this one array
+    return slots
+
+
+def _schouten_terms(db: Array, a: Array, dtype=None) -> Array:
+    """T^ijk = sum_l a^lj d_l b^ik laid out [n, i, k, j]: (n, 36, 6) @ (n, 6, 6), a shared db a batch of one."""
+    db, a = (np.moveaxis(x, -1, 0) if x.ndim > rank else x for x, rank in ((db, 3), (a, 2)))
+    return np.matmul(db.reshape(db.shape[:-3] + (-1, db.shape[-1])), a, dtype=dtype)
+
+
 def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Residual:
     """Max-norm of the Schouten bracket [P, Q] at pt, with its summand scale.
 
     S^ijk = sum_l (P^lj d_l Q^ik + Q^lj d_l P^ik) + cyclic(i, j, k); the
     residual is max_ijk |S^ijk|, zero iff P and Q are compatible at pt
-    (Jacobi identity for Q = P).  The expression is symmetric under P <-> Q.
-    The scale is the largest single product |P^lj d_l Q^ik| (or mirror), taken
-    as max_l (max_j |P^lj|)(max_ik |d_l Q^ik|): rounded products of nonnegative
-    numbers are monotone, so this is exact without the 6^4 table of products.
+    (Jacobi identity for Q = P).  The expression is symmetric under P <-> Q,
+    and for antisymmetric P and Q it is a trivector, so max |S| is read off
+    the components i < j < k.  The scale is the largest single product
+    |P^lj d_l Q^ik| (or mirror), max_l (max_j |P^lj|)(max_ik |d_l Q^ik|):
+    rounded products of nonnegative numbers are monotone, so this is exact
+    without the 6^4 table of products.
     """
     _require_chart(pt.chart, P, Q)
     c = pt.coords
@@ -207,7 +230,7 @@ def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Res
     # T^ijk = sum_l (P^lj d_l Q^ik + Q^lj d_l P^ik), summed in place; at most
     # two (6, 6, 6[, n]) arrays are alive at once
     if Q is P:
-        T = np.einsum("lj...,ikl...->ijk...", p, dp)
+        T = _schouten_terms(dp, p)
         T += T  # both halves of T and of the scale coincide; t + t is exactly 2t
         scale = peak(ap * adp, 1)
     else:
@@ -217,13 +240,13 @@ def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Res
         dq = lift(Q.jac(c), 3, c)
         aq, adq = np.abs(q).max(axis=1), np.abs(dq).max(axis=(0, 1))
         scale = peak(np.maximum(ap * adq, aq * adp), 1)
-        T = np.einsum("lj...,ikl...->ijk...", p, dq, dtype=np.result_type(p, q, dp, dq))
+        T = _schouten_terms(dq, p, np.result_type(p, q, dp, dq))
         del dq
-        T += np.einsum("lj...,ikl...->ijk...", q, dp)
+        T += _schouten_terms(dp, q)
     del dp
-    # S^ijk = T^ijk + T^kij + T^jki, one i at a time, so S is never whole
-    raw = peak([peak(T[i] + np.swapaxes(T[:, i], 0, 1) + T[:, :, i], 2) for i in range(T.shape[0])], 1)
-    return Residual(raw, scale)
+    t = T.reshape(T.shape[:-2] + (-1,))[..., _cyclic_slots(p.shape[0])]  # T^ijk, T^kij, T^jki
+    raw = np.abs(t[..., 0, :] + t[..., 1, :] + t[..., 2, :]).max(axis=-1)
+    return Residual(float(raw) if raw.ndim == 0 else raw, scale)
 
 
 def lie_scalar(Z: VectorField, f: ScalarField, pt: PhasePoint) -> complex:
@@ -264,51 +287,31 @@ def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
     if X.chart != Z.chart:
         raise ValueError("chart mismatch")
 
+    # Both are t - t^T of one product table, so exactly antisymmetric; a complex
+    # product may round differently with its factors swapped.
     def value(c: Array) -> Array:
-        x = X.value(c)
-        z = Z.value(c)
-        return x[:, None] * z[None, :] - z[:, None] * x[None, :]
+        t = X.value(c)[:, None] * Z.value(c)[None, :]
+        return t - np.swapaxes(t, 0, 1)
 
-    def jac(c: Array) -> Array:
-        x = X.value(c)
-        z = Z.value(c)
-        xj = X.jac(c)
-        zj = Z.jac(c)
-        # d(X^i Z^j - X^j Z^i)/d x_l
-        t = np.einsum("il...,j...->ijl...", xj, z, dtype=np.result_type(x, z, xj, zj))
-        t += np.einsum("i...,jl...->ijl...", x, zj)
+    def jac(c: Array) -> Array:  # d(X^i Z^j - X^j Z^i)/d x_l
+        x, z, xj, zj = X.value(c), Z.value(c), X.jac(c), Z.jac(c)
+        t = np.multiply(xj[:, None], z[None, :, None], dtype=np.result_type(x, z, xj, zj))
+        t += x[:, None, None] * zj[None]
         return t - np.swapaxes(t, 0, 1)
 
     return BivectorField(X.chart, value, jac)
-
-
-def _steps(c: Array):
-    """(i, h, e) per coordinate: the real step h and the coordinate array e with h in row i."""
-    for i in range(c.shape[0]):
-        h = FD_STEP * (1.0 + np.abs(c[i]))
-        e = np.zeros(c.shape)
-        e[i] = h
-        yield i, h, e
 
 
 def fd_grad(value: Callable[[Array], complex], coords: Array) -> Array:
     """Central-difference gradient; steps are real also for complex coordinates."""
     c = np.asarray(coords)
     out = np.empty(c.shape, dtype=complex)
-    for i, h, e in _steps(c):
+    for i in range(c.shape[0]):
+        e = np.zeros(c.shape)
+        e[i] = h = FD_STEP * (1.0 + np.abs(c[i]))
         out[i] = (value(c + e) - value(c - e)) / (2.0 * h)
     if not np.iscomplexobj(c) and np.abs(out.imag).max() == 0.0:
         return out.real
-    return out
-
-
-def fd_jac(value: Callable[[Array], Array], coords: Array) -> Array:
-    """Central-difference Jacobian of an array-valued map at one point, derivative index last."""
-    c = np.asarray(coords)
-    base = np.asarray(value(c))
-    out = np.empty(base.shape + c.shape, dtype=complex)
-    for i, h, e in _steps(c):
-        out[..., i] = (np.asarray(value(c + e)) - np.asarray(value(c - e))) / (2.0 * h)
     return out
 
 
@@ -360,7 +363,7 @@ def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int) -> Bi
     which is exact for linear entries.
     """
     cols = [np.asarray(value(np.eye(dim)[l])) for l in range(dim)]
-    jac_const = np.stack(cols, axis=-1).astype(complex)
+    jac_const = np.stack(cols, axis=-1)
     jac_const.flags.writeable = False  # every call returns this one array
 
     def jac(_c: Array) -> Array:

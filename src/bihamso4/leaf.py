@@ -453,22 +453,24 @@ def xi2_closed_form(params: ModelParams, leaf: LeafChart) -> complex:
 def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs=None) -> tuple:
     """The two paths to xi2: (closed form, tower at rho = lambda2, their Residual).
 
-    The Residual compares the Lie-derivative ratio Lie_Y H / Lie_Y^2 H of the
-    tower with the closed form.  obs are the uv observables the tower reads.
+    The Residual is of Lie_Y H = xi2 Lie_Y^2 H, scaled as in
+    deformation_residuals: the ratio Lie_Y H / Lie_Y^2 H would amplify
+    rounding where Lie_Y^2 H ~ G^2 F nearly cancels.  obs are the uv
+    observables the tower reads.
     """
     closed = xi2_closed_form(params, leaf)
     _, _, lam2 = nijenhuis(params, leaf)
     tower = deformation_tower(params, lam2, leaf, obs)
-    algorithmic = tower["lie1"] / tower["lie2"]
-    return closed, tower, Residual(abs(algorithmic - closed), peak([algorithmic, closed], 1))
+    lie1, target = tower["lie1"], closed * tower["lie2"]
+    return closed, tower, Residual(abs(lie1 - target), peak([lie1, target, tower["scale"]], 1))
 
 
 def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
     """DN coordinate conjugate to lambda2 via the deformation algorithm.
 
-    Computes both the closed form and the Lie-derivative ratio
-    (Lie_Y H / Lie_Y^2 H) at rho = lambda2 and insists they agree to 1e-10
-    relative; a persistent disagreement means the build is broken.
+    Computes both the closed form and the tower at rho = lambda2 and insists
+    that Lie_Y H = xi2 Lie_Y^2 H holds to 1e-10 relative (xi2_path_agreement);
+    a persistent disagreement means the build is broken.
     """
     closed, tower, agreement = xi2_path_agreement(params, leaf)
     # Written as not (x <= tol) so that a NaN residual raises too.

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4
 from bihamso4.cli import main
 from bihamso4.fields import Residual
@@ -156,6 +157,17 @@ def test_dn_json_mode():
     assert abs(doc["lambda2"][0] - 6.5) < 1e-14
     assert abs(doc["xi2"][0] - 16.0 / 63.0) < 1e-14
     assert doc["p_bracket_max_residual"] < 1e-10
+
+
+def test_dn_forms_the_bracket_table_only_to_print_it(monkeypatch):
+    real, calls = leaf_mod.dn_bracket_matrix, []
+    monkeypatch.setattr(leaf_mod, "dn_bracket_matrix", lambda *args: calls.append(1) or real(*args))
+    argv = ["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "2,0", "--c2", "-1,0"]
+    assert run_cli(*argv, "--json").exit_code == 0
+    assert calls == []
+    result = run_cli(*argv)
+    assert result.exit_code == 0 and "bracket residual vs canonical" in result.output
+    assert calls == [1]
 
 
 def test_dn_equal_u_exits_two():

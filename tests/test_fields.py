@@ -15,11 +15,11 @@ from bihamso4.fields import (
     bracket,
     brackets_scaled,
     fd_grad,
-    fd_jac,
     grad_fd_residual,
     ham_field_scaled,
     lie_bivector_scaled,
     lie_scalar,
+    lift,
     line_poly_coeffs,
     line_restriction,
     linear_bivector,
@@ -28,6 +28,7 @@ from bihamso4.fields import (
     wedge_field,
 )
 from bihamso4.so4 import ModelParams
+from oracles import fd_jac
 
 
 def test_residual_normalization():
@@ -184,6 +185,70 @@ def test_schouten_self_bracket_shortcut_is_exact():
         for pt in pts:
             assert schouten_residual(P, P, pt) == schouten_residual(P, clone, pt)
 
+
+
+def _schouten_reference(P, Q, pt):
+    """(raw, scale) of the full 216-component einsum contraction that the matmul kernel replaced."""
+    c = pt.coords
+    p, dp = lift(P.value(c), 2, c), lift(P.jac(c), 3, c)
+    q, dq = lift(Q.value(c), 2, c), lift(Q.jac(c), 3, c)
+    T = np.einsum("lj...,ikl...->ijk...", p, dq) + np.einsum("lj...,ikl...->ijk...", q, dp)
+    S = T + np.einsum("kij...->ijk...", T) + np.einsum("jki...->ijk...", T)
+    ap, adp = np.abs(p).max(axis=1), np.abs(dp).max(axis=(0, 1))
+    aq, adq = np.abs(q).max(axis=1), np.abs(dq).max(axis=(0, 1))
+    return peak(S, 3), peak(np.maximum(ap * adq, aq * adp), 1)
+
+
+def _suite_bivectors(params, t):
+    """Every bivector field run_suite brackets, on its point kind; the pencil is P1m + t P2m."""
+    P1m, P2m = so4.p1_m(), so4.p2_m(params)
+    return {
+        "M_real": {"P1m": P1m, "P2m": P2m, "pencil": verify._pencil(P1m, P2m, t)},
+        "UV_complex": {
+            "P1u": xxz.p1_uv(), "P2u": xxz.p2_uv(params), "Q": xxz.q_uv(params), "Q_sign": xxz.q_uv(params, 1.0),
+        },
+    }
+
+
+# (P, Q) pairs: the suite's Jacobi and compatibility rows plus mixed ones,
+# so that shared and per-point Jacobians meet in both orders
+SCHOUTEN_PAIRS = {
+    "M_real": [("P1m", "P1m"), ("P2m", "P2m"), ("P1m", "P2m"), ("pencil", "pencil"), ("pencil", "P1m")],
+    "UV_complex": [
+        ("P1u", "P1u"), ("P2u", "P2u"), ("Q", "Q"), ("Q_sign", "Q_sign"), ("P1u", "P2u"), ("P1u", "Q"), ("Q", "P2u"),
+    ],
+}
+
+
+def test_suite_bivectors_are_exactly_antisymmetric():
+    # the Schouten kernel reads only the components i < j < k of S, which
+    # determine it when P and Q are antisymmetric
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    t = np.random.default_rng(7).uniform(-1, 1, (40, 2)).view(complex)[:, 0]
+    for kind, fields in _suite_bivectors(params, t).items():
+        c = verify.sample_points(kind, 40, 4, params).stack.coords
+        for name, P in fields.items():
+            p, dp = P.value(c), lift(P.jac(c), 3, c)
+            assert np.array_equal(p, -np.swapaxes(p, 0, 1)), name
+            assert np.array_equal(dp, -np.swapaxes(dp, 0, 1)), name
+
+
+def test_schouten_kernel_matches_the_full_einsum():
+    # on stacks and at single points: raw within rounding, the scale bit for bit
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    n = 40
+    t = np.random.default_rng(8).uniform(-1, 1, (n, 2)).view(complex)[:, 0]
+    for kind, pairs in SCHOUTEN_PAIRS.items():
+        stack = verify.sample_points(kind, n, 9, params).stack
+        cases = [(_suite_bivectors(params, t)[kind], stack)]
+        cases += [(_suite_bivectors(params, t[k])[kind], pt) for k, pt in enumerate(_columns(stack)[:8])]
+        for fields, pt in cases:
+            for a, b in pairs:
+                got = schouten_residual(fields[a], fields[b], pt)
+                raw, scale = _schouten_reference(fields[a], fields[b], pt)
+                assert np.array_equal(got.scale, scale), (a, b)
+                assert np.shape(got.raw) == np.shape(raw), (a, b)
+                assert (np.abs(got.raw - raw) <= 1e-15 * (1.0 + scale)).all(), (a, b)
 
 
 # Stacked and per-point evaluation may round differently (numpy's array loops

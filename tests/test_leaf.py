@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from bihamso4 import leaf as leaf_mod
 from bihamso4 import verify, xxz
-from bihamso4.fields import CHART_UV, EPS_DEG, DegeneracyError, PhasePoint, Residual, fd_grad, fd_jac
+from bihamso4.cli import main
+from bihamso4.fields import CHART_UV, EPS_DEG, DegeneracyError, PhasePoint, Residual, fd_grad
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
+from oracles import fd_jac
 
 PARAMS = ModelParams.from_mu(1.0, 2.0, 3.0)
 
@@ -497,3 +500,42 @@ def test_xi2_paths_agree_where_the_line_fit_was_ill_conditioned(verify_seed, ind
     leafs = _columns(verify.sample_points("LEAF", index + 1, verify_seed + 2, params).stack)
     _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index])
     assert agreement.normalized <= verify.TOL_DN
+
+
+# Verify seeds of the benchmark's `verify --mu 10,1,2 --points 200` where the
+# ratio form Lie_Y H / Lie_Y^2 H of this row read 37.6, 25.7, 9.1, 7.6 and
+# 1.7 times TOL_DN: a leaf with Lie_Y^2 H ~ G^2 F nearly cancelling
+XI2_RATIO_SEEDS = (1584195514, 2146395447, 1027105224, 937016500, 102886682)
+
+
+@pytest.mark.parametrize("verify_seed", XI2_RATIO_SEEDS)
+def test_xi2_agreement_passes_where_the_ratio_amplified_rounding(verify_seed):
+    report = verify.run_suite(ModelParams.from_mu(10.0, 1.0, 2.0), verify_seed, 200)
+    assert report.overall
+    row = next(c for c in report.checks if c.name == "deformation_xi2_agreement")
+    assert row.max_residual <= 0.1 * row.tolerance
+
+
+def test_xi2_agreement_catches_a_1e9_relative_error_in_the_closed_form(monkeypatch):
+    real = leaf_mod.xi2_closed_form
+    monkeypatch.setattr(leaf_mod, "xi2_closed_form", lambda params, leaf: real(params, leaf) * (1.0 + 1e-9))
+    report = verify.run_suite(ModelParams.from_mu(10.0, 1.0, 2.0), XI2_RATIO_SEEDS[0], 200)
+    row = next(c for c in report.checks if c.name == "deformation_xi2_agreement")
+    assert not row.passed and row.max_residual > 2.0 * row.tolerance
+
+
+def test_dn_where_the_ratio_disagreed_exits_zero():
+    # mu3 = 0.001 makes Lie_Y^2 H ~ mu3^2 small; the ratio form read
+    # "deformation paths disagree" here and the command exited 1
+    result = CliRunner().invoke(
+        main,
+        [
+            "dn", "--mu", "1,2,0.001",
+            "--leaf=0.25963181268751767,-0.79380008206592167,-0.82313789580079799,0.36413091519467877,"
+            "-0.038715869682258042,0.78584713460491895,0.88541498067807689,-0.6875127659607152",
+            "--h0=-0.8755684709923732,0.6894461747697775",
+            "--c2=-0.9077107126318753,-0.5559786103639004",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert "xi2     = " in result.output
