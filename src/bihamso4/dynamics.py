@@ -55,29 +55,6 @@ def _rhs(a, m) -> tuple:
     )
 
 
-def _axpy(m, c: float, k) -> tuple:
-    # m + c*k component-wise.
-    m1, m2, m3, m4, m5, m6 = m
-    k1, k2, k3, k4, k5, k6 = k
-    return (m1 + c * k1, m2 + c * k2, m3 + c * k3, m4 + c * k4, m5 + c * k5, m6 + c * k6)
-
-
-def _rk4_sum(k1, k2, k3, k4) -> tuple:
-    # ((k1 + 2 k2) + 2 k3) + k4 component-wise, summed left to right.
-    a1, a2, a3, a4, a5, a6 = k1
-    b1, b2, b3, b4, b5, b6 = k2
-    c1, c2, c3, c4, c5, c6 = k3
-    d1, d2, d3, d4, d5, d6 = k4
-    return (
-        ((a1 + 2.0 * b1) + 2.0 * c1) + d1,
-        ((a2 + 2.0 * b2) + 2.0 * c2) + d2,
-        ((a3 + 2.0 * b3) + 2.0 * c3) + d3,
-        ((a4 + 2.0 * b4) + 2.0 * c4) + d4,
-        ((a5 + 2.0 * b5) + 2.0 * c5) + d5,
-        ((a6 + 2.0 * b6) + 2.0 * c6) + d6,
-    )
-
-
 def euler_rhs(params: ModelParams, pt: PhasePoint) -> np.ndarray:
     """Right-hand side P1 d(HE) of the flow of HE at a real M point."""
     if pt.chart != CHART_M:
@@ -121,7 +98,6 @@ def integrate(
     if m.shape != (6,):
         raise ValueError("dimension mismatch")
 
-    a = params.a.tolist()
     obs = observables_m(params)
     h = direction * dt
     half_h = 0.5 * h
@@ -134,27 +110,69 @@ def integrate(
     abort_step = None
     done = 0
 
-    # The stages m + (0.5*h)*k1, ..., m + (h/6)*(((k1 + 2k2) + 2k3) + k4) run
-    # on six Python floats in the order element-wise array arithmetic rounds
-    # them, so the states match a vectorised RK4 bit for bit.  Float overflow
-    # yields inf/nan rather than raising, which the isfinite abort catches.
+    # One straight-line RK4 step over float locals, rounded as element-wise array
+    # arithmetic rounds it (x = m + c*k for c = h/2, h/2, h; g = a*x; the sums of
+    # _rhs; m + (h/6)*(s + k4) with s = (k1 + 2k2) + 2k3), so states match a
+    # vectorised RK4 bit for bit.  k1 is taken at m: m + 0.0*k turns -0.0 into 0.0.
+    # Overflow yields inf/nan; any inf or nan makes the six-term sum non-finite,
+    # and only then does the per-component test run.
     start = time.perf_counter()
-    m = tuple(m.tolist())
+    a12, a13, a14, a23, a24, a34 = params.a.tolist()
+    m12, m13, m14, m23, m24, m34 = m.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            k1 = _rhs(a, m)
-            k2 = _rhs(a, _axpy(m, half_h, k1))
-            k3 = _rhs(a, _axpy(m, half_h, k2))
-            k4 = _rhs(a, _axpy(m, h, k3))
-            m = _axpy(m, sixth_h, _rk4_sum(k1, k2, k3, k4))
-            if not all(map(isfinite, m)):
+            g12, g13, g14 = a12 * m12, a13 * m13, a14 * m14
+            g23, g24, g34 = a23 * m23, a24 * m24, a34 * m34
+            s12 = -m23 * g13 - m24 * g14 + m13 * g23 + m14 * g24
+            s13 = m23 * g12 - m34 * g14 - m12 * g23 + m14 * g34
+            s14 = m24 * g12 + m34 * g13 - m12 * g24 - m13 * g34
+            s23 = -m13 * g12 + m12 * g13 - m34 * g24 + m24 * g34
+            s24 = -m14 * g12 + m12 * g14 + m34 * g23 - m23 * g34
+            s34 = -m14 * g13 + m13 * g14 - m24 * g23 + m23 * g24
+            x12, x13, x14 = m12 + half_h * s12, m13 + half_h * s13, m14 + half_h * s14
+            x23, x24, x34 = m23 + half_h * s23, m24 + half_h * s24, m34 + half_h * s34
+            g12, g13, g14 = a12 * x12, a13 * x13, a14 * x14
+            g23, g24, g34 = a23 * x23, a24 * x24, a34 * x34
+            k12 = -x23 * g13 - x24 * g14 + x13 * g23 + x14 * g24
+            k13 = x23 * g12 - x34 * g14 - x12 * g23 + x14 * g34
+            k14 = x24 * g12 + x34 * g13 - x12 * g24 - x13 * g34
+            k23 = -x13 * g12 + x12 * g13 - x34 * g24 + x24 * g34
+            k24 = -x14 * g12 + x12 * g14 + x34 * g23 - x23 * g34
+            k34 = -x14 * g13 + x13 * g14 - x24 * g23 + x23 * g24
+            s12, s13, s14 = s12 + 2.0 * k12, s13 + 2.0 * k13, s14 + 2.0 * k14
+            s23, s24, s34 = s23 + 2.0 * k23, s24 + 2.0 * k24, s34 + 2.0 * k34
+            x12, x13, x14 = m12 + half_h * k12, m13 + half_h * k13, m14 + half_h * k14
+            x23, x24, x34 = m23 + half_h * k23, m24 + half_h * k24, m34 + half_h * k34
+            g12, g13, g14 = a12 * x12, a13 * x13, a14 * x14
+            g23, g24, g34 = a23 * x23, a24 * x24, a34 * x34
+            k12 = -x23 * g13 - x24 * g14 + x13 * g23 + x14 * g24
+            k13 = x23 * g12 - x34 * g14 - x12 * g23 + x14 * g34
+            k14 = x24 * g12 + x34 * g13 - x12 * g24 - x13 * g34
+            k23 = -x13 * g12 + x12 * g13 - x34 * g24 + x24 * g34
+            k24 = -x14 * g12 + x12 * g14 + x34 * g23 - x23 * g34
+            k34 = -x14 * g13 + x13 * g14 - x24 * g23 + x23 * g24
+            s12, s13, s14 = s12 + 2.0 * k12, s13 + 2.0 * k13, s14 + 2.0 * k14
+            s23, s24, s34 = s23 + 2.0 * k23, s24 + 2.0 * k24, s34 + 2.0 * k34
+            x12, x13, x14 = m12 + h * k12, m13 + h * k13, m14 + h * k14
+            x23, x24, x34 = m23 + h * k23, m24 + h * k24, m34 + h * k34
+            g12, g13, g14 = a12 * x12, a13 * x13, a14 * x14
+            g23, g24, g34 = a23 * x23, a24 * x24, a34 * x34
+            k12 = -x23 * g13 - x24 * g14 + x13 * g23 + x14 * g24
+            k13 = x23 * g12 - x34 * g14 - x12 * g23 + x14 * g34
+            k14 = x24 * g12 + x34 * g13 - x12 * g24 - x13 * g34
+            k23 = -x13 * g12 + x12 * g13 - x34 * g24 + x24 * g34
+            k24 = -x14 * g12 + x12 * g14 + x34 * g23 - x23 * g34
+            k34 = -x14 * g13 + x13 * g14 - x24 * g23 + x23 * g24
+            m12, m13, m14 = m12 + sixth_h * (s12 + k12), m13 + sixth_h * (s13 + k13), m14 + sixth_h * (s14 + k14)
+            m23, m24, m34 = m23 + sixth_h * (s23 + k23), m24 + sixth_h * (s24 + k24), m34 + sixth_h * (s34 + k34)
+            if not isfinite(m12 + m13 + m14 + m23 + m24 + m34) and not all(map(isfinite, (m12, m13, m14, m23, m24, m34))):
                 abort_step = k
                 break
             done = k
             if k % record_every == 0 or k == n_steps:
                 # Elapsed time; strictly increasing for either direction.
                 times.append(k * dt)
-                states.append(np.array(m))
+                states.append(np.array((m12, m13, m14, m23, m24, m34)))
                 rows.append(_invariant_row(params, obs, states[-1]))
     wall_s = time.perf_counter() - start
 

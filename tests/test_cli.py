@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -125,6 +126,23 @@ def test_integrate_csv(tmp_path):
     # shortest round-trip formatting preserves the doubles exactly
     assert float(first[1]) == 0.7
     assert "max relative drift" in result.output
+
+
+def test_readme_integrate_csv_is_pinned(tmp_path):
+    # the README example's CSV, byte for byte
+    out = tmp_path / "traj.csv"
+    result = run_cli(
+        "integrate",
+        "--mu", "10,1,2",
+        "--m0", "0.7,-0.2,0.5,-0.3,0.1,0.4",
+        "--dt", "1e-3",
+        "--t-end", "10",
+        "--every", "100",
+        "--out", str(out),
+    )
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0645d9743e3e5866ca52108efd1c4e6a0c6ee84d39a736457cab287e25f73071"
 
 
 def test_integrate_zero_dt_exits_two():

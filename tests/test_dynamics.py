@@ -4,6 +4,7 @@ import pytest
 from bihamso4 import dynamics, so4
 from bihamso4.fields import CHART_M, CHART_UV, PhasePoint
 from bihamso4.so4 import ModelParams
+from oracles import rk4_states
 
 PARAMS = ModelParams.from_mu(10.0, 1.0, 2.0)
 
@@ -150,3 +151,47 @@ def test_float_stages_round_like_array_stages(direction):
     traj = dynamics.integrate(PARAMS, M0, dt=1e-2, t_end=2.0, record_every=20, direction=direction)
     expected = _numpy_rk4(rhs, M0, 1e-2, 200, 20, direction)
     assert np.array_equal(traj.states, expected)
+
+
+# exact zeros of both signs; on 1,2,3 (a has negative entries) the last two
+# end with a different sign of zero if k1 is taken at m + 0.0*k
+SIGNED_ZEROS = [
+    np.array([0.7, -0.0, 0.0, -0.3, -0.0, 0.4]),
+    -np.zeros(6),
+    np.array([-0.0, -0.0, 0.0, 0.0, -0.0, 0.5]),
+    np.array([-0.0, -0.0, 0.0, -0.0, -0.0, -0.3]),
+]
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("m0", [M0, *SIGNED_ZEROS])
+@pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0), (1.0, 2.0, 3.0)])
+def test_step_matches_per_stage_stepper_byte_for_byte(mu, m0, direction):
+    # tobytes, so a -0.0 where the per-stage loop has 0.0 counts as a difference
+    params = ModelParams.from_mu(*mu)
+    traj = dynamics.integrate(params, m0, dt=1e-2, t_end=1.0, record_every=7, direction=direction)
+    expected, abort_step = rk4_states(params, m0, 1e-2, 100, 7, direction)
+    assert abort_step is None and not traj.aborted
+    assert traj.states.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0), (1.0, 2.0, 3.0)])
+def test_abort_matches_per_stage_stepper(mu, direction):
+    params = ModelParams.from_mu(*mu)
+    traj = dynamics.integrate(params, M0, dt=1e3, t_end=5e4, record_every=1, direction=direction)
+    expected, abort_step = rk4_states(params, M0, 1e3, 50, 1, direction)
+    assert traj.aborted and traj.abort_step == abort_step
+    assert traj.states.tobytes() == expected.tobytes()
+
+
+def test_finite_state_whose_sum_overflows_runs_on():
+    # stationary under a ~ 0.08: every component finite, their sum inf
+    params = ModelParams.from_mu(0.01, 0.02, 0.03)
+    m0 = np.array([1.5e308, 0.0, 0.0, 0.0, 0.0, 1.5e308])
+    assert sum(m0.tolist()) == np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = dynamics.integrate(params, m0, dt=1e-3, t_end=1e-2, record_every=1)
+    assert not traj.aborted and traj.abort_step is None
+    assert traj.n_steps == 10 and len(traj.states) == 11
+    assert traj.states.tobytes() == np.tile(m0, (11, 1)).tobytes()

@@ -32,6 +32,12 @@ def _columns(stack) -> list:
     return [_column(stack, k) for k in range(stack.coords.shape[1])]
 
 
+def _column_by_column(fn, stack, draws):
+    """A verify._evaluate that calls a row once per 1-D column of its stack."""
+    cols = [fn(_column(stack, k), *draws[k]) for k in range(len(draws))]
+    return [Residual(np.array([r.raw for r in rows]), np.array([r.scale for r in rows])) for rows in zip(*cols)]
+
+
 def test_suite_passes_symmetric_model():
     report = verify.run_suite(PARAMS, seed=0, n_points=15)
     assert report.overall
@@ -457,11 +463,7 @@ def test_stacked_suite_matches_per_point_suite(monkeypatch, mu):
     params = ModelParams.from_mu(*mu)
     stacked = verify.run_suite(params, seed=3, n_points=40).checks
 
-    def column_by_column(fn, stack, draws):
-        cols = [fn(_column(stack, k), *draws[k]) for k in range(len(draws))]
-        return [Residual(np.array([r.raw for r in rows]), np.array([r.scale for r in rows])) for rows in zip(*cols)]
-
-    monkeypatch.setattr(verify, "_evaluate", column_by_column)
+    monkeypatch.setattr(verify, "_evaluate", _column_by_column)
     per_point = verify.run_suite(params, seed=3, n_points=40).checks
     for a, b in zip(stacked, per_point):
         assert (a.name, a.passed, a.skipped, a.n_evaluated, a.n_skipped_degenerate, a.note) == (
@@ -469,3 +471,26 @@ def test_stacked_suite_matches_per_point_suite(monkeypatch, mu):
         )
         if not a.skipped:
             assert abs(a.max_residual - b.max_residual) <= 1e-2 * a.tolerance, a.name
+
+
+def test_dn_bracket_rows_share_one_evaluation_per_leaf_stack(monkeypatch):
+    # dn_canonical_p and dn_brackets_q read one dn_bracket_residuals call on the
+    # leaf stack; a fresh stack object (column by column) is evaluated afresh
+    calls = []
+    original = leaf_mod.dn_bracket_residuals
+
+    def counted(params, leaf):
+        calls.append(leaf)
+        return original(params, leaf)
+
+    monkeypatch.setattr(leaf_mod, "dn_bracket_residuals", counted)
+    report = verify.run_suite(PARAMS, seed=4, n_points=6)
+    assert len(calls) == 1 and calls[0].coords.shape[-1] == 6
+    rows = {c.name: c for c in report.checks}
+    assert rows["dn_canonical_p"].passed and rows["dn_brackets_q"].passed
+
+    # column by column every row gets fresh column objects: no stale reuse
+    calls.clear()
+    monkeypatch.setattr(verify, "_evaluate", _column_by_column)
+    verify.run_suite(PARAMS, seed=4, n_points=2)
+    assert len(calls) == 4
