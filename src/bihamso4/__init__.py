@@ -7,7 +7,7 @@ and the Jacobi separation relations; plus a rigid body integrator with
 invariant monitoring.
 """
 
-from .dynamics import Trajectory, euler_rhs, integrate
+from .dynamics import Trajectory, integrate
 from .fields import (
     CHART_M,
     CHART_SPLIT,
@@ -27,7 +27,6 @@ from .leaf import (
     phi2_residual,
     project,
     restricted_tensors,
-    separation_residuals,
     xi2_closed_form,
 )
 from .so4 import ModelParams, chart_map, lax, observables_m, p1_m, p2_m, rigid_rhs
@@ -57,7 +56,6 @@ __all__ = [
     "dn_bracket_residuals",
     "dn_chart",
     "embed",
-    "euler_rhs",
     "integrate",
     "lax",
     "nijenhuis",
@@ -74,7 +72,6 @@ __all__ = [
     "rigid_rhs",
     "run_suite",
     "sample_points",
-    "separation_residuals",
     "uv_observables",
     "validate_report",
     "xi2_closed_form",

@@ -93,8 +93,7 @@ def main():
     multiple=True,
     help="named single-sign mutation (q_sign, h2_sign, nstar_sign); repeatable",
 )
-@click.option("--threads", default=None, type=int, help="accepted for compatibility; execution is single process")
-def verify_command(mu_text, points, seed, report_path, tol_scale, overrides, threads):
+def verify_command(mu_text, points, seed, report_path, tol_scale, overrides):
     """Run the identity suite over seeded random ensembles."""
     with _exit_on_error():
         params = _params(mu_text)
@@ -188,8 +187,9 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
         if not np.isfinite(embedded).all():
             raise ValueError("leaf point embeds to a non-finite uv point")
         chart = leaf_mod.dn_chart(params, leaf)
-        brackets = leaf_mod.dn_bracket_residuals(params, leaf)
-        if not as_json:  # only the printed table reads the bracket matrix
+        if as_json:  # the document reads the bracket residuals, the text the P bracket table
+            brackets = leaf_mod.dn_bracket_residuals(params, leaf)
+        else:
             p_matrix = leaf_mod.dn_bracket_matrix(params, leaf)
 
     if as_json:

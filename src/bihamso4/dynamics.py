@@ -13,7 +13,6 @@ from math import isfinite
 
 import numpy as np
 
-from .fields import CHART_M, PhasePoint
 from .so4 import ModelParams, observables_m
 
 _SQ2 = np.sqrt(2.0)
@@ -33,33 +32,6 @@ class Trajectory:
     steps_per_s: float
     abort_step: int | None = None  # first step whose state is non-finite
     abort_time: float | None = None  # elapsed time at abort_step
-
-
-def _rhs(a, m) -> tuple:
-    # Unrolled P1(m) @ (a*m) over Python floats; so4.rigid_rhs is the matrix form.
-    m12, m13, m14, m23, m24, m34 = m
-    a12, a13, a14, a23, a24, a34 = a
-    g12 = a12 * m12
-    g13 = a13 * m13
-    g14 = a14 * m14
-    g23 = a23 * m23
-    g24 = a24 * m24
-    g34 = a34 * m34
-    return (
-        -m23 * g13 - m24 * g14 + m13 * g23 + m14 * g24,
-        m23 * g12 - m34 * g14 - m12 * g23 + m14 * g34,
-        m24 * g12 + m34 * g13 - m12 * g24 - m13 * g34,
-        -m13 * g12 + m12 * g13 - m34 * g24 + m24 * g34,
-        -m14 * g12 + m12 * g14 + m34 * g23 - m23 * g34,
-        -m14 * g13 + m13 * g14 - m24 * g23 + m23 * g24,
-    )
-
-
-def euler_rhs(params: ModelParams, pt: PhasePoint) -> np.ndarray:
-    """Right-hand side P1 d(HE) of the flow of HE at a real M point."""
-    if pt.chart != CHART_M:
-        raise ValueError("chart mismatch")
-    return np.array(_rhs(params.a.tolist(), np.asarray(pt.coords, dtype=float).tolist()))
 
 
 def _invariant_row(params: ModelParams, obs: dict, m: np.ndarray) -> np.ndarray:
@@ -111,8 +83,8 @@ def integrate(
     done = 0
 
     # One straight-line RK4 step over float locals, rounded as element-wise array
-    # arithmetic rounds it (x = m + c*k for c = h/2, h/2, h; g = a*x; the sums of
-    # _rhs; m + (h/6)*(s + k4) with s = (k1 + 2k2) + 2k3), so states match a
+    # arithmetic rounds it (x = m + c*k for c = h/2, h/2, h; g = a*x; the four-term
+    # sums of P1(x) g; m + (h/6)*(s + k4) with s = (k1 + 2k2) + 2k3), so states match a
     # vectorised RK4 bit for bit.  k1 is taken at m: m + 0.0*k turns -0.0 into 0.0.
     # Overflow yields inf/nan; any inf or nan makes the six-term sum non-finite,
     # and only then does the per-component test run.

@@ -5,6 +5,8 @@ they live on.  Every operation checks chart compatibility before touching
 numbers, and derivative layouts follow one convention throughout: Jacobians of
 vector fields are J[i, l] = d(value_i)/d(coord_l), Jacobians of bivector
 fields are J[i, j, l] = d(value_ij)/d(coord_l) (derivative index last).
+A field is a plain value: each constructor call builds a new one, and fields
+are combined by building new ones (wedge_field, pencil).
 
 Coordinates may carry a trailing point axis: a point is (6,), a stack of n
 points is (6, n), and every value and derivative then carries the same
@@ -26,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -106,12 +107,12 @@ def peak(x, rank: int):
     return float(m) if m.ndim == 0 else m
 
 
-def mismatch(a: Array, b: Array, rank: int | None = None) -> Residual:
+def mismatch(a: Array, b: Array, rank: int) -> Residual:
     """Residual of the array identity a = b: max |a - b| over the larger of max |a|, max |b|.
 
-    rank is the number of per-point axes (default: all axes of a, one point).
+    rank is the number of per-point axes.
     """
-    axes = None if rank is None else tuple(range(rank))
+    axes = tuple(range(rank))
     raw = np.abs(a - b).max(axis=axes)
     scale = np.maximum(np.abs(a).max(axis=axes), np.abs(b).max(axis=axes))
     return Residual(float(raw), float(scale)) if raw.ndim == 0 else Residual(raw, scale)
@@ -359,12 +360,12 @@ def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array],
 def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int) -> BivectorField:
     """Bivector field whose entries are linear in the coordinates.
 
-    The derivative array is assembled once by evaluating at basis vectors,
-    which is exact for linear entries.
+    The derivative array is the value on the stack of basis vectors (column l
+    of the identity is point l), which is exact for linear entries.  It is
+    built once per field and read-only: every call of jac returns it.
     """
-    cols = [np.asarray(value(np.eye(dim)[l])) for l in range(dim)]
-    jac_const = np.stack(cols, axis=-1)
-    jac_const.flags.writeable = False  # every call returns this one array
+    jac_const = np.asarray(value(np.eye(dim)))
+    jac_const.flags.writeable = False
 
     def jac(_c: Array) -> Array:
         return jac_const
@@ -372,21 +373,10 @@ def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int) -> Bi
     return BivectorField(chart, value, jac)
 
 
-def shared_per_model(build: Callable) -> Callable:
-    """Memoize a constructor on its hashable arguments (a ModelParams, or none).
-
-    Callers share the result, so it must be read-only; a dict is shared as a
-    read-only view.  The wrapper is a plain function named like the constructor.
-    """
-    memo = {}
-
-    @functools.wraps(build)
-    def shared(*args):
-        if args not in memo:
-            if len(memo) >= 64:
-                memo.clear()
-            out = build(*args)
-            memo[args] = MappingProxyType(out) if isinstance(out, dict) else out
-        return memo[args]
-
-    return shared
+def pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
+    """P + t Q; t is a scalar, or one value per point of a stack."""
+    return BivectorField(
+        P.chart,
+        lambda c: P.value(c) + t * Q.value(c),
+        lambda c: lift(P.jac(c), 3, c) + t * lift(Q.jac(c), 3, c),
+    )

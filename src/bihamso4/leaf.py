@@ -26,10 +26,10 @@ trailing point axis, residuals reduce with `peak`, matrix products go through
 
 The closed forms are rational in (u1, z1, u2, z2) and singular only where u1
 or u2, G, F = lambda2 - lambda1 or mu3 vanish.  That policy is decided once,
-by `degeneracy` and `guard` next to `u_forms`, and only at the boundaries:
-the sampler, `verify.run_suite` and the `dn`/`separation` commands.  The
-formulas do not guard or cast; they are arithmetic on whatever numbers they
-get, so they also run on a stack or on symbols.
+by `degeneracy`, `guard` and `model_degeneracy` next to `u_forms`, and only at
+the boundaries: the sampler, `verify.run_suite`, the separation relations and
+the `dn`/`separation` commands.  The formulas do not guard or cast; they are
+arithmetic on whatever numbers they get, so they also run on a stack or on symbols.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=No
     Valid because H0 and C2 are Casimirs of both p1_uv and q_uv, so brackets
     of leaf coordinate functions close on the leaf.
     """
-    if q_field is None:
-        q_field = q_uv(params)
+    q_field = q_field or q_uv(params)
     uv = embed(leaf)
     P, Q = restricted_tensors(params, leaf)
     out = {}
@@ -283,7 +282,17 @@ def degeneracy(params: ModelParams, u1: complex, u2: complex, theta: bool = Fals
     degenerate = reduce(operator.or_, [meets for _, meets in conditions])
     if np.count_nonzero(degenerate):
         return degenerate, next(message for message, meets in conditions if np.count_nonzero(meets))
-    return degenerate, None if abs(params.mu[2]) > EPS_DEG else "degenerate deformation parameter"
+    return degenerate, model_degeneracy(params)[1]
+
+
+def model_degeneracy(params: ModelParams) -> tuple:
+    """The messages of |mu1 + mu2| <= EPS_DEG (the separation relations divide by lambda1) and of
+    |mu3| <= EPS_DEG (the leaf closed forms divide by mu3), each None where it does not hold."""
+    mu1, mu2, mu3, _ = params.mu
+    return (
+        "degenerate constant eigenvalue" if abs(mu1 + mu2) <= EPS_DEG else None,
+        "degenerate deformation parameter" if abs(mu3) <= EPS_DEG else None,
+    )
 
 
 def guard(params: ModelParams, u1: complex, u2: complex, theta: bool = False) -> None:
@@ -646,9 +655,9 @@ def zeta1_involution_residuals(params: ModelParams, pt: PhasePoint, obs=None) ->
 
 def _separation_guard(params: ModelParams, pt: PhasePoint) -> None:
     require_symmetric(params)
-    mu1, mu2 = params.mu[0], params.mu[1]
-    if abs(mu1 + mu2) <= EPS_DEG:
-        raise ValueError("degenerate constant eigenvalue")
+    constant, _ = model_degeneracy(params)
+    if constant:
+        raise ValueError(constant)
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
 
@@ -703,8 +712,3 @@ def phi2_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
         -mu3 * a.F * a.G * obs["C2"].value(c),
     )
     return Residual(abs(sum(terms)), peak(terms, 1))
-
-
-def separation_residuals(params: ModelParams, pt: PhasePoint) -> tuple:
-    """Residuals of the two Jacobi separation relations at a uv point."""
-    return phi1_residual(params, pt), phi2_residual(params, pt)

@@ -34,7 +34,6 @@ from .fields import (
     matmul,
     matvec,
     peak,
-    shared_per_model,
 )
 
 Array = np.ndarray
@@ -198,13 +197,11 @@ def _p1_m_value(m: Array) -> Array:
     )
 
 
-@shared_per_model
 def p1_m() -> BivectorField:
     """Lie-Poisson structure of so(4)* in the m coordinates."""
     return linear_bivector(CHART_M, _p1_m_value, 6)
 
 
-@shared_per_model
 def p2_m(params: ModelParams) -> BivectorField:
     """Second (inertia-weighted) Poisson structure in the m coordinates."""
     j1, j2, j3, j4 = params.jsq
@@ -226,7 +223,6 @@ def p2_m(params: ModelParams) -> BivectorField:
     return linear_bivector(CHART_M, value, 6)
 
 
-@shared_per_model
 def observables_m(params: ModelParams) -> dict:
     """Scalar fields on the M chart: H0, C, HE, KE with exact gradients."""
     a = params.a

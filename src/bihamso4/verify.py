@@ -34,10 +34,11 @@ Default tolerance tiers:
   1e-9  x scale for composed pipelines (Stackel, Lax flow, eigenforms, Phi2),
   1e-6  relative for finite-difference gradient cross-checks.
 
-Supported mutation overrides (each swaps one ingredient for a copy with
-exactly one sign flipped, so every row reading it sees the mutation; each
-must make at least one check fail loudly; used by the sensitivity tests):
-  "q_sign"     : Q becomes P2 + X1^Z instead of P2 - X1^Z.
+A mutation override (OVERRIDES) swaps one entry of the ingredient mapping
+that run_suite builds once per run for a copy with exactly one sign flipped,
+so every row reading it sees the mutation; where the model lacks that
+ingredient it changes nothing.  Each must make at least one check fail loudly:
+  "q_sign"     : Q becomes the pencil P2 + X1^Z instead of P2 - X1^Z.
   "h2_sign"    : the uv observables carry H2 + 4 mu3^2 (z1-z2)^2
                  (the sign of its -2 mu3^2 (z1-z2)^2 term is flipped).
   "nstar_sign" : the nijenhuis callable gives N* with +mu3 for -mu3 in
@@ -58,8 +59,6 @@ from .fields import (
     CHART_M,
     CHART_SPLIT,
     CHART_UV,
-    EPS_DEG,
-    BivectorField,
     PhasePoint,
     Residual,
     ScalarField,
@@ -70,9 +69,10 @@ from .fields import (
     lie_bivector,
     lie_bivector_scaled,
     lie_scalar,
-    lift,
     peak,
+    pencil,
     schouten_residual,
+    wedge_field,
 )
 from .leaf import LeafChart
 from .so4 import ModelParams
@@ -86,8 +86,6 @@ TOL_FD = 1e-6
 TOL_ROUNDTRIP = 1e-13
 TOL_DN = 1e-10
 TOL_SPECTRUM = 1e-9
-
-KNOWN_OVERRIDES = ("q_sign", "h2_sign", "nstar_sign")
 
 # What a row's `requires` names, and the note of the skip row it becomes
 # when the model lacks it.
@@ -277,13 +275,12 @@ def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     return N, lam1, lam2
 
 
-def _pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
-    """P + t Q; t is one value per point of a stack, or a scalar."""
-    return BivectorField(
-        P.chart,
-        lambda c: P.value(c) + t * Q.value(c),
-        lambda c: lift(P.jac(c), 3, c) + t * lift(Q.jac(c), 3, c),
-    )
+# Each mutation override: the run_suite ingredient it swaps, and the builder of its mutant from the model.
+OVERRIDES = {
+    "q_sign": ("Qu", lambda params: pencil(xxz.p2_uv(params), wedge_field(xxz.x1_field(params), xxz.z_field()), 1.0)),
+    "h2_sign": ("obs_uv", _flipped_h2_observables),
+    "nstar_sign": ("nijenhuis", lambda params: _flipped_nijenhuis),
+}
 
 
 def _evaluate(fn, stack, draws: np.ndarray) -> list:
@@ -315,12 +312,11 @@ def run_suite(
     """Run the full registry and assemble a VerificationReport."""
     overrides = tuple(overrides)
     for name in overrides:
-        if name not in KNOWN_OVERRIDES:
+        if name not in OVERRIDES:
             raise ValueError(f"unknown override: {name}")
-    if params.symmetric and abs(params.mu[0] + params.mu[1]) <= EPS_DEG:
-        raise ValueError("degenerate constant eigenvalue")
-    if params.symmetric and abs(params.mu[2]) <= EPS_DEG:
-        raise ValueError("degenerate deformation parameter")
+    degenerate = params.symmetric and next(filter(None, leaf_mod.model_degeneracy(params)), None)
+    if degenerate:
+        raise ValueError(degenerate)
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise ValueError("tol_scale must be finite and positive")
 
@@ -334,19 +330,21 @@ def run_suite(
     }
     mu1, mu2, mu3, mu4 = params.mu
 
-    # ---------------- ingredients; an override swaps one for a sign-flipped copy ----------------
+    # ---------------- ingredients, built once per run; an override swaps one for its mutant ----------------
 
-    P1m = so4.p1_m()
-    P2m = so4.p2_m(params)
-    obs_m = so4.observables_m(params)
-    nijenhuis = _flipped_nijenhuis if "nstar_sign" in overrides else leaf_mod.nijenhuis
+    ingredients = dict(P1m=so4.p1_m(), P2m=so4.p2_m(params), obs_m=so4.observables_m(params), nijenhuis=leaf_mod.nijenhuis)
     if params.symmetric:  # the uv ingredients exist only where the rows reading them apply
-        obs_uv = _flipped_h2_observables(params) if "h2_sign" in overrides else xxz.uv_observables(params)
-        Qu = xxz.q_uv(params, 1.0) if "q_sign" in overrides else xxz.q_uv(params)
-        P1u = xxz.p1_uv()
-        P2u = xxz.p2_uv(params)
-        X1 = xxz.x1_field(params)
-        Zf = xxz.z_field()
+        ingredients.update(
+            obs_uv=xxz.uv_observables(params), Qu=xxz.q_uv(params), P1u=xxz.p1_uv(), P2u=xxz.p2_uv(params),
+            X1=xxz.x1_field(params), Zf=xxz.z_field(),
+        )
+    for name in overrides:
+        key, mutant = OVERRIDES[name]
+        if key in ingredients:
+            ingredients[key] = mutant(params)
+    P1m, P2m, obs_m, nijenhuis, obs_uv, Qu, P1u, P2u, X1, Zf = map(
+        ingredients.get, ("P1m", "P2m", "obs_m", "nijenhuis", "obs_uv", "Qu", "P1u", "P2u", "X1", "Zf")
+    )
 
     # ---------------- general-model checks (M chart) ----------------
 
@@ -354,7 +352,7 @@ def run_suite(
         return [grad_fd_residual(f, pt) for f in obs_m.values()]
 
     def pencil_m(pt, t):
-        span = _pencil(P1m, P2m, t)
+        span = pencil(P1m, P2m, t)
         return [schouten_residual(span, span, pt)]
 
     def he_split(pt):

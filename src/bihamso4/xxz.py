@@ -23,13 +23,12 @@ from .fields import (
     Residual,
     ScalarField,
     VectorField,
-    lift,
     line_restriction,
     linear_bivector,
     matmul,
     mismatch,
     peak,
-    shared_per_model,
+    pencil,
     wedge_field,
 )
 from .so4 import M_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det, spectrum_product
@@ -45,7 +44,6 @@ def require_symmetric(params: ModelParams) -> None:
         raise ValueError("model not rotationally symmetric")
 
 
-@shared_per_model
 def uv_observables(params: ModelParams) -> dict:
     """Spectral-curve coefficients H0, C2, H1, H2 as uv scalar fields."""
     require_symmetric(params)
@@ -130,13 +128,11 @@ def _p1_uv_value(c: Array) -> Array:
     )
 
 
-@shared_per_model
 def p1_uv() -> BivectorField:
     """First Poisson structure in the uv chart (block so(3) x so(3) form)."""
     return linear_bivector(CHART_UV, _p1_uv_value, 6)
 
 
-@shared_per_model
 def p2_uv(params: ModelParams) -> BivectorField:
     """Second Poisson structure in the uv chart: mu1 P1 + Delta."""
     require_symmetric(params)
@@ -170,7 +166,6 @@ def p2_uv(params: ModelParams) -> BivectorField:
     return linear_bivector(CHART_UV, value, 6)
 
 
-@shared_per_model
 def x1_field(params: ModelParams) -> VectorField:
     """Hamiltonian vector field of H1 under the uv first structure."""
     require_symmetric(params)
@@ -207,7 +202,6 @@ def x1_field(params: ModelParams) -> VectorField:
     return VectorField(CHART_UV, value, jac)
 
 
-@shared_per_model
 def z_field() -> VectorField:
     """Transversal vector field (1/2u1) d/dv1 + (1/2u2) d/dv2."""
 
@@ -234,22 +228,9 @@ def z_field() -> VectorField:
     return VectorField(CHART_UV, value, jac)
 
 
-@shared_per_model
-def q_uv(params: ModelParams, sign: float = -1.0) -> BivectorField:
-    """Deformed structure Q = P2 - X1 ^ Z (rank 4 with Casimirs H0 and C2).
-
-    sign = +1.0 gives P2 + X1 ^ Z, the mutant of the q_sign override.
-    """
-    p2 = p2_uv(params)
-    w = wedge_field(x1_field(params), z_field())
-
-    def value(c: Array) -> Array:
-        return p2.value(c) + sign * w.value(c)
-
-    def jac(c: Array) -> Array:
-        return lift(p2.jac(c), 3, c) + sign * w.jac(c)
-
-    return BivectorField(CHART_UV, value, jac)
+def q_uv(params: ModelParams) -> BivectorField:
+    """Deformed structure Q = P2 - X1 ^ Z (rank 4 with Casimirs H0 and C2)."""
+    return pencil(p2_uv(params), wedge_field(x1_field(params), z_field()), -1.0)
 
 
 def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:

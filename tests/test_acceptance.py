@@ -221,7 +221,7 @@ def test_criterion_9_mutation_sensitivity():
     t0 = time.perf_counter()
     details = []
     ok = True
-    for mutation in verify.KNOWN_OVERRIDES:
+    for mutation in verify.OVERRIDES:
         report = verify.run_suite(SYM, seed=42, n_points=8, overrides=(mutation,))
         loud = [
             c.name

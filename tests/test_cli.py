@@ -49,6 +49,12 @@ def test_verify_bad_mu_exits_two():
     assert result.exit_code == 2
 
 
+def test_verify_has_no_threads_option():
+    result = run_cli("verify", "--mu", "1,2,3", "--points", "5", "--threads", "2")
+    assert result.exit_code == 2
+    assert "No such option '--threads'" in result.stderr
+
+
 def test_verify_starved_sampler_exits_one():
     # with mu2 = 0 and mu3 = 2e-8, |F| = mu3 |u1/u2 + u2/u1| < 3e-7 for every
     # draw the |u| > 0.1 guard passes, so each uv draw is within 1e-6 of the
@@ -178,14 +184,18 @@ def test_dn_json_mode():
 
 
 def test_dn_forms_the_bracket_table_only_to_print_it(monkeypatch):
+    # each mode forms the DN gradients once: --json for the bracket residuals, text for the P table
     real, calls = leaf_mod.dn_bracket_matrix, []
     monkeypatch.setattr(leaf_mod, "dn_bracket_matrix", lambda *args: calls.append(1) or real(*args))
+    real_grads, grads = leaf_mod.dn_gradients, []
+    monkeypatch.setattr(leaf_mod, "dn_gradients", lambda *args: grads.append(1) or real_grads(*args))
     argv = ["dn", "--mu", "1,2,3", "--leaf", "1,0,1,0,2,0,0,0", "--h0", "2,0", "--c2", "-1,0"]
     assert run_cli(*argv, "--json").exit_code == 0
-    assert calls == []
+    assert calls == [] and grads == [1]
+    grads.clear()
     result = run_cli(*argv)
     assert result.exit_code == 0 and "bracket residual vs canonical" in result.output
-    assert calls == [1]
+    assert calls == [1] and grads == [1]
 
 
 def test_dn_equal_u_exits_two():

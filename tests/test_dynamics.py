@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bihamso4 import dynamics, so4
-from bihamso4.fields import CHART_M, CHART_UV, PhasePoint
 from bihamso4.so4 import ModelParams
-from oracles import rk4_states
+from oracles import rhs, rk4_states
 
 PARAMS = ModelParams.from_mu(10.0, 1.0, 2.0)
 
@@ -22,17 +21,9 @@ def test_rhs_matches_library_form():
     rng = np.random.default_rng(0)
     for _ in range(25):
         m = rng.uniform(-1, 1, 6)
-        a = np.array(dynamics._rhs(PARAMS.a.tolist(), m.tolist()))
+        a = np.array(rhs(PARAMS.a.tolist(), m.tolist()))
         b = so4.rigid_rhs(PARAMS, m)
         assert np.max(np.abs(a - b)) < 1e-14
-
-
-def test_euler_rhs_chart_guard():
-    rng = np.random.default_rng(1)
-    pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
-    assert np.max(np.abs(dynamics.euler_rhs(PARAMS, pt) - so4.rigid_rhs(PARAMS, pt.coords))) < 1e-14
-    with pytest.raises(ValueError, match="chart mismatch"):
-        dynamics.euler_rhs(PARAMS, PhasePoint(CHART_UV, pt.coords.astype(complex)))
 
 
 def test_invariant_drift_small():
@@ -145,11 +136,8 @@ def test_float_stages_round_like_array_stages(direction):
     # same right-hand side, array stage arithmetic: states must agree bit for bit
     a = PARAMS.a
 
-    def rhs(m):
-        return np.array(dynamics._rhs(a, m))
-
     traj = dynamics.integrate(PARAMS, M0, dt=1e-2, t_end=2.0, record_every=20, direction=direction)
-    expected = _numpy_rk4(rhs, M0, 1e-2, 200, 20, direction)
+    expected = _numpy_rk4(lambda m: np.array(rhs(a, m)), M0, 1e-2, 200, 20, direction)
     assert np.array_equal(traj.states, expected)
 
 

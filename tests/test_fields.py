@@ -24,6 +24,7 @@ from bihamso4.fields import (
     line_restriction,
     linear_bivector,
     peak,
+    pencil,
     schouten_residual,
     wedge_field,
 )
@@ -138,12 +139,18 @@ def test_line_restriction_requires_a_self_parallel_direction():
 
 def test_linear_bivector_jacobian_constant():
     def value(c):
-        M = np.zeros((6, 6), dtype=np.asarray(c).dtype)
-        M[0, 1] = c[2]
-        M[1, 0] = -c[2]
-        M[2, 4] = 2.0 * c[0] - c[5]
-        M[4, 2] = -M[2, 4]
-        return M
+        zero = 0.0 * c[0]
+        w = 2.0 * c[0] - c[5]
+        return np.array(
+            [
+                [zero, c[2], zero, zero, zero, zero],
+                [-c[2], zero, zero, zero, zero, zero],
+                [zero, zero, zero, zero, w, zero],
+                [zero, zero, zero, zero, zero, zero],
+                [zero, zero, -w, zero, zero, zero],
+                [zero, zero, zero, zero, zero, zero],
+            ]
+        )
 
     P = linear_bivector(CHART_M, value, 6)
     rng = np.random.default_rng(6)
@@ -203,9 +210,10 @@ def _suite_bivectors(params, t):
     """Every bivector field run_suite brackets, on its point kind; the pencil is P1m + t P2m."""
     P1m, P2m = so4.p1_m(), so4.p2_m(params)
     return {
-        "M_real": {"P1m": P1m, "P2m": P2m, "pencil": verify._pencil(P1m, P2m, t)},
+        "M_real": {"P1m": P1m, "P2m": P2m, "pencil": pencil(P1m, P2m, t)},
         "UV_complex": {
-            "P1u": xxz.p1_uv(), "P2u": xxz.p2_uv(params), "Q": xxz.q_uv(params), "Q_sign": xxz.q_uv(params, 1.0),
+            "P1u": xxz.p1_uv(), "P2u": xxz.p2_uv(params), "Q": xxz.q_uv(params),
+            "Q_sign": verify.OVERRIDES["q_sign"][1](params),
         },
     }
 

@@ -394,13 +394,6 @@ def test_separation_chart_degeneracy_guard():
         leaf_mod.guard(PARAMS, c[0], c[3])
 
 
-def test_separation_residuals_pair():
-    uv = leaf_mod.embed(HAND_LEAF)
-    r1, r2 = leaf_mod.separation_residuals(PARAMS, uv)
-    assert r1.normalized < 1e-12
-    assert r2.normalized < 1e-9
-
-
 def test_leaf_chart_validation():
     with pytest.raises(ValueError, match="dimension mismatch"):
         LeafChart(np.zeros(3, dtype=complex), (0j, 0j))

@@ -5,7 +5,7 @@ import pytest
 
 from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4, verify, xxz
-from bihamso4.fields import PhasePoint, Residual
+from bihamso4.fields import EPS_DEG, PhasePoint, Residual
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 
@@ -88,7 +88,7 @@ def test_unknown_override_rejected():
         verify.run_suite(PARAMS, seed=0, n_points=5, overrides=("flip_everything",))
 
 
-@pytest.mark.parametrize("mutation", verify.KNOWN_OVERRIDES)
+@pytest.mark.parametrize("mutation", list(verify.OVERRIDES))
 def test_mutations_break_loudly(mutation):
     report = verify.run_suite(PARAMS, seed=3, n_points=8, overrides=(mutation,))
     assert not report.overall
@@ -161,8 +161,8 @@ def test_drawn_rows_read_their_named_streams():
 
 
 def test_overrides_leave_shared_ingredients_clean():
-    # the model's fields are built once and shared; a mutation override must
-    # swap its own copy in, never edit the shared one
+    # a mutation override swaps its mutant into one run's ingredients; it
+    # never edits a field that a later run reads
     clean = verify.run_suite(PARAMS, seed=5, n_points=6).to_json()
     assert not verify.run_suite(PARAMS, seed=5, n_points=6, overrides=("h2_sign",)).overall
     assert not verify.run_suite(PARAMS, seed=5, n_points=6, overrides=("q_sign",)).overall
@@ -407,6 +407,7 @@ def test_nan_in_a_stacked_row_names_its_sample(monkeypatch):
     # jacobi_p1_m is evaluated once on the stack of M points: poison column 5
     real = verify.schouten_residual
     p1 = so4.p1_m()
+    monkeypatch.setattr(so4, "p1_m", lambda: p1)
 
     def patched(P, Q, pt):
         out = real(P, Q, pt)
@@ -438,7 +439,7 @@ def test_degenerate_column_fails_its_rows(monkeypatch):
     def patched(kind, n_points, seed, params):
         sample = real(kind, n_points, seed, params)
         if kind == "UV_complex":
-            sample.stack.coords[0, bad] = 0.5 * verify.EPS_DEG
+            sample.stack.coords[0, bad] = 0.5 * EPS_DEG
         return sample
 
     monkeypatch.setattr(verify, "sample_points", patched)
