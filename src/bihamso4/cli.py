@@ -13,6 +13,7 @@ import numpy as np
 from . import dynamics
 from . import leaf as leaf_mod
 from . import verify as verify_mod
+from . import xxz
 from .fields import CHART_UV, PhasePoint
 from .leaf import LeafChart
 from .so4 import ModelParams
@@ -176,8 +177,7 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
     """Evaluate the Darboux coordinates on one symplectic leaf."""
     with _exit_on_error():
         params = _params(mu_text)
-        if not params.symmetric:
-            raise ValueError("model not rotationally symmetric")
+        obs = xxz.uv_observables(params)
         coords = _complex_vector(leaf_text, 4, "--leaf")
         levels = (_complex_pair(h0_text, "--h0"), _complex_pair(c2_text, "--c2"))
         leaf_mod.guard(params, coords[0], coords[2], theta=True)
@@ -186,7 +186,7 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
             embedded = leaf_mod.embed(leaf).coords
         if not np.isfinite(embedded).all():
             raise ValueError("leaf point embeds to a non-finite uv point")
-        chart = leaf_mod.dn_chart(params, leaf)
+        chart = leaf_mod.dn_chart(params, leaf, obs)
         if as_json:  # the document reads the bracket residuals, the text the P bracket table
             brackets = leaf_mod.dn_bracket_residuals(params, leaf)
         else:
@@ -229,9 +229,10 @@ def separation_command(mu_text, uv_text):
     with _exit_on_error():
         params = _params(mu_text)
         pt = PhasePoint(CHART_UV, _complex_vector(uv_text, 6, "--uv"))
-        r1 = leaf_mod.phi1_residual(params, pt)  # holds on the whole chart
+        obs = xxz.uv_observables(params)
+        r1 = leaf_mod.phi1_residual(params, pt, obs)  # holds on the whole chart
         leaf_mod.guard(params, pt.coords[0], pt.coords[3])
-        r2 = leaf_mod.phi2_residual(params, pt)
+        r2 = leaf_mod.phi2_residual(params, pt, obs)
 
     click.echo(f"phi1: residual={r1.raw:.6e}  normalized={r1.normalized:.6e}")
     click.echo(f"phi2: residual={r2.raw:.6e}  normalized={r2.normalized:.6e}")

@@ -45,6 +45,7 @@ from .fields import (
     CHART_UV,
     EPS_COLL,
     EPS_DEG,
+    BivectorField,
     DegeneracyError,
     PhasePoint,
     Residual,
@@ -59,7 +60,7 @@ from .fields import (
     peak,
 )
 from .so4 import ModelParams
-from .xxz import p1_uv, q_uv, require_symmetric, uv_observables
+from .xxz import require_symmetric
 
 Array = np.ndarray
 
@@ -188,17 +189,16 @@ def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
     return P, Q
 
 
-def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, q_field=None) -> dict:
-    """Printed restricted tensors against sub-brackets of p1_uv and q_field (default q_uv).
+def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, p_field: BivectorField, q_field: BivectorField) -> dict:
+    """Printed restricted tensors against sub-brackets of the uv fields p_field (P1) and q_field (Q).
 
-    Valid because H0 and C2 are Casimirs of both p1_uv and q_uv, so brackets
+    Valid because H0 and C2 are Casimirs of both P1 and Q, so brackets
     of leaf coordinate functions close on the leaf.
     """
-    q_field = q_field or q_uv(params)
     uv = embed(leaf)
     P, Q = restricted_tensors(params, leaf)
     out = {}
-    for key, ambient, printed in (("P", p1_uv(), P), ("Q", q_field, Q)):
+    for key, ambient, printed in (("P", p_field, P), ("Q", q_field, Q)):
         amb = ambient.value(uv.coords)
         out[key] = mismatch(amb[np.ix_(LEAF_IN_UV, LEAF_IN_UV)], printed, 2)
     return out
@@ -229,22 +229,22 @@ def nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     return N, lam1, lam2
 
 
-def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, nstar=None) -> Residual:
+def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, nstar) -> Residual:
     """Printed N* against the numerical product P^{-1} Q.
 
-    nstar is the callable giving (N*, lambda1, lambda2); default nijenhuis.
+    nstar is the callable giving (N*, lambda1, lambda2), such as nijenhuis.
     """
     P, Q = restricted_tensors(params, leaf)
-    N, _, _ = (nstar or nijenhuis)(params, leaf)
+    N, _, _ = nstar(params, leaf)
     return mismatch(N, from_matrices(np.linalg.solve(as_matrices(P), as_matrices(Q))), 2)
 
 
-def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar=None) -> Residual:
+def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar) -> Residual:
     """Numerically computed spectrum of N* against the multiset {l1, l1, l2, l2}.
 
-    nstar is the callable giving (N*, lambda1, lambda2); default nijenhuis.
+    nstar is the callable giving (N*, lambda1, lambda2), such as nijenhuis.
     """
-    N, lam1, lam2 = (nstar or nijenhuis)(params, leaf)
+    N, lam1, lam2 = nstar(params, leaf)
     computed = np.moveaxis(np.linalg.eigvals(as_matrices(N)), -1, 0)
     expected = np.array([lam1, lam1, lam2, lam2])
     diff = np.abs(computed[:, None] - expected[None, :])  # the 16 differences, formed once
@@ -403,17 +403,15 @@ def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart) -> list:
     return [r1, r2, r3]
 
 
-def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=None) -> dict:
+def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs: dict) -> dict:
     """Iterated Lie derivatives of H(rho) = rho^2 H0 + rho H1 + H2 along Y.
 
     Y is constant along its own flow (it depends only on u and points along
     z), so its integral curves are straight lines and the restriction of
     H(rho) to one is an exact low-degree polynomial; an exact-degree fit
     yields Lie_Y^k H = k! c_k.  line_restriction asserts the self-parallelism
-    numerically before the fit is trusted.  obs are the uv observables
-    (default uv_observables(params)).
+    numerically before the fit is trusted.  obs are the uv observables.
     """
-    obs = obs or uv_observables(params)
 
     # Y moves z only, so every node keeps the leaf's u1, u2
     def h_rho(c):
@@ -432,8 +430,8 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs=No
     }
 
 
-def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, obs=None) -> dict:
-    """Both closed forms of the deformation tower at one rho, from one tower.
+def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, obs: dict) -> dict:
+    """Both closed forms of the deformation tower of the uv observables obs at one rho, from one tower.
 
     "factorization": Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L;
     "second": Lie_Y^2 H against 4 mu3^2 (rho - mu1 - mu2) G^2 F.
@@ -459,7 +457,7 @@ def xi2_closed_form(params: ModelParams, leaf: LeafChart) -> complex:
     return a.L / (mu3 * u1 * u2 * a.G * a.F)
 
 
-def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs=None) -> tuple:
+def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs: dict) -> tuple:
     """The two paths to xi2: (closed form, tower at rho = lambda2, their Residual).
 
     The Residual is of Lie_Y H = xi2 Lie_Y^2 H, scaled as in
@@ -474,14 +472,15 @@ def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs=None) -> tuple:
     return closed, tower, Residual(abs(lie1 - target), peak([lie1, target, tower["scale"]], 1))
 
 
-def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
+def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict) -> complex:
     """DN coordinate conjugate to lambda2 via the deformation algorithm.
 
-    Computes both the closed form and the tower at rho = lambda2 and insists
-    that Lie_Y H = xi2 Lie_Y^2 H holds to 1e-10 relative (xi2_path_agreement);
-    a persistent disagreement means the build is broken.
+    Computes both the closed form and the tower of the uv observables obs at
+    rho = lambda2 and insists that Lie_Y H = xi2 Lie_Y^2 H holds to 1e-10
+    relative (xi2_path_agreement); a persistent disagreement means the build
+    is broken.
     """
-    closed, tower, agreement = xi2_path_agreement(params, leaf)
+    closed, tower, agreement = xi2_path_agreement(params, leaf, obs)
     # Written as not (x <= tol) so that a NaN residual raises too.
     if not (tower["termination"].normalized <= 1e-10):
         raise RuntimeError("deformation did not terminate")
@@ -490,12 +489,12 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart) -> complex:
     return closed
 
 
-def dn_chart(params: ModelParams, leaf: LeafChart) -> DNChart:
-    """The four DN coordinates (zeta1, xi1, lambda2, xi2) at a leaf point."""
+def dn_chart(params: ModelParams, leaf: LeafChart, obs: dict) -> DNChart:
+    """The four DN coordinates (zeta1, xi1, lambda2, xi2) at a leaf point; xi2 reads the uv observables obs."""
     _, _, lam2 = nijenhuis(params, leaf)
     _, z1, _, z2 = leaf.coords
     xi1 = -0.5 * np.log(aux(params, leaf).theta1)
-    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf))
+    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf, obs))
 
 
 def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
@@ -575,13 +574,13 @@ def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
     return out
 
 
-def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar=None) -> list:
+def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar) -> list:
     """N* applied to each DN gradient against eigenvalue times the gradient.
 
     One Residual per gradient, in the order (zeta1, xi1, lambda2, xi2);
-    nstar is the callable giving (N*, lambda1, lambda2), default nijenhuis.
+    nstar is the callable giving (N*, lambda1, lambda2), such as nijenhuis.
     """
-    N, lam1, lam2 = (nstar or nijenhuis)(params, leaf)
+    N, lam1, lam2 = nstar(params, leaf)
     grads = dn_gradients(params, leaf)
     out = []
     for g, lam in zip(grads, (lam1, lam1, lam2, lam2)):
@@ -599,14 +598,13 @@ def theta_bracket_residual(params: ModelParams, leaf: LeafChart) -> Residual:
     return Residual(abs(br - target), peak([br, target], 1))
 
 
-def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs=None) -> dict:
+def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs: dict) -> dict:
     """Least-squares fit of c in Q dH1 = P dH2 + c P dH1 on the leaf.
 
     Diagnostic only: reports the fitted coefficient (empirically the
     eigenvalue sum p1), the post-fit residual, and the mismatch with p1.
-    obs are the uv observables (default uv_observables(params)).
+    obs are the uv observables.
     """
-    obs = obs or uv_observables(params)
     P, Q = restricted_tensors(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
     g2 = restrict_grad(obs["H2"], leaf)
@@ -623,15 +621,14 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs=None) -> di
     }
 
 
-def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs=None) -> dict:
+def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs: dict) -> dict:
     """How Q acts on the restricted Hamiltonians: H0-level direction is exact 0.
 
     On the leaf H0 and C2 are constants, so the interesting quantities are
     Q dH1 and Q dH2 against the chain built from P: Q dH2 = -lambda1 lambda2
     P dH1 holds, while Q dH1 is NOT zero (H1 is not a Casimir of Q).
-    obs are the uv observables (default uv_observables(params)).
+    obs are the uv observables.
     """
-    obs = obs or uv_observables(params)
     P, Q = restricted_tensors(params, leaf)
     _, lam1, lam2 = nijenhuis(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
@@ -644,12 +641,11 @@ def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs=None) ->
     }
 
 
-def zeta1_involution_residuals(params: ModelParams, pt: PhasePoint, obs=None) -> dict:
-    """zeta1 = z2 - z1 commutes with H1 and H2 under the ambient first structure."""
+def zeta1_involution_residuals(p1: BivectorField, obs: dict, pt: PhasePoint) -> dict:
+    """zeta1 = z2 - z1 commutes with H1 and H2 of the uv observables obs under the ambient first structure p1."""
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    obs = obs or uv_observables(params)
-    res = brackets_scaled(p1_uv(), (obs["H1"], obs["H2"], ZETA1), [(0, 2), (1, 2)], pt)
+    res = brackets_scaled(p1, (obs["H1"], obs["H2"], ZETA1), [(0, 2), (1, 2)], pt)
     return {name: Residual(abs(br), scale) for name, (br, scale) in zip(("H1", "H2"), res)}
 
 
@@ -662,17 +658,16 @@ def _separation_guard(params: ModelParams, pt: PhasePoint) -> None:
         raise ValueError("chart mismatch")
 
 
-def phi1_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
+def phi1_residual(params: ModelParams, pt: PhasePoint, obs: dict) -> Residual:
     """First separation relation at any uv point (no degeneracy guard needed).
 
     Phi1 = alpha zeta1^2 + H1 + beta H2 + gamma1 H0 with
     alpha = 2 (mu3^2 - mu2^2)/(mu1 + mu2), beta = 1/(mu1 + mu2),
     gamma1 = mu1 + mu2; the C2 coefficient vanishes.  obs are the uv
-    observables (default uv_observables(params)).
+    observables.
     """
     _separation_guard(params, pt)
     mu1, mu2, mu3, _ = params.mu
-    obs = obs or uv_observables(params)
     c = pt.coords
     zeta1 = c[5] - c[2]
     alpha = 2.0 * (mu3**2 - mu2**2) / (mu1 + mu2)
@@ -687,17 +682,15 @@ def phi1_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
     return Residual(abs(sum(terms)), peak(terms, 1))
 
 
-def phi2_residual(params: ModelParams, pt: PhasePoint, obs=None) -> Residual:
+def phi2_residual(params: ModelParams, pt: PhasePoint, obs: dict) -> Residual:
     """Second separation relation at a nondegenerate uv point.
 
     Phi2 = p xi2^2 + lambda2 H1 + H2 + Psi with p = -2 mu3^2 F^2 G^2 and
     Psi = lambda2^2 H0 - mu3 F G C2; lambda2, F, G, xi2 all come from the
-    point's own (u1, z1, u2, z2).  obs are the uv observables (default
-    uv_observables(params)).
+    point's own (u1, z1, u2, z2).  obs are the uv observables.
     """
     _separation_guard(params, pt)
     mu1, mu2, mu3, _ = params.mu
-    obs = obs or uv_observables(params)
     c = pt.coords
     leaf = project(pt)
     a = aux(params, leaf)

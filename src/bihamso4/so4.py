@@ -323,13 +323,13 @@ def spectral_det(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint
     return det4(lax(params, lam, pt) - np.multiply.outer(np.eye(4), rho * lam))
 
 
-def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
+def char_poly_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, obs: dict) -> Residual:
     """Spectral-curve identity residual at (lambda, rho, pt).
 
     Det(L(lambda) - rho lambda I) must equal
-    lambda^4 prod_i (J_i^2 - rho) + lambda^2 (rho^2 H0 - 2 rho HE + KE) + C^2.
+    lambda^4 prod_i (J_i^2 - rho) + lambda^2 (rho^2 H0 - 2 rho HE + KE) + C^2,
+    with H0, HE, KE, C read from the m observables obs.
     """
-    obs = observables_m(params)
     m = pt.coords
     h0 = obs["H0"].value(m)
     he = obs["HE"].value(m)
@@ -360,17 +360,17 @@ def _prod_mag(P: Array, g: Array) -> float:
     return peak(np.abs(P) * np.abs(g)[None, :], 2)
 
 
-def lenard_residuals_m(params: ModelParams, pt: PhasePoint) -> dict:
+def lenard_residuals_m(p1: BivectorField, p2: BivectorField, obs: dict, pt: PhasePoint) -> dict:
     """Residuals of the anchored recursion chain and the shared Casimir.
 
     With H1 = -2 HE and H2 = KE the chain is
     P1 dH0 = 0,  P2 dH0 = P1 dH1,  P2 dH1 = P1 dH2,  P2 dH2 = 0,
-    and C is a Casimir of both structures.
+    and C is a Casimir of both structures; P1, P2 are the fields p1, p2 and
+    the observables are read from the m observables obs.
     """
-    obs = observables_m(params)
     m = pt.coords
-    P1 = p1_m().value(m)
-    P2 = p2_m(params).value(m)
+    P1 = p1.value(m)
+    P2 = p2.value(m)
     g0 = obs["H0"].grad(m)
     g1 = -2.0 * obs["HE"].grad(m)
     g2 = obs["KE"].grad(m)

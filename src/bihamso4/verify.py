@@ -10,7 +10,9 @@ call it draws that many complex values (lambda, rho or t) from
 default_rng([seed, stream]) and passes them after the point; rows naming
 the same stream continue it in registry order.  Each fn calls the one
 library implementation of its identity and passes in the ingredients it
-reads (the uv observables, Q, the nijenhuis callable).  The suite owns
+reads (P1 and P2 on the M chart, the m observables, the uv observables,
+P1, P2, X1, Z and Q on the uv chart, the nijenhuis callable); no library
+function that a row or diagnostic calls builds one.  The suite owns
 sampling, draws, skip accounting, normalization and report assembly only.
 
 Every row runs once on its whole sample, by one code path: the points as
@@ -378,7 +380,7 @@ def run_suite(
         return [grad_fd_residual(f, pt) for f in obs_uv.values()]
 
     def uv_scale(pt):
-        res = xxz.uv_transport_residuals(params, pt)
+        res = xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, pt)
         return [res["p1"], res["p2"]]
 
     def x1_match(pt):
@@ -450,12 +452,12 @@ def run_suite(
         return [Residual(raw, peak([h0_level, c2_level, peak(leaf.coords, 1)], 1))]
 
     def restricted_oracle(leaf):
-        res = leaf_mod.restricted_oracle_residuals(params, leaf, q_field=Qu)
+        res = leaf_mod.restricted_oracle_residuals(params, leaf, P1u, Qu)
         return [res["P"], res["Q"]]
 
     def aux_relations(leaf):
         a = leaf_mod.aux(params, leaf)
-        _, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
+        _, lam1, lam2 = nijenhuis(params, leaf)
         # (u2/u1 - u1/u2)^2 = (u1/u2 + u2/u1)^2 - 4, and the second factor
         # is (lambda2 - mu1 + mu2)/mu3.
         g_target = ((lam2 - mu1 + mu2) / mu3) ** 2 - 4.0
@@ -480,10 +482,10 @@ def run_suite(
         ("jacobi_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P2m, P2m, pt)]),
         ("compat_p1_p2_m", TOL_EXACT, M, None, lambda pt: [schouten_residual(P1m, P2m, pt)]),
         ("pencil_jacobi_m", TOL_EXACT, M, None, pencil_m, 11, 1),
-        ("lenard_chain", TOL_EXACT, M, None, lambda pt: list(so4.lenard_residuals_m(params, pt).values())),
+        ("lenard_chain", TOL_EXACT, M, None, lambda pt: list(so4.lenard_residuals_m(P1m, P2m, obs_m, pt).values())),
         (
             "charpoly_identity", TOL_PIPELINE, M, None,
-            lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt)], 12, 2,
+            lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt, obs_m)], 12, 2,
         ),
         ("he_split_form", TOL_EXACT, M, None, he_split),
         ("chart_roundtrip", TOL_ROUNDTRIP, M, None, roundtrip),
@@ -495,7 +497,7 @@ def run_suite(
         ("gradient_fd_uv", TOL_FD, UV, SYM, fd_uv),
         (
             "observable_transport", TOL_EXACT, UV, SYM,
-            lambda pt: list(xxz.observable_transport_residuals(params, pt, obs_uv).values()),
+            lambda pt: list(xxz.observable_transport_residuals(obs_uv, obs_m, pt).values()),
         ),
         ("uv_tensor_scale", TOL_EXACT, UV, SYM, uv_scale),
         (
@@ -519,15 +521,15 @@ def run_suite(
         ("involution_q", TOL_SCHOUTEN, UV, SYM, lambda pt: involution(Qu, pt)),
         (
             "stackel_condition", TOL_PIPELINE, UV, SYM,
-            lambda pt, lam, rho: [xxz.stackel_residual(params, lam, rho, pt)], 15, 2,
+            lambda pt, lam, rho: [xxz.stackel_residual(params, lam, rho, pt, Zf)], 15, 2,
         ),
         (
             "transversal_curve_factor", TOL_PIPELINE, UV, SYM,
-            lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt)], 16, 2,
+            lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt, Zf)], 16, 2,
         ),
         (
             "zeta1_involution", TOL_SCHOUTEN, UV, SYM,
-            lambda pt: list(leaf_mod.zeta1_involution_residuals(params, pt, obs_uv).values()),
+            lambda pt: list(leaf_mod.zeta1_involution_residuals(P1u, obs_uv, pt).values()),
         ),
         ("separation_phi1", TOL_EXACT, UV, SYM, lambda pt: [leaf_mod.phi1_residual(params, pt, obs_uv)]),
         ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)]),
@@ -621,7 +623,7 @@ def run_suite(
         lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv)
         fits, p1_mismatch = lenard["residual"].normalized, lenard["p1_mismatch"]
         h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv)["qdh1_norm"].normalized
-        ratio = xxz.uv_transport_residuals(params, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))["ratio_p1"]
+        ratio = xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))["ratio_p1"]
         report.diagnostics += [
             _diagnostic(
                 "generalized_lenard_fit",

@@ -31,7 +31,7 @@ from .fields import (
     pencil,
     wedge_field,
 )
-from .so4 import M_TO_UV, ModelParams, chart_map, observables_m, p1_m, p2_m, spectral_det, spectrum_product
+from .so4 import M_TO_UV, ModelParams, chart_map, spectral_det, spectrum_product
 
 Array = np.ndarray
 
@@ -233,21 +233,19 @@ def q_uv(params: ModelParams) -> BivectorField:
     return pencil(p2_uv(params), wedge_field(x1_field(params), z_field()), -1.0)
 
 
-def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
-    """Printed uv tensors against the pushforward of the m-chart tensors.
+def uv_transport_residuals(
+    p1u: BivectorField, p2u: BivectorField, p1m: BivectorField, p2m: BivectorField, pt: PhasePoint
+) -> dict:
+    """Printed uv tensors p1u, p2u against the pushforward of the m-chart tensors p1m, p2m.
 
     Both printed tensors must equal UV_TENSOR_SCALE times A P A^T with
     A = d(uv)/d(m).  Returns residuals plus the fitted per-tensor ratio.
     """
-    require_symmetric(params)
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
     m_pt = chart_map(pt, CHART_M, complex_ok=True)
     out = {}
-    for key, printed_field, m_field in (
-        ("p1", p1_uv(), p1_m()),
-        ("p2", p2_uv(params), p2_m(params)),
-    ):
+    for key, printed_field, m_field in (("p1", p1u, p1m), ("p2", p2u, p2m)):
         printed = printed_field.value(pt.coords)
         pushed = matmul(matmul(M_TO_UV, m_field.value(m_pt.coords)), M_TO_UV.T)
         out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed, 2)
@@ -259,40 +257,33 @@ def uv_transport_residuals(params: ModelParams, pt: PhasePoint) -> dict:
     return out
 
 
-def observable_transport_residuals(params: ModelParams, pt: PhasePoint, obs=None) -> dict:
-    """uv spectral-curve coefficients against the m-chart observables.
+def observable_transport_residuals(obs: dict, obs_m: dict, pt: PhasePoint) -> dict:
+    """uv spectral-curve coefficients obs against the m-chart observables obs_m.
 
-    H0 agrees, C2 = 2 C, H1 = -2 HE, H2 = KE at the mapped point.  obs are
-    the uv observables under test (default uv_observables(params)).
+    H0 agrees, C2 = 2 C, H1 = -2 HE, H2 = KE at the mapped point.
     """
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    uv = obs or uv_observables(params)
-    mo = observables_m(params)
     m_pt = chart_map(pt, CHART_M, complex_ok=True)
     pairs = {
-        "H0": (uv["H0"].value(pt.coords), mo["H0"].value(m_pt.coords)),
-        "C2": (uv["C2"].value(pt.coords), 2.0 * mo["C"].value(m_pt.coords)),
-        "H1": (uv["H1"].value(pt.coords), -2.0 * mo["HE"].value(m_pt.coords)),
-        "H2": (uv["H2"].value(pt.coords), mo["KE"].value(m_pt.coords)),
+        "H0": (obs["H0"].value(pt.coords), obs_m["H0"].value(m_pt.coords)),
+        "C2": (obs["C2"].value(pt.coords), 2.0 * obs_m["C"].value(m_pt.coords)),
+        "H1": (obs["H1"].value(pt.coords), -2.0 * obs_m["HE"].value(m_pt.coords)),
+        "H2": (obs["H2"].value(pt.coords), obs_m["KE"].value(m_pt.coords)),
     }
     return {name: Residual(abs(a - b), peak([a, b], 1)) for name, (a, b) in pairs.items()}
 
 
-def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, obs=None) -> Residual:
-    """Spectral-curve identity in uv form: the C2 constant term carries 1/4.
-
-    obs are the uv observables under test (default uv_observables(params)).
-    """
+def char_poly_residual_uv(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, obs: dict) -> Residual:
+    """Spectral-curve identity in uv form, with the uv observables obs: the C2 constant term carries 1/4."""
     require_symmetric(params)
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    uv = obs or uv_observables(params)
     c = pt.coords
-    h0 = uv["H0"].value(c)
-    h1 = uv["H1"].value(c)
-    h2 = uv["H2"].value(c)
-    c2 = uv["C2"].value(c)
+    h0 = obs["H0"].value(c)
+    h1 = obs["H1"].value(c)
+    h2 = obs["H2"].value(c)
+    c2 = obs["C2"].value(c)
     m_pt = chart_map(pt, CHART_M, complex_ok=True)
     det = spectral_det(params, lam, rho, m_pt)
     terms = (
@@ -319,8 +310,8 @@ def variable_eigenvalue(params: ModelParams, c: Array) -> complex:
     return mu1 - mu2 + mu3 * (u1 / u2 + u2 / u1)
 
 
-def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint):
-    """Quintic coefficients and node values of Det(L - rho lambda I) along the Z line.
+def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, z: VectorField):
+    """Quintic coefficients and node values of Det(L - rho lambda I) along the line of the transversal field z.
 
     Z is constant along its own flow lines (it depends only on u, and moves
     only v), so the restriction of the characteristic polynomial to the line
@@ -333,19 +324,19 @@ def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint)
     def curve(c):
         return spectral_det(params, lam, rho, chart_map(PhasePoint(CHART_UV, c), CHART_M, complex_ok=True))
 
-    return line_restriction(curve, z_field().value, pt.coords)
+    return line_restriction(curve, z.value, pt.coords)
 
 
-def stackel_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
-    """Second and higher Lie derivatives of the spectral curve along Z."""
-    coeffs, vals = _curve_line(params, lam, rho, pt)
+def stackel_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, z: VectorField) -> Residual:
+    """Second and higher Lie derivatives of the spectral curve along the transversal field z."""
+    coeffs, vals = _curve_line(params, lam, rho, pt, z)
     lie = [2.0 * np.abs(coeffs[2]), 6.0 * np.abs(coeffs[3]), 24.0 * np.abs(coeffs[4]), 120.0 * np.abs(coeffs[5])]
     return Residual(peak(lie, 1), peak(vals, 1))
 
 
-def transversal_curve_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint) -> Residual:
-    """First Lie derivative of the curve along Z against lambda^2 (rho - l1)(rho - l2)."""
-    coeffs, _ = _curve_line(params, lam, rho, pt)
+def transversal_curve_residual(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint, z: VectorField) -> Residual:
+    """First Lie derivative of the curve along the transversal field z against lambda^2 (rho - l1)(rho - l2)."""
+    coeffs, _ = _curve_line(params, lam, rho, pt, z)
     l1 = constant_eigenvalue(params)
     l2 = variable_eigenvalue(params, pt.coords)
     closed = lam**2 * (rho - l1) * (rho - l2)

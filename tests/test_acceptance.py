@@ -63,10 +63,11 @@ def test_criterion_1_structural_identities():
 def test_criterion_2_lenard_chain():
     t0 = time.perf_counter()
     rng = np.random.default_rng(103)
+    P1, P2, obs = so4.p1_m(), so4.p2_m(SYM), so4.observables_m(SYM)
     worst = 0.0
     for _ in range(50):
         pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
-        for r in so4.lenard_residuals_m(SYM, pt).values():
+        for r in so4.lenard_residuals_m(P1, P2, obs, pt).values():
             worst = max(worst, r.normalized)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -77,12 +78,13 @@ def test_criterion_2_lenard_chain():
 def test_criterion_3_characteristic_polynomial():
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
+    obs = so4.observables_m(SYM)
     worst = 0.0
     for _ in range(100):
         pt = PhasePoint(CHART_M, rng.uniform(-1, 1, 6))
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        worst = max(worst, so4.char_poly_residual(SYM, lam, rho, pt).normalized)
+        worst = max(worst, so4.char_poly_residual(SYM, lam, rho, pt, obs).normalized)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 1.0
     _line(3, ok, f"det identity max {worst:.2e} (tol 1e-10), {elapsed:.2f}s")
@@ -112,7 +114,7 @@ def test_criterion_4_transversality_and_stackel():
         )
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        worst_pipeline = max(worst_pipeline, xxz.stackel_residual(SYM, lam, rho, pt).normalized)
+        worst_pipeline = max(worst_pipeline, xxz.stackel_residual(SYM, lam, rho, pt, Z).normalized)
     elapsed = time.perf_counter() - t0
     ok = worst_exact <= 1e-12 and worst_pipeline <= 1e-9
     _line(
@@ -128,15 +130,15 @@ def test_criterion_5_nijenhuis_dn():
     worst = {"closed": 0.0, "spectrum": 0.0, "dn_p": 0.0, "dn_q": 0.0, "eigen": 0.0}
     for leaf in _leaves(50, 107):
         worst["closed"] = max(
-            worst["closed"], leaf_mod.nijenhuis_closed_form_residual(SYM, leaf).normalized
+            worst["closed"], leaf_mod.nijenhuis_closed_form_residual(SYM, leaf, leaf_mod.nijenhuis).normalized
         )
         worst["spectrum"] = max(
-            worst["spectrum"], leaf_mod.nijenhuis_spectrum_residual(SYM, leaf).normalized
+            worst["spectrum"], leaf_mod.nijenhuis_spectrum_residual(SYM, leaf, leaf_mod.nijenhuis).normalized
         )
         br = leaf_mod.dn_bracket_residuals(SYM, leaf)
         worst["dn_p"] = max(worst["dn_p"], br["P"].normalized)
         worst["dn_q"] = max(worst["dn_q"], br["Q"].normalized)
-        worst["eigen"] = max(worst["eigen"], *(r.normalized for r in leaf_mod.dn_eigenform_residuals(SYM, leaf)))
+        worst["eigen"] = max(worst["eigen"], *(r.normalized for r in leaf_mod.dn_eigenform_residuals(SYM, leaf, leaf_mod.nijenhuis)))
     elapsed = time.perf_counter() - t0
     ok = (
         worst["closed"] <= 1e-12
@@ -158,18 +160,19 @@ def test_criterion_5_nijenhuis_dn():
 def test_criterion_6_deformation_pipeline():
     t0 = time.perf_counter()
     rng = np.random.default_rng(108)
+    obs = xxz.uv_observables(SYM)
     worst_factor = 0.0
     worst_term = 0.0
     worst_xi2 = 0.0
     for leaf in _leaves(50, 109):
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         worst_factor = max(
-            worst_factor, leaf_mod.deformation_residuals(SYM, rho, leaf)["factorization"].normalized
+            worst_factor, leaf_mod.deformation_residuals(SYM, rho, leaf, obs)["factorization"].normalized
         )
-        tower = leaf_mod.deformation_tower(SYM, rho, leaf)
+        tower = leaf_mod.deformation_tower(SYM, rho, leaf, obs)
         worst_term = max(worst_term, tower["termination"].normalized)
         closed = leaf_mod.xi2_closed_form(SYM, leaf)
-        got = leaf_mod.deformation_xi2(SYM, leaf)
+        got = leaf_mod.deformation_xi2(SYM, leaf, obs)
         worst_xi2 = max(worst_xi2, abs(got - closed) / (1.0 + abs(closed)))
     elapsed = time.perf_counter() - t0
     ok = worst_factor <= 1e-10 and worst_term <= 1e-10 and worst_xi2 <= 1e-10
@@ -184,6 +187,7 @@ def test_criterion_6_deformation_pipeline():
 def test_criterion_7_separation_relations():
     t0 = time.perf_counter()
     rng = np.random.default_rng(110)
+    obs = xxz.uv_observables(SYM)
     worst1 = 0.0
     hand = [
         np.array([1, 1, 0, 1, 1, 0], dtype=complex),
@@ -191,13 +195,13 @@ def test_criterion_7_separation_relations():
         np.array([0, 0, 1, 0, 0, 0], dtype=complex),
     ]
     for c in hand:
-        worst1 = max(worst1, leaf_mod.phi1_residual(SYM, PhasePoint(CHART_UV, c)).normalized)
+        worst1 = max(worst1, leaf_mod.phi1_residual(SYM, PhasePoint(CHART_UV, c), obs).normalized)
     for _ in range(97):
         c = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-        worst1 = max(worst1, leaf_mod.phi1_residual(SYM, PhasePoint(CHART_UV, c)).normalized)
+        worst1 = max(worst1, leaf_mod.phi1_residual(SYM, PhasePoint(CHART_UV, c), obs).normalized)
     worst2 = 0.0
     for pt in _uv_points(100, 111):
-        worst2 = max(worst2, leaf_mod.phi2_residual(SYM, pt).normalized)
+        worst2 = max(worst2, leaf_mod.phi2_residual(SYM, pt, obs).normalized)
     elapsed = time.perf_counter() - t0
     ok = worst1 <= 1e-12 and worst2 <= 1e-9
     _line(7, ok, f"phi1 max {worst1:.2e} (tol 1e-12), phi2 max {worst2:.2e} (tol 1e-9), {elapsed:.2f}s")

@@ -239,8 +239,8 @@ def test_module_entry_point(tmp_path):
 def test_verify_nan_residual_exits_one(tmp_path, monkeypatch):
     real = so4.lenard_residuals_m
 
-    def patched(params, pt):
-        out = real(params, pt)
+    def patched(p1, p2, obs, pt):
+        out = real(p1, p2, obs, pt)
         out["chain_start"] = Residual(float("nan"), 0.0)
         return out
 

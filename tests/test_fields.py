@@ -279,8 +279,8 @@ def _lie_scalar_scaled(Z, f, pt):
     return lie_scalar(Z, f, pt), peak(f.grad(pt.coords) * Z.value(pt.coords), 1)
 
 
-def _transport(params, pt):
-    res = xxz.uv_transport_residuals(params, pt)
+def _transport(fields, pt):
+    res = xxz.uv_transport_residuals(*fields, pt)
     return [res["p1"], res["p2"], (res["ratio_p1"], 1.0), (res["ratio_p2"], 1.0)]
 
 
@@ -293,24 +293,24 @@ def test_stacked_kernels_agree_with_per_point_calls():
     P1m, P2m = so4.p1_m(), so4.p2_m(params)
     P1u, P2u, Q = xxz.p1_uv(), xxz.p2_uv(params), xxz.q_uv(params)
     X1, Z = xxz.x1_field(params), xxz.z_field()
-    obs = xxz.uv_observables(params)
+    obs, obs_m = xxz.uv_observables(params), so4.observables_m(params)
     hams = [obs[name] for name in ("H0", "C2", "H1", "H2")]
     # each case maps (point, lam, rho) to a list of (value, scale) pairs
     exact = [
         (m_pts, lambda pt, lam, rho: [schouten_residual(P1m, P2m, pt), schouten_residual(P2m, P2m, pt)]),
-        (m_pts, lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt)]),
+        (m_pts, lambda pt, lam, rho: [so4.char_poly_residual(params, lam, rho, pt, obs_m)]),
         (uv_pts, lambda pt, lam, rho: [schouten_residual(Q, Q, pt), schouten_residual(P1u, Q, pt)]),
         (uv_pts, lambda pt, lam, rho: brackets_scaled(Q, hams, [(0, 2), (2, 3)], pt)),
         (uv_pts, lambda pt, lam, rho: [ham_field_scaled(Q, obs["H0"], pt)]),
         (uv_pts, lambda pt, lam, rho: [_lie_scalar_scaled(Z, obs["H1"], pt), _lie_scalar_scaled(X1, obs["H2"], pt)]),
         (uv_pts, lambda pt, lam, rho: [lie_bivector_scaled(Z, P2u, pt)]),
-        (uv_pts, lambda pt, lam, rho: [xxz.stackel_residual(params, lam, rho, pt)]),
-        (uv_pts, lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt)]),
-        (uv_pts, lambda pt, lam, rho: _transport(params, pt)),
-        (uv_pts, lambda pt, lam, rho: list(xxz.observable_transport_residuals(params, pt).values())),
+        (uv_pts, lambda pt, lam, rho: [xxz.stackel_residual(params, lam, rho, pt, Z)]),
+        (uv_pts, lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt, Z)]),
+        (uv_pts, lambda pt, lam, rho: _transport((P1u, P2u, P1m, P2m), pt)),
+        (uv_pts, lambda pt, lam, rho: list(xxz.observable_transport_residuals(obs, obs_m, pt).values())),
     ]
     fd = [
-        (m_pts, lambda pt, lam, rho: [grad_fd_residual(f, pt) for f in so4.observables_m(params).values()]),
+        (m_pts, lambda pt, lam, rho: [grad_fd_residual(f, pt) for f in obs_m.values()]),
         (uv_pts, lambda pt, lam, rho: [grad_fd_residual(f, pt) for f in obs.values()]),
     ]
     cases = [(pts, STACK_ROUNDOFF, kernel) for pts, kernel in exact]

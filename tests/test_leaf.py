@@ -13,6 +13,9 @@ from bihamso4.so4 import ModelParams
 from oracles import fd_jac
 
 PARAMS = ModelParams.from_mu(1.0, 2.0, 3.0)
+# the uv ingredients the leaf functions read, built once as a verify run builds them
+OBS = xxz.uv_observables(PARAMS)
+P1U, QU = xxz.p1_uv(), xxz.q_uv(PARAMS)
 
 # mu=(1,2,3), u=(1,2), z=(1,0), levels h0=2, c2=-1; everything downstream of
 # this leaf is known in closed form and used as a frozen reference.
@@ -90,7 +93,7 @@ def test_restricted_tensors_match_ambient_restriction():
     rng = np.random.default_rng(2)
     for _ in range(20):
         leaf = random_leaf(rng)
-        res = leaf_mod.restricted_oracle_residuals(PARAMS, leaf)
+        res = leaf_mod.restricted_oracle_residuals(PARAMS, leaf, P1U, QU)
         assert res["P"].normalized < 1e-11
         assert res["Q"].normalized < 1e-11
 
@@ -99,8 +102,8 @@ def test_nijenhuis_closed_form_and_spectrum():
     rng = np.random.default_rng(3)
     for _ in range(20):
         leaf = random_leaf(rng)
-        assert leaf_mod.nijenhuis_closed_form_residual(PARAMS, leaf).normalized < 1e-12
-        assert leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf).normalized < 1e-9
+        assert leaf_mod.nijenhuis_closed_form_residual(PARAMS, leaf, leaf_mod.nijenhuis).normalized < 1e-12
+        assert leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf, leaf_mod.nijenhuis).normalized < 1e-9
 
 
 def test_nijenhuis_hand_values():
@@ -168,7 +171,7 @@ def test_deformation_field_form():
 def test_deformation_tower_hand_values():
     # Lie_Y H = 72 (rho - 3) and Lie_Y^2 H = 283.5 (rho - 3) on the hand leaf
     for rho in (0.3 + 0.4j, -0.7 + 0j, 1.2 - 0.5j):
-        tower = leaf_mod.deformation_tower(PARAMS, rho, HAND_LEAF)
+        tower = leaf_mod.deformation_tower(PARAMS, rho, HAND_LEAF, OBS)
         assert abs(tower["lie1"] - 72.0 * (rho - 3.0)) < 1e-10 * (1 + abs(tower["lie1"]))
         assert abs(tower["lie2"] - 283.5 * (rho - 3.0)) < 1e-10 * (1 + abs(tower["lie2"]))
         assert tower["termination"].normalized < 1e-10
@@ -179,22 +182,22 @@ def test_deformation_factorization():
     for _ in range(20):
         leaf = random_leaf(rng)
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        res = leaf_mod.deformation_residuals(PARAMS, rho, leaf)
+        res = leaf_mod.deformation_residuals(PARAMS, rho, leaf, OBS)
         assert res["factorization"].normalized < 1e-11
         assert res["second"].normalized < 1e-11
-        tower = leaf_mod.deformation_tower(PARAMS, rho, leaf)
+        tower = leaf_mod.deformation_tower(PARAMS, rho, leaf, OBS)
         assert tower["termination"].normalized < 1e-10
 
 
 def test_xi2_hand_value_and_path_agreement():
     xi2 = leaf_mod.xi2_closed_form(PARAMS, HAND_LEAF)
     assert abs(xi2 - 16.0 / 63.0) < 1e-14
-    assert abs(leaf_mod.deformation_xi2(PARAMS, HAND_LEAF) - xi2) < 1e-14
+    assert abs(leaf_mod.deformation_xi2(PARAMS, HAND_LEAF, OBS) - xi2) < 1e-14
     rng = np.random.default_rng(7)
     for _ in range(15):
         leaf = random_leaf(rng)
         closed = leaf_mod.xi2_closed_form(PARAMS, leaf)
-        both = leaf_mod.deformation_xi2(PARAMS, leaf)
+        both = leaf_mod.deformation_xi2(PARAMS, leaf, OBS)
         assert abs(both - closed) < 1e-10 * (1 + abs(closed))
 
 
@@ -203,11 +206,11 @@ def test_deformation_xi2_fails_closed_on_nan():
     # agreement both read NaN; a NaN must fail the guards, not slip past them
     leaf = LeafChart(HAND_LEAF.coords, (np.nan, -1.0))
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="did not terminate"):
-        leaf_mod.deformation_xi2(PARAMS, leaf)
+        leaf_mod.deformation_xi2(PARAMS, leaf, OBS)
 
 
 def test_dn_chart_hand_values():
-    chart = leaf_mod.dn_chart(PARAMS, HAND_LEAF)
+    chart = leaf_mod.dn_chart(PARAMS, HAND_LEAF, OBS)
     assert chart.zeta1 == -1.0
     assert abs(chart.xi1 + 0.5 * np.log(3.5)) < 1e-14
     assert abs(chart.lambda2 - 6.5) < 1e-14
@@ -222,7 +225,7 @@ def test_dn_gradients_match_fd():
         step = 1e-6
 
         def chart_vec(coords):
-            ch = leaf_mod.dn_chart(PARAMS, LeafChart(coords, leaf.levels))
+            ch = leaf_mod.dn_chart(PARAMS, LeafChart(coords, leaf.levels), OBS)
             return np.array([ch.zeta1, ch.xi1, ch.lambda2, ch.xi2])
 
         for k in range(4):
@@ -301,7 +304,7 @@ def test_dn_eigenforms():
     rng = np.random.default_rng(10)
     for _ in range(20):
         leaf = random_leaf(rng)
-        res = leaf_mod.dn_eigenform_residuals(PARAMS, leaf)
+        res = leaf_mod.dn_eigenform_residuals(PARAMS, leaf, leaf_mod.nijenhuis)
         assert len(res) == 4
         assert max(r.normalized for r in res) < 1e-9
 
@@ -318,7 +321,7 @@ def test_generalized_lenard_coefficient_is_p1():
     rng = np.random.default_rng(12)
     for _ in range(15):
         leaf = random_leaf(rng)
-        fit = leaf_mod.generalized_lenard_fit(PARAMS, leaf)
+        fit = leaf_mod.generalized_lenard_fit(PARAMS, leaf, OBS)
         assert fit["residual"].normalized < 1e-10
         assert fit["p1_mismatch"] < 1e-10
 
@@ -328,7 +331,7 @@ def test_q_dh2_closes_the_chain():
     rng = np.random.default_rng(13)
     for _ in range(15):
         leaf = random_leaf(rng)
-        res = leaf_mod.q_extra_casimir_residuals(PARAMS, leaf)
+        res = leaf_mod.q_extra_casimir_residuals(PARAMS, leaf, OBS)
         assert res["qdh2_chain"].normalized < 1e-11
         assert res["qdh1_norm"].normalized > 1e-3
 
@@ -338,7 +341,7 @@ def test_zeta1_in_involution_with_hamiltonians():
     for _ in range(15):
         c = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         pt = PhasePoint(CHART_UV, c)
-        res = leaf_mod.zeta1_involution_residuals(PARAMS, pt)
+        res = leaf_mod.zeta1_involution_residuals(P1U, OBS, pt)
         for name, r in res.items():
             assert r.normalized < 1e-11, name
 
@@ -350,24 +353,24 @@ def test_phi1_vanishes_everywhere_including_hand_points():
         np.array([0, 0, 1, 0, 0, 0], dtype=complex),
     ]
     for c in obs_pts:
-        r = leaf_mod.phi1_residual(PARAMS, PhasePoint(CHART_UV, c))
+        r = leaf_mod.phi1_residual(PARAMS, PhasePoint(CHART_UV, c), OBS)
         assert r.normalized < 1e-12
     rng = np.random.default_rng(15)
     for _ in range(30):
         c = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-        r = leaf_mod.phi1_residual(PARAMS, PhasePoint(CHART_UV, c))
+        r = leaf_mod.phi1_residual(PARAMS, PhasePoint(CHART_UV, c), OBS)
         assert r.normalized < 1e-12
 
 
 def test_phi2_vanishes_on_nondegenerate_points():
     uv = leaf_mod.embed(HAND_LEAF)
-    assert leaf_mod.phi2_residual(PARAMS, uv).normalized < 1e-12
+    assert leaf_mod.phi2_residual(PARAMS, uv, OBS).normalized < 1e-12
     rng = np.random.default_rng(16)
     count = 0
     while count < 30:
         leaf = random_leaf(rng)
         uv = leaf_mod.embed(leaf)
-        assert leaf_mod.phi2_residual(PARAMS, uv).normalized < 1e-9
+        assert leaf_mod.phi2_residual(PARAMS, uv, OBS).normalized < 1e-9
         count += 1
 
 
@@ -446,20 +449,20 @@ STACKABLE = {
     "nijenhuis": lambda leaf, rho: leaf_mod.nijenhuis(PARAMS, leaf),
     "dn_gradients": lambda leaf, rho: leaf_mod.dn_gradients(PARAMS, leaf),
     "dn_bracket_matrix": lambda leaf, rho: leaf_mod.dn_bracket_matrix(PARAMS, leaf),
-    "deformation_tower": lambda leaf, rho: leaf_mod.deformation_tower(PARAMS, rho, leaf),
-    "restricted_oracle_residuals": lambda leaf, rho: leaf_mod.restricted_oracle_residuals(PARAMS, leaf),
-    "nijenhuis_closed_form_residual": lambda leaf, rho: leaf_mod.nijenhuis_closed_form_residual(PARAMS, leaf),
-    "nijenhuis_spectrum_residual": lambda leaf, rho: leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf),
+    "deformation_tower": lambda leaf, rho: leaf_mod.deformation_tower(PARAMS, rho, leaf, OBS),
+    "restricted_oracle_residuals": lambda leaf, rho: leaf_mod.restricted_oracle_residuals(PARAMS, leaf, P1U, QU),
+    "nijenhuis_closed_form_residual": lambda leaf, rho: leaf_mod.nijenhuis_closed_form_residual(PARAMS, leaf, leaf_mod.nijenhuis),
+    "nijenhuis_spectrum_residual": lambda leaf, rho: leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf, leaf_mod.nijenhuis),
     "deformation_field": lambda leaf, rho: leaf_mod.deformation_field(PARAMS, leaf),
     "lie_y_invariant_residuals": lambda leaf, rho: leaf_mod.lie_y_invariant_residuals(PARAMS, leaf),
-    "deformation_residuals": lambda leaf, rho: leaf_mod.deformation_residuals(PARAMS, rho, leaf),
-    "xi2_path_agreement": lambda leaf, rho: leaf_mod.xi2_path_agreement(PARAMS, leaf)[::2],
+    "deformation_residuals": lambda leaf, rho: leaf_mod.deformation_residuals(PARAMS, rho, leaf, OBS),
+    "xi2_path_agreement": lambda leaf, rho: leaf_mod.xi2_path_agreement(PARAMS, leaf, OBS)[::2],
     "dn_bracket_residuals": lambda leaf, rho: leaf_mod.dn_bracket_residuals(PARAMS, leaf),
-    "dn_eigenform_residuals": lambda leaf, rho: leaf_mod.dn_eigenform_residuals(PARAMS, leaf),
+    "dn_eigenform_residuals": lambda leaf, rho: leaf_mod.dn_eigenform_residuals(PARAMS, leaf, leaf_mod.nijenhuis),
     "theta_bracket_residual": lambda leaf, rho: leaf_mod.theta_bracket_residual(PARAMS, leaf),
-    "generalized_lenard_fit": lambda leaf, rho: leaf_mod.generalized_lenard_fit(PARAMS, leaf),
-    "q_extra_casimir_residuals": lambda leaf, rho: leaf_mod.q_extra_casimir_residuals(PARAMS, leaf),
-    "phi2_residual": lambda leaf, rho: leaf_mod.phi2_residual(PARAMS, leaf_mod.embed(leaf)),
+    "generalized_lenard_fit": lambda leaf, rho: leaf_mod.generalized_lenard_fit(PARAMS, leaf, OBS),
+    "q_extra_casimir_residuals": lambda leaf, rho: leaf_mod.q_extra_casimir_residuals(PARAMS, leaf, OBS),
+    "phi2_residual": lambda leaf, rho: leaf_mod.phi2_residual(PARAMS, leaf_mod.embed(leaf), OBS),
 }
 
 
@@ -491,7 +494,7 @@ def test_xi2_paths_agree_where_the_line_fit_was_ill_conditioned(verify_seed, ind
     # against large node values once read 5.5e-10 and 1.6e-10 > TOL_DN
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
     leafs = _columns(verify.sample_points("LEAF", index + 1, verify_seed + 2, params).stack)
-    _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index])
+    _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index], xxz.uv_observables(params))
     assert agreement.normalized <= verify.TOL_DN
 
 

@@ -76,9 +76,10 @@ def test_jacobi_and_compatibility():
 def test_lenard_chain_and_casimirs():
     rng = np.random.default_rng(3)
     p = ModelParams.from_mu(1.0, 2.0, 3.0)
+    P1, P2, obs = so4.p1_m(), so4.p2_m(p), so4.observables_m(p)
     for _ in range(25):
         pt = random_m(rng)
-        for name, r in so4.lenard_residuals_m(p, pt).items():
+        for name, r in so4.lenard_residuals_m(P1, P2, obs, pt).items():
             assert r.normalized < 1e-12, name
 
 
@@ -97,11 +98,12 @@ def test_casimirs_annihilate_p1():
 def test_char_poly_identity():
     rng = np.random.default_rng(5)
     p = ModelParams.from_mu(1.0, 2.0, 3.0, -0.4)
+    obs = so4.observables_m(p)
     for _ in range(50):
         pt = random_m(rng)
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert so4.char_poly_residual(p, lam, rho, pt).normalized < 1e-10
+        assert so4.char_poly_residual(p, lam, rho, pt, obs).normalized < 1e-10
 
 
 def test_det4_against_numpy():

@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4, verify, xxz
-from bihamso4.fields import EPS_DEG, PhasePoint, Residual
+from bihamso4.fields import EPS_DEG, PhasePoint, Residual, ScalarField, VectorField, pencil
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 
@@ -253,8 +254,8 @@ def test_nan_residual_fails_closed(monkeypatch):
     # lenard_chain is evaluated once on the stack of M points: poison column 3
     real = so4.lenard_residuals_m
 
-    def patched(params, pt):
-        out = real(params, pt)
+    def patched(p1, p2, obs, pt):
+        out = real(p1, p2, obs, pt)
         raw = out["chain_step_1"].raw.copy()
         raw[3] = float("nan")
         out["chain_step_1"] = Residual(raw, out["chain_step_1"].scale)
@@ -284,7 +285,7 @@ def test_nan_diagnostic_fails_closed(monkeypatch):
     # samples: poison column 2, which a running max would drop
     real = leaf_mod.generalized_lenard_fit
 
-    def patched(params, leaf, obs=None):
+    def patched(params, leaf, obs):
         out = real(params, leaf, obs)
         raw = out["residual"].raw.copy()
         raw[2] = float("nan")
@@ -305,7 +306,7 @@ def test_nan_diagnostic_at_first_sample_keeps_report_strict(monkeypatch):
     # a NaN first in the list survives min(); it must become null, not break to_json
     real = leaf_mod.q_extra_casimir_residuals
 
-    def patched(params, leaf, obs=None):
+    def patched(params, leaf, obs):
         out = real(params, leaf, obs)
         out["qdh1_norm"] = Residual(float("nan"), 1.0)
         return out
@@ -351,6 +352,84 @@ def test_override_breaks_exactly_the_rows_reading_its_ingredient(mutation, faili
     assert {c.name for c in report.checks if not c.skipped and not c.passed} == failing
 
 
+def _scaled_ke(params):
+    """m observables whose KE, value and gradient, carries a factor 1 + 1e-6."""
+    obs = dict(so4.observables_m(params))
+    ke = obs["KE"]
+    obs["KE"] = ScalarField(ke.chart, lambda m: (1.0 + 1e-6) * ke.value(m), lambda m: (1.0 + 1e-6) * ke.grad(m))
+    return obs
+
+
+def _p2_m_plus_p1(params):
+    """The m-chart pencil P2 + 1e-3 P1: Poisson and compatible with P1, but it breaks the chain."""
+    return pencil(so4.p2_m(params), so4.p1_m(), 1e-3)
+
+
+def _scaled_z(params):
+    """The transversal field Z, value and Jacobian, times 1 + 1e-6."""
+    z = xxz.z_field()
+    return VectorField(z.chart, lambda c: (1.0 + 1e-6) * z.value(c), lambda c: (1.0 + 1e-6) * z.jac(c))
+
+
+@pytest.mark.parametrize(
+    "key, mutant, mu, failing",
+    [
+        ("P2m", _p2_m_plus_p1, (10.0, 1.0, 2.0), {"lenard_chain", "uv_tensor_scale"}),
+        ("P2m", _p2_m_plus_p1, (10.0, 1.0, 2.0, 5.0), {"lenard_chain"}),
+        ("obs_m", _scaled_ke, (10.0, 1.0, 2.0), {"lenard_chain", "charpoly_identity", "observable_transport"}),
+        ("obs_m", _scaled_ke, (10.0, 1.0, 2.0, 5.0), {"lenard_chain", "charpoly_identity"}),
+        (
+            "P1u", lambda params: pencil(xxz.p1_uv(), xxz.p2_uv(params), 1e-3), (10.0, 1.0, 2.0),
+            {"uv_tensor_scale", "compat_p1_q_uv", "x1_hamiltonian", "transversal_p1_symmetry", "restricted_oracle"},
+        ),
+        (
+            "Zf", _scaled_z, (10.0, 1.0, 2.0),
+            {"transversal_normalization", "transversal_h1_h2", "transversal_curve_factor"},
+        ),
+    ],
+)
+def test_swapped_ingredient_reaches_every_row_reading_it(monkeypatch, key, mutant, mu, failing):
+    # a test-only override swaps one ingredient; every row and diagnostic
+    # reads the run's mapping, so the rows that fail are exactly its readers
+    # whose identity the mutant breaks
+    monkeypatch.setitem(verify.OVERRIDES, "test_mutant", (key, mutant))
+    report = verify.run_suite(ModelParams.from_mu(*mu), seed=0, n_points=20, overrides=("test_mutant",))
+    assert {c.name for c in report.checks if not c.skipped and not c.passed} == failing
+
+
+# The model constructors, by the module that defines them.
+CONSTRUCTORS = {
+    so4: ("p1_m", "p2_m", "observables_m"),
+    xxz: ("uv_observables", "p1_uv", "p2_uv", "q_uv", "x1_field", "z_field"),
+}
+
+
+@pytest.mark.parametrize(
+    "mu, calls",
+    [
+        # q_uv builds the P2, X1 and Z it composes, so those three are called twice
+        (
+            (10.0, 1.0, 2.0),
+            {"p1_m": 1, "p2_m": 1, "observables_m": 1, "uv_observables": 1, "p1_uv": 1, "p2_uv": 2, "q_uv": 1,
+             "x1_field": 2, "z_field": 2},
+        ),
+        ((10.0, 1.0, 2.0, 5.0), {"p1_m": 1, "p2_m": 1, "observables_m": 1}),
+    ],
+)
+def test_run_suite_builds_each_ingredient_once(monkeypatch, mu, calls):
+    counted = Counter()
+    for module, names in CONSTRUCTORS.items():
+        for name in names:
+
+            def counting(*args, real=getattr(module, name), name=name):
+                counted[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    verify.run_suite(ModelParams.from_mu(*mu), seed=0, n_points=20)
+    assert counted == calls
+
+
 def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
     # a consistent H2 + 1e-4 z1 z2 (value and gradient) swapped in where the
     # suite builds its uv observables must fail both separation relations
@@ -393,7 +472,7 @@ def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
         return out
 
     monkeypatch.setattr(leaf_mod, "dn_gradients", patched)
-    res = leaf_mod.dn_eigenform_residuals(PARAMS, leafs)
+    res = leaf_mod.dn_eigenform_residuals(PARAMS, leafs, leaf_mod.nijenhuis)
     assert len(res) == 4
     assert [bool(np.isfinite(x)) for x in res[1].raw] == [True, True, True, True, False, True]
     report = verify.run_suite(PARAMS, seed=0, n_points=6)

@@ -41,9 +41,10 @@ def test_observables_hand_points():
 def test_observable_transport():
     # uv observables equal (H0, 2C, -2HE, KE) transported from the m chart
     rng = np.random.default_rng(0)
+    obs, obs_m = xxz.uv_observables(PARAMS), so4.observables_m(PARAMS)
     for _ in range(25):
         pt = random_uv(rng)
-        res = xxz.observable_transport_residuals(PARAMS, pt)
+        res = xxz.observable_transport_residuals(obs, obs_m, pt)
         for name, r in res.items():
             assert r.normalized < 1e-12, name
 
@@ -51,9 +52,10 @@ def test_observable_transport():
 def test_uv_tensor_proportionality():
     # printed tensors are (i/sqrt 2) times the chart-transported ones
     rng = np.random.default_rng(1)
+    fields = xxz.p1_uv(), xxz.p2_uv(PARAMS), so4.p1_m(), so4.p2_m(PARAMS)
     for _ in range(10):
         pt = random_uv(rng)
-        res = xxz.uv_transport_residuals(PARAMS, pt)
+        res = xxz.uv_transport_residuals(*fields, pt)
         assert res["p1"].normalized < 1e-12
         assert res["p2"].normalized < 1e-12
         assert abs(res["ratio_p1"] - 1j / np.sqrt(2)) < 1e-12
@@ -141,30 +143,33 @@ def test_lie_z_p2_rank_two_with_z_in_range():
 
 def test_char_poly_uv():
     rng = np.random.default_rng(8)
+    obs = xxz.uv_observables(PARAMS)
     for _ in range(25):
         pt = random_uv(rng)
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert xxz.char_poly_residual_uv(PARAMS, lam, rho, pt).normalized < 1e-10
+        assert xxz.char_poly_residual_uv(PARAMS, lam, rho, pt, obs).normalized < 1e-10
 
 
 def test_stackel_second_lie_derivative_vanishes():
     rng = np.random.default_rng(9)
+    z = xxz.z_field()
     for _ in range(25):
         pt = random_uv(rng)
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert xxz.stackel_residual(PARAMS, lam, rho, pt).normalized < 1e-9
+        assert xxz.stackel_residual(PARAMS, lam, rho, pt, z).normalized < 1e-9
 
 
 def test_first_lie_derivative_factorizes():
     # L_Z det = lambda^2 (rho - lambda1)(rho - lambda2)
     rng = np.random.default_rng(10)
+    z = xxz.z_field()
     for _ in range(25):
         pt = random_uv(rng)
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert xxz.transversal_curve_residual(PARAMS, lam, rho, pt).normalized < 1e-9
+        assert xxz.transversal_curve_residual(PARAMS, lam, rho, pt, z).normalized < 1e-9
 
 
 def test_requires_symmetric_model():
