@@ -5,8 +5,8 @@ they live on.  Every operation checks chart compatibility before touching
 numbers, and derivative layouts follow one convention throughout: Jacobians of
 vector fields are J[i, l] = d(value_i)/d(coord_l), Jacobians of bivector
 fields are J[i, j, l] = d(value_ij)/d(coord_l) (derivative index last).
-A field is a plain value: each constructor call builds a new one, and fields
-are combined by building new ones (wedge_field, pencil).
+A field is a plain value: each constructor call, wedge_field, pencil and
+on_stack (the same field, evaluated at most once on one stack) build a new one.
 
 Coordinates may carry a trailing point axis: a point is (6,), a stack of n
 points is (6, n), and every value and derivative then carries the same
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -301,6 +301,28 @@ def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
         return t - np.swapaxes(t, 0, 1)
 
     return BivectorField(X.chart, value, jac)
+
+
+def on_stack(field, stack):
+    """field (a field, a dict of them, or a callable of one argument), evaluated at most once on `stack`.
+
+    A call with the object `stack` itself is evaluated once and kept, an array read-only;
+    any other argument (a shifted copy, a column) is passed through.
+    """
+    if isinstance(field, dict):
+        return {key: on_stack(f, stack) for key, f in field.items()}
+    if not callable(field):  # a field: each of its callables
+        return replace(field, **{k: on_stack(f, stack) for k, f in vars(field).items() if k != "chart"})
+    kept = []
+
+    def once(x):
+        if x is stack and not kept:
+            kept.append(field(x))
+            if isinstance(kept[0], np.ndarray):
+                kept[0].flags.writeable = False
+        return kept[0] if x is stack else field(x)
+
+    return once
 
 
 def fd_grad(value: Callable[[Array], complex], coords: Array) -> Array:

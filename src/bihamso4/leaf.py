@@ -457,22 +457,22 @@ def xi2_closed_form(params: ModelParams, leaf: LeafChart) -> complex:
     return a.L / (mu3 * u1 * u2 * a.G * a.F)
 
 
-def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs: dict) -> tuple:
+def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> tuple:
     """The two paths to xi2: (closed form, tower at rho = lambda2, their Residual).
 
     The Residual is of Lie_Y H = xi2 Lie_Y^2 H, scaled as in
     deformation_residuals: the ratio Lie_Y H / Lie_Y^2 H would amplify
     rounding where Lie_Y^2 H ~ G^2 F nearly cancels.  obs are the uv
-    observables the tower reads.
+    observables the tower reads; nstar (nijenhuis) gives lambda2.
     """
     closed = xi2_closed_form(params, leaf)
-    _, _, lam2 = nijenhuis(params, leaf)
+    _, _, lam2 = nstar(params, leaf)
     tower = deformation_tower(params, lam2, leaf, obs)
     lie1, target = tower["lie1"], closed * tower["lie2"]
     return closed, tower, Residual(abs(lie1 - target), peak([lie1, target, tower["scale"]], 1))
 
 
-def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict) -> complex:
+def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> complex:
     """DN coordinate conjugate to lambda2 via the deformation algorithm.
 
     Computes both the closed form and the tower of the uv observables obs at
@@ -480,7 +480,7 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict) -> complex:
     relative (xi2_path_agreement); a persistent disagreement means the build
     is broken.
     """
-    closed, tower, agreement = xi2_path_agreement(params, leaf, obs)
+    closed, tower, agreement = xi2_path_agreement(params, leaf, obs, nstar)
     # Written as not (x <= tol) so that a NaN residual raises too.
     if not (tower["termination"].normalized <= 1e-10):
         raise RuntimeError("deformation did not terminate")
@@ -489,12 +489,12 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict) -> complex:
     return closed
 
 
-def dn_chart(params: ModelParams, leaf: LeafChart, obs: dict) -> DNChart:
+def dn_chart(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> DNChart:
     """The four DN coordinates (zeta1, xi1, lambda2, xi2) at a leaf point; xi2 reads the uv observables obs."""
-    _, _, lam2 = nijenhuis(params, leaf)
+    _, _, lam2 = nstar(params, leaf)
     _, z1, _, z2 = leaf.coords
     xi1 = -0.5 * np.log(aux(params, leaf).theta1)
-    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf, obs))
+    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf, obs, nstar))
 
 
 def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
@@ -555,15 +555,15 @@ def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P")
     )
 
 
-def dn_bracket_residuals(params: ModelParams, leaf: LeafChart) -> dict:
+def dn_bracket_residuals(params: ModelParams, leaf: LeafChart, nstar) -> dict:
     """Canonicity under P, and eigenvalue-weighted canonical form under Q.
 
     Target brackets: {zeta1, xi1}_P = {lambda2, xi2}_P = 1 with vanishing
     cross terms; under Q the same pattern weighted by lambda1 and lambda2.
     The scale is the largest summand |G_ai T_ij G_bj| of B = G T G^T (as in
-    fields.bracket_scale) or the largest target entry, whichever is bigger.
+    fields.bracket_scale) or the largest target entry; nstar is nijenhuis.
     """
-    _, lam1, lam2 = nijenhuis(params, leaf)
+    _, lam1, lam2 = nstar(params, leaf)
     grads = dn_gradients(params, leaf)
     g = np.abs(grads)
     out = {}
@@ -621,16 +621,16 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs: dict) -> d
     }
 
 
-def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs: dict) -> dict:
+def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> dict:
     """How Q acts on the restricted Hamiltonians: H0-level direction is exact 0.
 
     On the leaf H0 and C2 are constants, so the interesting quantities are
     Q dH1 and Q dH2 against the chain built from P: Q dH2 = -lambda1 lambda2
     P dH1 holds, while Q dH1 is NOT zero (H1 is not a Casimir of Q).
-    obs are the uv observables.
+    obs are the uv observables; nstar (nijenhuis) gives the eigenvalues.
     """
     P, Q = restricted_tensors(params, leaf)
-    _, lam1, lam2 = nijenhuis(params, leaf)
+    _, lam1, lam2 = nstar(params, leaf)
     g1 = restrict_grad(obs["H1"], leaf)
     g2 = restrict_grad(obs["H2"], leaf)
     q_g2 = matvec(Q, g2)
@@ -682,19 +682,19 @@ def phi1_residual(params: ModelParams, pt: PhasePoint, obs: dict) -> Residual:
     return Residual(abs(sum(terms)), peak(terms, 1))
 
 
-def phi2_residual(params: ModelParams, pt: PhasePoint, obs: dict) -> Residual:
+def phi2_residual(params: ModelParams, pt: PhasePoint, obs: dict, nstar) -> Residual:
     """Second separation relation at a nondegenerate uv point.
 
     Phi2 = p xi2^2 + lambda2 H1 + H2 + Psi with p = -2 mu3^2 F^2 G^2 and
     Psi = lambda2^2 H0 - mu3 F G C2; lambda2, F, G, xi2 all come from the
-    point's own (u1, z1, u2, z2).  obs are the uv observables.
+    point's own (u1, z1, u2, z2).  obs: the uv observables, nstar: nijenhuis.
     """
     _separation_guard(params, pt)
     mu1, mu2, mu3, _ = params.mu
     c = pt.coords
     leaf = project(pt)
     a = aux(params, leaf)
-    _, _, lam2 = nijenhuis(params, leaf)
+    _, _, lam2 = nstar(params, leaf)
     xi2 = xi2_closed_form(params, leaf)
     p = -2.0 * mu3**2 * a.F**2 * a.G**2
     terms = (

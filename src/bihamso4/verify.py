@@ -12,8 +12,11 @@ the same stream continue it in registry order.  Each fn calls the one
 library implementation of its identity and passes in the ingredients it
 reads (P1 and P2 on the M chart, the m observables, the uv observables,
 P1, P2, X1, Z and Q on the uv chart, the nijenhuis callable); no library
-function that a row or diagnostic calls builds one.  The suite owns
-sampling, draws, skip accounting, normalization and report assembly only.
+function that a row or diagnostic calls builds one.  Each is built once per
+run (INGREDIENTS; Q from the run's P2, X1, Z) and, by fields.on_stack,
+evaluated at most once on its M or UV stack, as the DN bracket table is on the
+LEAF stack.  The suite owns sampling, draws, skip accounting, normalization
+(one pass over all residuals) and report assembly only.
 
 Every row runs once on its whole sample, by one code path: the points as
 one stack (a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels),
@@ -36,10 +39,10 @@ Default tolerance tiers:
   1e-9  x scale for composed pipelines (Stackel, Lax flow, eigenforms, Phi2),
   1e-6  relative for finite-difference gradient cross-checks.
 
-A mutation override (OVERRIDES) swaps one entry of the ingredient mapping
-that run_suite builds once per run for a copy with exactly one sign flipped,
-so every row reading it sees the mutation; where the model lacks that
-ingredient it changes nothing.  Each must make at least one check fail loudly:
+A mutation override (OVERRIDES) swaps the builder of one ingredient for
+that of a copy with exactly one sign flipped, so every row reading it sees
+the mutation; where the model lacks that ingredient it changes nothing.
+Each must make at least one check fail loudly:
   "q_sign"     : Q becomes the pencil P2 + X1^Z instead of P2 - X1^Z.
   "h2_sign"    : the uv observables carry H2 + 4 mu3^2 (z1-z2)^2
                  (the sign of its -2 mu3^2 (z1-z2)^2 term is flipped).
@@ -71,6 +74,7 @@ from .fields import (
     lie_bivector,
     lie_bivector_scaled,
     lie_scalar,
+    on_stack,
     peak,
     pencil,
     schouten_residual,
@@ -250,24 +254,19 @@ def sample_points(kind: str, n: int, seed: int, params: ModelParams) -> SampleSe
     return SampleSet(LeafChart(c[:4], (c[4], c[5])), n_resampled)
 
 
-def _flipped_h2_observables(params: ModelParams) -> dict:
+def _flipped_h2_observables(params: ModelParams, _entries: dict) -> dict:
     """uv observables whose H2 carries +2 mu3^2 (z1-z2)^2 in place of -2 mu3^2 (z1-z2)^2."""
-    obs = xxz.uv_observables(params)
-    mu3 = params.mu[2]
+    obs, k = xxz.uv_observables(params), 4.0 * params.mu[2] ** 2
     base = obs["H2"]
-
-    def value(c):
-        return base.value(c) + 4.0 * mu3**2 * (c[2] - c[5]) ** 2
 
     def grad(c):
         g = np.array(base.grad(c), dtype=complex)
-        g[2] += 8.0 * mu3**2 * (c[2] - c[5])
-        g[5] -= 8.0 * mu3**2 * (c[2] - c[5])
+        g[2] += 2.0 * k * (c[2] - c[5])
+        g[5] -= 2.0 * k * (c[2] - c[5])
         return g
 
-    out = dict(obs)
-    out["H2"] = ScalarField(CHART_UV, value, grad)
-    return out
+    obs["H2"] = ScalarField(CHART_UV, lambda c: base.value(c) + k * (c[2] - c[5]) ** 2, grad)
+    return obs
 
 
 def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
@@ -277,11 +276,25 @@ def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     return N, lam1, lam2
 
 
-# Each mutation override: the run_suite ingredient it swaps, and the builder of its mutant from the model.
+# The ingredients in build order: (stack kind, None if not a field; builder(params, the entries before it)).
+INGREDIENTS = {
+    "P1m": ("M_real", lambda params, _: so4.p1_m()),
+    "P2m": ("M_real", lambda params, _: so4.p2_m(params)),
+    "obs_m": ("M_real", lambda params, _: so4.observables_m(params)),
+    "nijenhuis": (None, lambda params, _: leaf_mod.nijenhuis),
+    "obs_uv": ("UV_complex", lambda params, _: xxz.uv_observables(params)),
+    "P1u": ("UV_complex", lambda params, _: xxz.p1_uv()),
+    "P2u": ("UV_complex", lambda params, _: xxz.p2_uv(params)),
+    "X1": ("UV_complex", lambda params, _: xxz.x1_field(params)),
+    "Zf": ("UV_complex", lambda params, _: xxz.z_field()),
+    "Qu": ("UV_complex", lambda params, e: pencil(e["P2u"], wedge_field(e["X1"], e["Zf"]), -1.0)),
+}
+
+# Each mutation override: the ingredient it swaps, and the builder of its mutant.
 OVERRIDES = {
-    "q_sign": ("Qu", lambda params: pencil(xxz.p2_uv(params), wedge_field(xxz.x1_field(params), xxz.z_field()), 1.0)),
+    "q_sign": ("Qu", lambda params, e: pencil(e["P2u"], wedge_field(e["X1"], e["Zf"]), 1.0)),
     "h2_sign": ("obs_uv", _flipped_h2_observables),
-    "nstar_sign": ("nijenhuis", lambda params: _flipped_nijenhuis),
+    "nstar_sign": ("nijenhuis", lambda params, _: _flipped_nijenhuis),
 }
 
 
@@ -331,22 +344,6 @@ def run_suite(
         "positive_spectrum": bool(np.all(np.asarray(params.jsq) > 0.0)),
     }
     mu1, mu2, mu3, mu4 = params.mu
-
-    # ---------------- ingredients, built once per run; an override swaps one for its mutant ----------------
-
-    ingredients = dict(P1m=so4.p1_m(), P2m=so4.p2_m(params), obs_m=so4.observables_m(params), nijenhuis=leaf_mod.nijenhuis)
-    if params.symmetric:  # the uv ingredients exist only where the rows reading them apply
-        ingredients.update(
-            obs_uv=xxz.uv_observables(params), Qu=xxz.q_uv(params), P1u=xxz.p1_uv(), P2u=xxz.p2_uv(params),
-            X1=xxz.x1_field(params), Zf=xxz.z_field(),
-        )
-    for name in overrides:
-        key, mutant = OVERRIDES[name]
-        if key in ingredients:
-            ingredients[key] = mutant(params)
-    P1m, P2m, obs_m, nijenhuis, obs_uv, Qu, P1u, P2u, X1, Zf = map(
-        ingredients.get, ("P1m", "P2m", "obs_m", "nijenhuis", "obs_uv", "Qu", "P1u", "P2u", "X1", "Zf")
-    )
 
     # ---------------- general-model checks (M chart) ----------------
 
@@ -466,13 +463,6 @@ def run_suite(
         r_p = Residual(abs(a.p1sum - (lam1 + lam2)), peak([a.p1sum, lam1 + lam2], 1))
         return [r_g, r_f, r_p]
 
-    dn_last = [None, None]  # a leaf stack and its dn_bracket_residuals, which both DN bracket rows read
-
-    def dn_brackets(leaf, structure):
-        if dn_last[0] is not leaf:
-            dn_last[:] = leaf, leaf_mod.dn_bracket_residuals(params, leaf)
-        return [dn_last[1][structure]]
-
     # ---------------- the registry: (name, tolerance, point kind, requires, fn[, stream, draws]) ----------------
 
     M, UV, LEAF, SYM, POS = "M_real", "UV_complex", "LEAF", "symmetric", "positive_spectrum"
@@ -532,7 +522,7 @@ def run_suite(
             lambda pt: list(leaf_mod.zeta1_involution_residuals(P1u, obs_uv, pt).values()),
         ),
         ("separation_phi1", TOL_EXACT, UV, SYM, lambda pt: [leaf_mod.phi1_residual(params, pt, obs_uv)]),
-        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv)]),
+        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv, nijenhuis)]),
         ("embed_roundtrip", TOL_ROUNDTRIP, LEAF, SYM, embed_roundtrip),
         ("restricted_oracle", TOL_SCHOUTEN, LEAF, SYM, restricted_oracle),
         (
@@ -556,15 +546,15 @@ def run_suite(
         ),
         (
             "deformation_xi2_agreement", TOL_DN, LEAF, SYM,
-            lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv)[2]],
+            lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv, nijenhuis)[2]],
         ),
-        ("dn_canonical_p", TOL_DN, LEAF, SYM, lambda leaf: dn_brackets(leaf, "P")),
-        ("dn_brackets_q", TOL_DN, LEAF, SYM, lambda leaf: dn_brackets(leaf, "Q")),
+        ("dn_canonical_p", TOL_DN, LEAF, SYM, lambda leaf: [dn_table(leaf)["P"]]),
+        ("dn_brackets_q", TOL_DN, LEAF, SYM, lambda leaf: [dn_table(leaf)["Q"]]),
         ("dn_eigenforms", TOL_PIPELINE, LEAF, SYM, lambda leaf: leaf_mod.dn_eigenform_residuals(params, leaf, nijenhuis)),
         ("theta_bracket", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.theta_bracket_residual(params, leaf)]),
         (
             "q_dh2_chain", TOL_SCHOUTEN, LEAF, SYM,
-            lambda leaf: [leaf_mod.q_extra_casimir_residuals(params, leaf, obs_uv)["qdh2_chain"]],
+            lambda leaf: [leaf_mod.q_extra_casimir_residuals(params, leaf, obs_uv, nijenhuis)["qdh2_chain"]],
         ),
     ]
 
@@ -586,7 +576,17 @@ def run_suite(
             if kind != M:  # the one guard, once per stack: a rejected stack fails all its rows
                 rejected[kind] = _degeneracy(params, kind, sample.stack.coords)[1]
 
+    # The rows above read these.  A field exists only where a row reading it is evaluated.
+    swaps, ingredients = dict(OVERRIDES[name] for name in overrides), {}
+    for key, (kind, build) in INGREDIENTS.items():
+        if kind is None or kind in stacks:
+            entry = swaps.get(key, build)(params, ingredients)
+            ingredients[key] = entry if kind is None else on_stack(entry, stacks[kind].coords)
+    P1m, P2m, obs_m, nijenhuis, obs_uv, P1u, P2u, X1, Zf, Qu = map(ingredients.get, INGREDIENTS)
+    dn_table = on_stack(lambda leaf: leaf_mod.dn_bracket_residuals(params, leaf, nijenhuis), stacks.get(LEAF))
+
     streams = {}  # rows naming the same stream continue it, in registry order
+    evaluated, starts, residuals = [], [], []  # each evaluated row, and the index of its first residual
     for name, tol, kind, _, fn, *drawn in active:
         stream, n_draws = drawn or (None, 0)
         if n_draws and stream not in streams:
@@ -600,20 +600,23 @@ def run_suite(
         if rejected.get(kind):
             result.note = f"guard rejected a sample: {rejected[kind]}"
             continue
-        residuals = _evaluate(fn, stacks[kind], draws)
-        raw = np.array([np.broadcast_to(r.raw, (n_points,)) for r in residuals], dtype=float)
-        scale = np.array([np.broadcast_to(r.scale, (n_points,)) for r in residuals], dtype=float)
-        finite = np.isfinite(raw) & np.isfinite(scale)
-        # NaN compares false against everything, so it is caught here rather
-        # than silently losing the comparison below.
-        nonfinite = ~finite.all(axis=0)
-        normalized = np.divide(raw, 1.0 + scale, out=np.zeros_like(raw), where=finite)
-        result.max_residual = float(normalized.max(initial=0.0))
-        result.n_evaluated = n_points
-        if nonfinite.any():
-            result.note = f"non-finite residual at sample {int(np.argmax(nonfinite))}"
-        else:
-            result.passed = bool(result.max_residual <= result.tolerance)
+        evaluated.append(result)
+        starts.append(len(residuals))
+        residuals += _evaluate(fn, stacks[kind], draws)
+
+    # One pass over every residual (the M rows run on every model), then each row reduces its own block.
+    raw, scale = (np.array([np.broadcast_to(x, (n_points,)) for x in xs], dtype=float) for xs in zip(*residuals))
+    finite = np.isfinite(raw) & np.isfinite(scale)
+    # NaN compares false against everything, so it is caught here rather
+    # than silently losing the comparison below.
+    normalized = np.divide(raw, 1.0 + scale, out=np.zeros_like(raw), where=finite)
+    worst = np.maximum.reduceat(normalized.max(axis=1, initial=0.0), starts)
+    nonfinite = np.logical_or.reduceat(~finite, starts)  # per row, per sample
+    for result, row_worst, bad in zip(evaluated, worst, nonfinite):
+        result.max_residual, result.n_evaluated = float(row_worst), n_points
+        result.passed = not bad.any() and bool(result.max_residual <= result.tolerance)
+        if bad.any():
+            result.note = f"non-finite residual at sample {int(np.argmax(bad))}"
 
     # ---------------- diagnostics ----------------
 
@@ -622,7 +625,7 @@ def run_suite(
         leafs = LeafChart(leaf_stack.coords[:, :20], tuple(level[:20] for level in leaf_stack.levels))
         lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv)
         fits, p1_mismatch = lenard["residual"].normalized, lenard["p1_mismatch"]
-        h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv)["qdh1_norm"].normalized
+        h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv, nijenhuis)["qdh1_norm"].normalized
         ratio = xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))["ratio_p1"]
         report.diagnostics += [
             _diagnostic(

@@ -135,7 +135,7 @@ def test_criterion_5_nijenhuis_dn():
         worst["spectrum"] = max(
             worst["spectrum"], leaf_mod.nijenhuis_spectrum_residual(SYM, leaf, leaf_mod.nijenhuis).normalized
         )
-        br = leaf_mod.dn_bracket_residuals(SYM, leaf)
+        br = leaf_mod.dn_bracket_residuals(SYM, leaf, leaf_mod.nijenhuis)
         worst["dn_p"] = max(worst["dn_p"], br["P"].normalized)
         worst["dn_q"] = max(worst["dn_q"], br["Q"].normalized)
         worst["eigen"] = max(worst["eigen"], *(r.normalized for r in leaf_mod.dn_eigenform_residuals(SYM, leaf, leaf_mod.nijenhuis)))
@@ -172,7 +172,7 @@ def test_criterion_6_deformation_pipeline():
         tower = leaf_mod.deformation_tower(SYM, rho, leaf, obs)
         worst_term = max(worst_term, tower["termination"].normalized)
         closed = leaf_mod.xi2_closed_form(SYM, leaf)
-        got = leaf_mod.deformation_xi2(SYM, leaf, obs)
+        got = leaf_mod.deformation_xi2(SYM, leaf, obs, leaf_mod.nijenhuis)
         worst_xi2 = max(worst_xi2, abs(got - closed) / (1.0 + abs(closed)))
     elapsed = time.perf_counter() - t0
     ok = worst_factor <= 1e-10 and worst_term <= 1e-10 and worst_xi2 <= 1e-10
@@ -201,7 +201,7 @@ def test_criterion_7_separation_relations():
         worst1 = max(worst1, leaf_mod.phi1_residual(SYM, PhasePoint(CHART_UV, c), obs).normalized)
     worst2 = 0.0
     for pt in _uv_points(100, 111):
-        worst2 = max(worst2, leaf_mod.phi2_residual(SYM, pt, obs).normalized)
+        worst2 = max(worst2, leaf_mod.phi2_residual(SYM, pt, obs, leaf_mod.nijenhuis).normalized)
     elapsed = time.perf_counter() - t0
     ok = worst1 <= 1e-12 and worst2 <= 1e-9
     _line(7, ok, f"phi1 max {worst1:.2e} (tol 1e-12), phi2 max {worst2:.2e} (tol 1e-9), {elapsed:.2f}s")

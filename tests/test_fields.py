@@ -213,7 +213,9 @@ def _suite_bivectors(params, t):
         "M_real": {"P1m": P1m, "P2m": P2m, "pencil": pencil(P1m, P2m, t)},
         "UV_complex": {
             "P1u": xxz.p1_uv(), "P2u": xxz.p2_uv(params), "Q": xxz.q_uv(params),
-            "Q_sign": verify.OVERRIDES["q_sign"][1](params),
+            "Q_sign": verify.OVERRIDES["q_sign"][1](
+                params, {"P2u": xxz.p2_uv(params), "X1": xxz.x1_field(params), "Zf": xxz.z_field()}
+            ),
         },
     }
 

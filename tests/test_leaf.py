@@ -192,12 +192,12 @@ def test_deformation_factorization():
 def test_xi2_hand_value_and_path_agreement():
     xi2 = leaf_mod.xi2_closed_form(PARAMS, HAND_LEAF)
     assert abs(xi2 - 16.0 / 63.0) < 1e-14
-    assert abs(leaf_mod.deformation_xi2(PARAMS, HAND_LEAF, OBS) - xi2) < 1e-14
+    assert abs(leaf_mod.deformation_xi2(PARAMS, HAND_LEAF, OBS, leaf_mod.nijenhuis) - xi2) < 1e-14
     rng = np.random.default_rng(7)
     for _ in range(15):
         leaf = random_leaf(rng)
         closed = leaf_mod.xi2_closed_form(PARAMS, leaf)
-        both = leaf_mod.deformation_xi2(PARAMS, leaf, OBS)
+        both = leaf_mod.deformation_xi2(PARAMS, leaf, OBS, leaf_mod.nijenhuis)
         assert abs(both - closed) < 1e-10 * (1 + abs(closed))
 
 
@@ -206,11 +206,11 @@ def test_deformation_xi2_fails_closed_on_nan():
     # agreement both read NaN; a NaN must fail the guards, not slip past them
     leaf = LeafChart(HAND_LEAF.coords, (np.nan, -1.0))
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="did not terminate"):
-        leaf_mod.deformation_xi2(PARAMS, leaf, OBS)
+        leaf_mod.deformation_xi2(PARAMS, leaf, OBS, leaf_mod.nijenhuis)
 
 
 def test_dn_chart_hand_values():
-    chart = leaf_mod.dn_chart(PARAMS, HAND_LEAF, OBS)
+    chart = leaf_mod.dn_chart(PARAMS, HAND_LEAF, OBS, leaf_mod.nijenhuis)
     assert chart.zeta1 == -1.0
     assert abs(chart.xi1 + 0.5 * np.log(3.5)) < 1e-14
     assert abs(chart.lambda2 - 6.5) < 1e-14
@@ -225,7 +225,7 @@ def test_dn_gradients_match_fd():
         step = 1e-6
 
         def chart_vec(coords):
-            ch = leaf_mod.dn_chart(PARAMS, LeafChart(coords, leaf.levels), OBS)
+            ch = leaf_mod.dn_chart(PARAMS, LeafChart(coords, leaf.levels), OBS, leaf_mod.nijenhuis)
             return np.array([ch.zeta1, ch.xi1, ch.lambda2, ch.xi2])
 
         for k in range(4):
@@ -262,7 +262,7 @@ def test_dn_brackets_canonical():
     rng = np.random.default_rng(9)
     for _ in range(20):
         leaf = random_leaf(rng)
-        res = leaf_mod.dn_bracket_residuals(PARAMS, leaf)
+        res = leaf_mod.dn_bracket_residuals(PARAMS, leaf, leaf_mod.nijenhuis)
         assert res["P"].normalized < 1e-10
         assert res["Q"].normalized < 1e-10
 
@@ -277,7 +277,7 @@ def test_dn_brackets_pass_at_cancellation_points(seed):
     leafs = _columns(verify.sample_points("LEAF", 200, seed + 2, params).stack)
     worst_raw = 0.0
     for leaf in leafs:
-        res = leaf_mod.dn_bracket_residuals(params, leaf)
+        res = leaf_mod.dn_bracket_residuals(params, leaf, leaf_mod.nijenhuis)
         assert res["P"].normalized <= verify.TOL_DN
         assert res["Q"].normalized <= verify.TOL_DN
         worst_raw = max(worst_raw, res["P"].raw, res["Q"].raw)
@@ -295,7 +295,7 @@ def test_dn_brackets_detect_perturbed_gradient(monkeypatch):
     monkeypatch.setattr(leaf_mod, "dn_gradients", perturbed)
     rng = np.random.default_rng(9)
     for _ in range(20):
-        res = leaf_mod.dn_bracket_residuals(PARAMS, random_leaf(rng))
+        res = leaf_mod.dn_bracket_residuals(PARAMS, random_leaf(rng), leaf_mod.nijenhuis)
         assert res["P"].normalized > 100.0 * verify.TOL_DN
         assert res["Q"].normalized > 100.0 * verify.TOL_DN
 
@@ -331,7 +331,7 @@ def test_q_dh2_closes_the_chain():
     rng = np.random.default_rng(13)
     for _ in range(15):
         leaf = random_leaf(rng)
-        res = leaf_mod.q_extra_casimir_residuals(PARAMS, leaf, OBS)
+        res = leaf_mod.q_extra_casimir_residuals(PARAMS, leaf, OBS, leaf_mod.nijenhuis)
         assert res["qdh2_chain"].normalized < 1e-11
         assert res["qdh1_norm"].normalized > 1e-3
 
@@ -364,13 +364,13 @@ def test_phi1_vanishes_everywhere_including_hand_points():
 
 def test_phi2_vanishes_on_nondegenerate_points():
     uv = leaf_mod.embed(HAND_LEAF)
-    assert leaf_mod.phi2_residual(PARAMS, uv, OBS).normalized < 1e-12
+    assert leaf_mod.phi2_residual(PARAMS, uv, OBS, leaf_mod.nijenhuis).normalized < 1e-12
     rng = np.random.default_rng(16)
     count = 0
     while count < 30:
         leaf = random_leaf(rng)
         uv = leaf_mod.embed(leaf)
-        assert leaf_mod.phi2_residual(PARAMS, uv, OBS).normalized < 1e-9
+        assert leaf_mod.phi2_residual(PARAMS, uv, OBS, leaf_mod.nijenhuis).normalized < 1e-9
         count += 1
 
 
@@ -456,13 +456,13 @@ STACKABLE = {
     "deformation_field": lambda leaf, rho: leaf_mod.deformation_field(PARAMS, leaf),
     "lie_y_invariant_residuals": lambda leaf, rho: leaf_mod.lie_y_invariant_residuals(PARAMS, leaf),
     "deformation_residuals": lambda leaf, rho: leaf_mod.deformation_residuals(PARAMS, rho, leaf, OBS),
-    "xi2_path_agreement": lambda leaf, rho: leaf_mod.xi2_path_agreement(PARAMS, leaf, OBS)[::2],
-    "dn_bracket_residuals": lambda leaf, rho: leaf_mod.dn_bracket_residuals(PARAMS, leaf),
+    "xi2_path_agreement": lambda leaf, rho: leaf_mod.xi2_path_agreement(PARAMS, leaf, OBS, leaf_mod.nijenhuis)[::2],
+    "dn_bracket_residuals": lambda leaf, rho: leaf_mod.dn_bracket_residuals(PARAMS, leaf, leaf_mod.nijenhuis),
     "dn_eigenform_residuals": lambda leaf, rho: leaf_mod.dn_eigenform_residuals(PARAMS, leaf, leaf_mod.nijenhuis),
     "theta_bracket_residual": lambda leaf, rho: leaf_mod.theta_bracket_residual(PARAMS, leaf),
     "generalized_lenard_fit": lambda leaf, rho: leaf_mod.generalized_lenard_fit(PARAMS, leaf, OBS),
-    "q_extra_casimir_residuals": lambda leaf, rho: leaf_mod.q_extra_casimir_residuals(PARAMS, leaf, OBS),
-    "phi2_residual": lambda leaf, rho: leaf_mod.phi2_residual(PARAMS, leaf_mod.embed(leaf), OBS),
+    "q_extra_casimir_residuals": lambda leaf, rho: leaf_mod.q_extra_casimir_residuals(PARAMS, leaf, OBS, leaf_mod.nijenhuis),
+    "phi2_residual": lambda leaf, rho: leaf_mod.phi2_residual(PARAMS, leaf_mod.embed(leaf), OBS, leaf_mod.nijenhuis),
 }
 
 
@@ -494,7 +494,7 @@ def test_xi2_paths_agree_where_the_line_fit_was_ill_conditioned(verify_seed, ind
     # against large node values once read 5.5e-10 and 1.6e-10 > TOL_DN
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
     leafs = _columns(verify.sample_points("LEAF", index + 1, verify_seed + 2, params).stack)
-    _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index], xxz.uv_observables(params))
+    _, _, agreement = leaf_mod.xi2_path_agreement(params, leafs[index], xxz.uv_observables(params), leaf_mod.nijenhuis)
     assert agreement.normalized <= verify.TOL_DN
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -306,8 +307,8 @@ def test_nan_diagnostic_at_first_sample_keeps_report_strict(monkeypatch):
     # a NaN first in the list survives min(); it must become null, not break to_json
     real = leaf_mod.q_extra_casimir_residuals
 
-    def patched(params, leaf, obs):
-        out = real(params, leaf, obs)
+    def patched(params, leaf, obs, nstar):
+        out = real(params, leaf, obs, nstar)
         out["qdh1_norm"] = Residual(float("nan"), 1.0)
         return out
 
@@ -352,7 +353,7 @@ def test_override_breaks_exactly_the_rows_reading_its_ingredient(mutation, faili
     assert {c.name for c in report.checks if not c.skipped and not c.passed} == failing
 
 
-def _scaled_ke(params):
+def _scaled_ke(params, _entries):
     """m observables whose KE, value and gradient, carries a factor 1 + 1e-6."""
     obs = dict(so4.observables_m(params))
     ke = obs["KE"]
@@ -360,15 +361,25 @@ def _scaled_ke(params):
     return obs
 
 
-def _p2_m_plus_p1(params):
+def _p2_m_plus_p1(params, _entries):
     """The m-chart pencil P2 + 1e-3 P1: Poisson and compatible with P1, but it breaks the chain."""
     return pencil(so4.p2_m(params), so4.p1_m(), 1e-3)
 
 
-def _scaled_z(params):
+def _scaled_z(params, _entries):
     """The transversal field Z, value and Jacobian, times 1 + 1e-6."""
     z = xxz.z_field()
     return VectorField(z.chart, lambda c: (1.0 + 1e-6) * z.value(c), lambda c: (1.0 + 1e-6) * z.jac(c))
+
+
+def _scaled_lambda2(params, _entries):
+    """The nijenhuis callable with lambda2 times 1 + 1e-6; N* and lambda1 as they are."""
+
+    def nstar(params, leaf):
+        N, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
+        return N, lam1, (1.0 + 1e-6) * lam2
+
+    return nstar
 
 
 @pytest.mark.parametrize(
@@ -379,12 +390,24 @@ def _scaled_z(params):
         ("obs_m", _scaled_ke, (10.0, 1.0, 2.0), {"lenard_chain", "charpoly_identity", "observable_transport"}),
         ("obs_m", _scaled_ke, (10.0, 1.0, 2.0, 5.0), {"lenard_chain", "charpoly_identity"}),
         (
-            "P1u", lambda params: pencil(xxz.p1_uv(), xxz.p2_uv(params), 1e-3), (10.0, 1.0, 2.0),
+            "P1u", lambda params, _: pencil(xxz.p1_uv(), xxz.p2_uv(params), 1e-3), (10.0, 1.0, 2.0),
             {"uv_tensor_scale", "compat_p1_q_uv", "x1_hamiltonian", "transversal_p1_symmetry", "restricted_oracle"},
         ),
+        # Q is composed from the run's P2u, X1 and Zf, so their mutants reach the Q rows too
         (
             "Zf", _scaled_z, (10.0, 1.0, 2.0),
-            {"transversal_normalization", "transversal_h1_h2", "transversal_curve_factor"},
+            {"transversal_normalization", "transversal_h1_h2", "transversal_curve_factor", "jacobi_q_uv", "q_casimirs"},
+        ),
+        (
+            "P2u", lambda params, _: pencil(xxz.p2_uv(params), xxz.p1_uv(), 1e-3), (10.0, 1.0, 2.0),
+            {"uv_tensor_scale", "restricted_oracle"},
+        ),
+        (
+            "nijenhuis", _scaled_lambda2, (10.0, 1.0, 2.0),
+            {
+                "aux_relations", "nijenhuis_spectrum", "dn_eigenforms", "dn_brackets_q", "q_dh2_chain",
+                "separation_phi2",
+            },
         ),
     ],
 )
@@ -407,11 +430,11 @@ CONSTRUCTORS = {
 @pytest.mark.parametrize(
     "mu, calls",
     [
-        # q_uv builds the P2, X1 and Z it composes, so those three are called twice
+        # Q is composed from the run's own P2, X1 and Z, so q_uv is not called
         (
             (10.0, 1.0, 2.0),
-            {"p1_m": 1, "p2_m": 1, "observables_m": 1, "uv_observables": 1, "p1_uv": 1, "p2_uv": 2, "q_uv": 1,
-             "x1_field": 2, "z_field": 2},
+            {"p1_m": 1, "p2_m": 1, "observables_m": 1, "uv_observables": 1, "p1_uv": 1, "p2_uv": 1, "q_uv": 0,
+             "x1_field": 1, "z_field": 1},
         ),
         ((10.0, 1.0, 2.0, 5.0), {"p1_m": 1, "p2_m": 1, "observables_m": 1}),
     ],
@@ -427,7 +450,50 @@ def test_run_suite_builds_each_ingredient_once(monkeypatch, mu, calls):
 
             monkeypatch.setattr(module, name, counting)
     verify.run_suite(ModelParams.from_mu(*mu), seed=0, n_points=20)
-    assert counted == calls
+    assert counted == Counter(calls)
+
+
+@pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])
+def test_each_ingredient_is_evaluated_once_per_stack(monkeypatch, mu):
+    # every value, gradient and Jacobian of an ingredient (built by a
+    # constructor, or composed as Q by pencil) runs at most once on each of
+    # the run's own sample stacks, however many rows read it; any other
+    # argument (a shifted, mapped or single-column point) is not counted
+    stacks, counted = [], Counter()
+    real_sample = verify.sample_points
+
+    def sampling(kind, *args):
+        sample = real_sample(kind, *args)
+        stacks.append(sample.stack.coords)
+        return sample
+
+    def counting(name, f):
+        if isinstance(f, dict):
+            return {key: counting(f"{name}[{key}]", g) for key, g in f.items()}
+
+        def wrap(attr):
+            def call(c, real=getattr(f, attr)):
+                for k, stack in enumerate(stacks):
+                    counted[name, attr, k] += c is stack
+                return real(c)
+
+            return call
+
+        deriv = "grad" if isinstance(f, ScalarField) else "jac"
+        return dataclasses.replace(f, value=wrap("value"), **{deriv: wrap(deriv)})
+
+    monkeypatch.setattr(verify, "sample_points", sampling)
+    for module, names in [*CONSTRUCTORS.items(), (verify, ("pencil",)), (xxz, ("pencil",))]:
+        for name in names:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: counting(name, real(*args)))
+    params = ModelParams.from_mu(*mu)
+    verify.run_suite(params, seed=0, n_points=20)
+    assert len(stacks) == (3 if params.symmetric else 1)  # M, then UV and LEAF
+    # the counters see the rows' reads: P2 on the M stack, H2's gradient on the UV stack
+    assert counted["p2_m", "value", 0] == 1
+    assert counted["uv_observables[H2]", "grad", 1] == params.symmetric
+    assert max(counted.values()) == 1, sorted(k for k, v in counted.items() if v > 1)
 
 
 def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
@@ -490,7 +556,8 @@ def test_nan_in_a_stacked_row_names_its_sample(monkeypatch):
 
     def patched(P, Q, pt):
         out = real(P, Q, pt)
-        if P is p1 and Q is p1:
+        # the run's P1m wraps p1, and hands out p1's own constant Jacobian array
+        if P is Q and P.jac(pt.coords) is p1.jac(pt.coords):
             assert pt.coords.shape == (6, 8)
             raw = out.raw.copy()
             raw[5] = float("nan")
@@ -559,9 +626,9 @@ def test_dn_bracket_rows_share_one_evaluation_per_leaf_stack(monkeypatch):
     calls = []
     original = leaf_mod.dn_bracket_residuals
 
-    def counted(params, leaf):
+    def counted(params, leaf, nstar):
         calls.append(leaf)
-        return original(params, leaf)
+        return original(params, leaf, nstar)
 
     monkeypatch.setattr(leaf_mod, "dn_bracket_residuals", counted)
     report = verify.run_suite(PARAMS, seed=4, n_points=6)
