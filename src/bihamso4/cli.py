@@ -103,20 +103,19 @@ def verify_command(mu_text, points, seed, report_path, tol_scale, overrides):
         )
 
     width = max(len(c.name) for c in report.checks)
-    for c in report.checks:
-        if c.skipped:
-            click.echo(f"{c.name:<{width}}  {'':>12}  {'':>9}  skip  ({c.note})")
-        else:
-            status = "pass" if c.passed else "FAIL"
-            click.echo(
-                f"{c.name:<{width}}  {c.max_residual:12.3e}  {c.tolerance:9.1e}  {status}"
-            )
-    click.echo(f"overall: {'pass' if report.overall else 'FAIL'}")
+    lines = [
+        f"{c.name:<{width}}  {'':>12}  {'':>9}  skip  ({c.note})"
+        if c.skipped
+        else f"{c.name:<{width}}  {c.max_residual:12.3e}  {c.tolerance:9.1e}  {'pass' if c.passed else 'FAIL'}"
+        for c in report.checks
+    ]
+    click.echo("\n".join([*lines, f"overall: {'pass' if report.overall else 'FAIL'}"]))
 
     if report_path is not None:
-        verify_mod.validate_report(report.to_dict())
+        doc = report.to_dict()
+        verify_mod.validate_report(doc)
         # Strict JSON: a non-finite value raises before the file is opened.
-        text = report.to_json()
+        text = verify_mod.report_json(doc)
         with open(report_path, "w") as fh:
             fh.write(text + "\n")
         click.echo(f"report written to {report_path}")

@@ -21,6 +21,13 @@ schouten_residual, the costliest kernel, moves the point axis first and
 contracts by one batched matmul (a shared Jacobian is a batch of one); it
 reduces only the 20 components i < j < k of the trivector, so every bivector
 it is given must be exactly antisymmetric.
+
+Kernels that build (6, 6, 6[, n]) tables keep at most one alive as a
+temporary besides inputs and result (a freed one may be faulted in again):
+schouten_residual cuts each term table to its cyclic slots before forming
+the next, and the wedge_field and pencil Jacobians fill their result's buffer.
+fd_grad calls value once, on all 2d shifted copies stacked ahead of the point
+axes, so value must act elementwise on every axis after the first.
 """
 
 from __future__ import annotations
@@ -206,9 +213,13 @@ def _cyclic_slots(dim: int) -> Array:
 
 
 def _schouten_terms(db: Array, a: Array, dtype=None) -> Array:
-    """T^ijk = sum_l a^lj d_l b^ik laid out [n, i, k, j]: (n, 36, 6) @ (n, 6, 6), a shared db a batch of one."""
+    """T^ijk, T^kij, T^jki at i < j < k, [n, 3, 20], of T^ijk = sum_l a^lj d_l b^ik.
+
+    T is one (n, 36, 6) @ (n, 6, 6) matmul (a shared db a batch of one), freed once its slots are taken.
+    """
     db, a = (np.moveaxis(x, -1, 0) if x.ndim > rank else x for x, rank in ((db, 3), (a, 2)))
-    return np.matmul(db.reshape(db.shape[:-3] + (-1, db.shape[-1])), a, dtype=dtype)
+    T = np.matmul(db.reshape(db.shape[:-3] + (-1, db.shape[-1])), a, dtype=dtype)
+    return T.reshape(T.shape[:-2] + (-1,))[..., _cyclic_slots(a.shape[-1])]
 
 
 def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Residual:
@@ -228,11 +239,12 @@ def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Res
     p = lift(P.value(c), 2, c)
     dp = lift(P.jac(c), 3, c)
     ap, adp = np.abs(p).max(axis=1), np.abs(dp).max(axis=(0, 1))
-    # T^ijk = sum_l (P^lj d_l Q^ik + Q^lj d_l P^ik), summed in place; at most
-    # two (6, 6, 6[, n]) arrays are alive at once
+    # T^ijk = sum_l (P^lj d_l Q^ik + Q^lj d_l P^ik) at the cyclic slots only,
+    # summed in place: (T1 + T2)[slots] is T1[slots] + T2[slots] elementwise,
+    # and each (6, 6, 6[, n]) term table is freed before the next is formed
     if Q is P:
-        T = _schouten_terms(dp, p)
-        T += T  # both halves of T and of the scale coincide; t + t is exactly 2t
+        t = _schouten_terms(dp, p)
+        t += t  # both halves of T and of the scale coincide; t + t is exactly 2t
         scale = peak(ap * adp, 1)
     else:
         q = lift(Q.value(c), 2, c)
@@ -241,11 +253,10 @@ def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Res
         dq = lift(Q.jac(c), 3, c)
         aq, adq = np.abs(q).max(axis=1), np.abs(dq).max(axis=(0, 1))
         scale = peak(np.maximum(ap * adq, aq * adp), 1)
-        T = _schouten_terms(dq, p, np.result_type(p, q, dp, dq))
+        t = _schouten_terms(dq, p, np.result_type(p, q, dp, dq))
         del dq
-        T += _schouten_terms(dp, q)
+        t += _schouten_terms(dp, q)
     del dp
-    t = T.reshape(T.shape[:-2] + (-1,))[..., _cyclic_slots(p.shape[0])]  # T^ijk, T^kij, T^jki
     raw = np.abs(t[..., 0, :] + t[..., 1, :] + t[..., 2, :]).max(axis=-1)
     return Residual(float(raw) if raw.ndim == 0 else raw, scale)
 
@@ -297,8 +308,9 @@ def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
     def jac(c: Array) -> Array:  # d(X^i Z^j - X^j Z^i)/d x_l
         x, z, xj, zj = X.value(c), Z.value(c), X.jac(c), Z.jac(c)
         t = np.multiply(xj[:, None], z[None, :, None], dtype=np.result_type(x, z, xj, zj))
-        t += x[:, None, None] * zj[None]
-        return t - np.swapaxes(t, 0, 1)
+        u = np.multiply(x[:, None, None], zj[None], out=np.empty_like(t))
+        t += u
+        return np.subtract(t, np.swapaxes(t, 0, 1), out=u)  # u's buffer, not a third table
 
     return BivectorField(X.chart, value, jac)
 
@@ -326,16 +338,23 @@ def on_stack(field, stack):
 
 
 def fd_grad(value: Callable[[Array], complex], coords: Array) -> Array:
-    """Central-difference gradient; steps are real also for complex coordinates."""
+    """Central-difference gradient from one call of value; steps are real also for complex coordinates.
+
+    The call takes one (d, 2, d, ...) array: coordinate, sign (+h, -h), shifted coordinate, point axes.
+    """
     c = np.asarray(coords)
-    out = np.empty(c.shape, dtype=complex)
-    for i in range(c.shape[0]):
-        e = np.zeros(c.shape)
-        e[i] = h = FD_STEP * (1.0 + np.abs(c[i]))
-        out[i] = (value(c + e) - value(c - e)) / (2.0 * h)
-    if not np.iscomplexobj(c) and np.abs(out.imag).max() == 0.0:
-        return out.real
-    return out
+    d = c.shape[0]
+    h = FD_STEP * (1.0 + np.abs(c))
+    e = np.zeros((d,) + c.shape)
+    e[range(d), range(d)] = h  # e[k, i] = h_i if k == i
+    shifted = np.empty((d, 2) + c.shape, np.result_type(c, e))
+    np.add(c[:, None], e, out=shifted[:, 0])
+    np.subtract(c[:, None], e, out=shifted[:, 1])
+    plus, minus = value(shifted)
+    out = (plus - minus) / (2.0 * h)
+    if np.iscomplexobj(c) or np.abs(out.imag).max() != 0.0:
+        return out.astype(complex, copy=False)
+    return out.real
 
 
 def grad_fd_residual(f: ScalarField, pt: PhasePoint) -> Residual:
@@ -397,8 +416,11 @@ def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int) -> Bi
 
 def pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:
     """P + t Q; t is a scalar, or one value per point of a stack."""
-    return BivectorField(
-        P.chart,
-        lambda c: P.value(c) + t * Q.value(c),
-        lambda c: lift(P.jac(c), 3, c) + t * lift(Q.jac(c), 3, c),
-    )
+
+    def jac(c: Array) -> Array:  # t dQ + dP in one array of the broadcast shape; IEEE + commutes
+        dp, dq = lift(P.jac(c), 3, c), lift(Q.jac(c), 3, c)
+        out = np.multiply(t, dq, out=np.empty(np.broadcast(t, dp, dq).shape, np.result_type(t, dp, dq)))
+        out += dp
+        return out
+
+    return BivectorField(P.chart, lambda c: P.value(c) + t * Q.value(c), jac)

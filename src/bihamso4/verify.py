@@ -167,7 +167,12 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return report_json(self.to_dict())
+
+
+def report_json(doc: dict) -> str:
+    """The report file's text: indented strict JSON, so a non-finite value raises."""
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def validate_report(doc: dict) -> None:
@@ -236,8 +241,10 @@ def sample_points(kind: str, n: int, seed: int, params: ModelParams) -> SampleSe
     if kind == "M_real":
         return SampleSet(PhasePoint(CHART_M, np.ascontiguousarray(rng.uniform(-1.0, 1.0, (n, 6)).T)), 0)
     blocks = []
-    while True:  # one block of n + _MAX_CONSECUTIVE_REJECTS draws nearly always decides
-        block = rng.uniform(-1.0, 1.0, (n + _MAX_CONSECUTIVE_REJECTS, 12))
+    # Blocks continue one stream, so their sizes move no draw: at ~98% acceptance a first
+    # block of 2n nearly always decides; a later one holds n accepts or a starving run.
+    while True:
+        block = rng.uniform(-1.0, 1.0, (n + _MAX_CONSECUTIVE_REJECTS if blocks else 2 * n, 12))
         blocks.append((block[:, :6] + 1j * block[:, 6:]).T)
         c = np.concatenate(blocks, axis=1)
         degenerate, _ = _degeneracy(params, kind, c)
@@ -605,7 +612,9 @@ def run_suite(
         residuals += _evaluate(fn, stacks[kind], draws)
 
     # One pass over every residual (the M rows run on every model), then each row reduces its own block.
-    raw, scale = (np.array([np.broadcast_to(x, (n_points,)) for x in xs], dtype=float) for xs in zip(*residuals))
+    raw, scale = np.empty((2, len(residuals), n_points))
+    for k, residual in enumerate(residuals):
+        raw[k], scale[k] = residual  # a scalar raw or scale broadcasts over the points
     finite = np.isfinite(raw) & np.isfinite(scale)
     # NaN compares false against everything, so it is caught here rather
     # than silently losing the comparison below.

@@ -1,16 +1,31 @@
 """Independent numerical oracles that only the tests use."""
 
+import itertools
 from math import isfinite
 
 import numpy as np
 
-from bihamso4.fields import FD_STEP
+from bihamso4.fields import FD_STEP, Residual, lift, peak
+
+
+def fd_grad(value, coords):
+    """fields.fd_grad one shift at a time: 2d calls of value, each on one shifted copy of coords."""
+    c = np.asarray(coords)
+    out = np.empty(c.shape, dtype=complex)
+    for i in range(c.shape[0]):
+        e = np.zeros(c.shape)
+        e[i] = h = FD_STEP * (1.0 + np.abs(c[i]))
+        out[i] = (value(c + e) - value(c - e)) / (2.0 * h)
+    if not np.iscomplexobj(c) and np.abs(out.imag).max() == 0.0:
+        return out.real
+    return out
 
 
 def fd_jac(value, coords):
     """Central-difference Jacobian of an array-valued map at one point, derivative index last.
 
-    Steps are real also for complex coordinates, FD_STEP (1 + |x_i|) as in fields.fd_grad.
+    Steps are real also for complex coordinates, FD_STEP (1 + |x_i|) as in fields.fd_grad;
+    value may be any map of a coordinate array, elementwise or not.
     """
     c = np.asarray(coords)
     out = np.empty(np.shape(value(c)) + c.shape, dtype=complex)
@@ -19,6 +34,50 @@ def fd_jac(value, coords):
         e[i] = h = FD_STEP * (1.0 + np.abs(c[i]))
         out[..., i] = (np.asarray(value(c + e)) - np.asarray(value(c - e))) / (2.0 * h)
     return out
+
+
+def _cyclic_slots(dim):
+    i, j, k = np.array(list(itertools.combinations(range(dim), 3))).T
+    return np.array([(a * dim + c) * dim + b for a, b, c in ((i, j, k), (k, i, j), (j, k, i))])
+
+
+def _schouten_table(db, a, dtype=None):
+    # T^ijk = sum_l a^lj d_l b^ik laid out [n, i, k, j]
+    db, a = (np.moveaxis(x, -1, 0) if x.ndim > rank else x for x, rank in ((db, 3), (a, 2)))
+    return np.matmul(db.reshape(db.shape[:-3] + (-1, db.shape[-1])), a, dtype=dtype)
+
+
+def schouten_residual(P, Q, pt):
+    """fields.schouten_residual summing the whole term tables T before it takes their cyclic slots."""
+    c = pt.coords
+    p, dp = lift(P.value(c), 2, c), lift(P.jac(c), 3, c)
+    ap, adp = np.abs(p).max(axis=1), np.abs(dp).max(axis=(0, 1))
+    if Q is P:
+        T = _schouten_table(dp, p)
+        T += T
+        scale = peak(ap * adp, 1)
+    else:
+        q, dq = lift(Q.value(c), 2, c), lift(Q.jac(c), 3, c)
+        aq, adq = np.abs(q).max(axis=1), np.abs(dq).max(axis=(0, 1))
+        scale = peak(np.maximum(ap * adq, aq * adp), 1)
+        T = _schouten_table(dq, p, np.result_type(p, q, dp, dq))
+        T += _schouten_table(dp, q)
+    t = T.reshape(T.shape[:-2] + (-1,))[..., _cyclic_slots(p.shape[0])]
+    raw = np.abs(t[..., 0, :] + t[..., 1, :] + t[..., 2, :]).max(axis=-1)
+    return Residual(float(raw) if raw.ndim == 0 else raw, scale)
+
+
+def pencil_jac(P, Q, t, c):
+    """The Jacobian of fields.pencil(P, Q, t) at c as dP + t dQ, each operation a new array."""
+    return lift(P.jac(c), 3, c) + t * lift(Q.jac(c), 3, c)
+
+
+def wedge_jac(X, Z, c):
+    """The Jacobian of fields.wedge_field(X, Z) at c, each operation a new array."""
+    x, z, xj, zj = X.value(c), Z.value(c), X.jac(c), Z.jac(c)
+    t = np.multiply(xj[:, None], z[None, :, None], dtype=np.result_type(x, z, xj, zj))
+    t += x[:, None, None] * zj[None]
+    return t - np.swapaxes(t, 0, 1)
 
 
 def rhs(a, m) -> tuple:

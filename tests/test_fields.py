@@ -29,6 +29,7 @@ from bihamso4.fields import (
     wedge_field,
 )
 from bihamso4.so4 import ModelParams
+import oracles
 from oracles import fd_jac
 
 
@@ -336,3 +337,90 @@ def test_line_restriction_checks_each_column_of_a_stack():
     coeffs, vals = line_restriction(lambda c: c[0] * c[1], lambda c: 0.0 * c, p)
     assert coeffs.shape == (6, 4) and vals.shape == (6, 4)
     assert np.allclose(coeffs[0], p[0] * p[1], rtol=1e-15) and np.allclose(coeffs[1:], 0.0, atol=1e-13)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fd_grad_is_the_per_shift_oracle_from_one_value_call():
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    m = verify.sample_points("M_real", 40, 1, params).stack.coords
+    uv = verify.sample_points("UV_complex", 40, 2, params).stack.coords
+    obs_m, obs_uv = so4.observables_m(params), xxz.uv_observables(params)
+    # (observables, coords, coords the oracle sees, how its result maps back)
+    cases = [
+        (obs_m, m, m, lambda g: g),
+        (obs_uv, uv, uv, lambda g: g),
+        (obs_m, m.astype(complex), m.astype(complex), lambda g: g),
+        (obs_uv, m, m, lambda g: g),
+        (obs_m, m[:, 5], m[:, 5], lambda g: g),
+        # numpy rounds a product of complex scalars and of complex arrays
+        # differently, so the oracle takes a complex point as a one-column stack
+        (obs_uv, uv[:, 5], uv[:, 5:6], lambda g: g[:, 0]),
+    ]
+    for obs, coords, oracle_coords, back in cases:
+        for name, f in obs.items():
+            calls = []
+
+            def value(c, f=f):
+                calls.append(c.shape)
+                return f.value(c)
+
+            got = fd_grad(value, coords)
+            assert calls == [(6, 2) + coords.shape], name
+            assert _same_bits(got, back(oracles.fd_grad(f.value, oracle_coords))), (name, coords.shape)
+
+
+def test_schouten_kernel_is_the_summed_table_oracle():
+    # every pair the suite evaluates, the q_sign mutant's included, on a stack
+    # and at one point; the M-chart span carries one pencil parameter per point
+    params, n = ModelParams.from_mu(10.0, 1.0, 2.0), 30
+    m = verify.sample_points("M_real", n, 1, params).stack
+    uv = verify.sample_points("UV_complex", n, 2, params).stack
+    t = np.random.default_rng(3).uniform(-1, 1, size=(n, 2)).view(complex)[:, 0]
+    P1m, P2m, P1u, P2u = so4.p1_m(), so4.p2_m(params), xxz.p1_uv(), xxz.p2_uv(params)
+    span = pencil(P1m, P2m, t)
+    W = wedge_field(xxz.x1_field(params), xxz.z_field())
+    Q, Q_flipped = pencil(P2u, W, -1.0), pencil(P2u, W, 1.0)
+    cases = [(m, P, R) for P, R in ((P1m, P1m), (P2m, P2m), (P1m, P2m), (span, span))]
+    cases += [(uv, P, R) for P, R in ((P1u, P1u), (P2u, P2u), (Q, Q), (P1u, P2u), (P1u, Q))]
+    cases += [(uv, Q_flipped, Q_flipped), (uv, P1u, Q_flipped)]
+    for stack, P, R in cases:
+        got, want = schouten_residual(P, R, stack), oracles.schouten_residual(P, R, stack)
+        assert _same_bits(got.raw, want.raw) and _same_bits(got.scale, want.scale)
+        if P is not span:
+            pt = PhasePoint(stack.chart, stack.coords[:, 0])
+            got, want = schouten_residual(P, R, pt), oracles.schouten_residual(P, R, pt)
+            assert type(got.raw) is float and got == want
+
+
+def test_pencil_and_wedge_jacobians_are_the_oracle():
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    n = 30
+    m = verify.sample_points("M_real", n, 1, params).stack.coords
+    uv = verify.sample_points("UV_complex", n, 2, params).stack.coords
+    t = np.random.default_rng(4).uniform(-1, 1, size=(n, 2)).view(complex)[:, 0]
+    P1m, P2m, P1u, P2u = so4.p1_m(), so4.p2_m(params), xxz.p1_uv(), xxz.p2_uv(params)
+    X1, Z = xxz.x1_field(params), xxz.z_field()
+    W = wedge_field(X1, Z)
+    Q = pencil(P2u, W, -1.0)
+    # (P, Q, t, coords): shared dP and dQ; per-point dQ; per-point dP wider
+    # than the shared t dQ; each with a scalar and a per-point t
+    cases = [
+        (P1m, P2m, 0.3, m), (P1m, P2m, t, m), (P1m, P2m, 0.3 - 0.2j, m),
+        (P2u, W, -1.0, uv), (P2u, W, t, uv),
+        (Q, P1u, 0.5, uv), (Q, P1u, t, uv), (W, P2u, 2.0, uv),
+        (P1m, P2m, 0.3, m[:, 0]), (P2u, W, -1.0, uv[:, 0]), (Q, P1u, 0.5, uv[:, 0]),
+    ]
+    for P, R, s, c in cases:
+        got = pencil(P, R, s).jac(c)
+        assert _same_bits(got, oracles.pencil_jac(P, R, s, c))
+    assert pencil(P1m, P2m, 0.3).jac(m).shape == (6, 6, 6, 1)
+    assert pencil(Q, P1u, 0.5).jac(uv).shape == (6, 6, 6, n)
+    rng = np.random.default_rng(5)
+    A, B = rng.uniform(-1, 1, (6, 6)), rng.uniform(-1, 1, (6, 6))
+    linear = (VectorField(CHART_M, lambda c: A @ c, lambda c: A), VectorField(CHART_M, lambda c: B @ c, lambda c: B))
+    for X, Y, c in ((X1, Z, uv), (X1, Z, uv[:, 0]), (Z, X1, uv), (*linear, m[:, 0])):
+        assert _same_bits(wedge_field(X, Y).jac(c), oracles.wedge_jac(X, Y, c))
