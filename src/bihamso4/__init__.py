@@ -19,6 +19,7 @@ from .fields import (
 from .leaf import (
     DNChart,
     LeafChart,
+    closed_forms,
     dn_bracket_residuals,
     dn_chart,
     embed,
@@ -53,6 +54,7 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "chart_map",
+    "closed_forms",
     "dn_bracket_residuals",
     "dn_chart",
     "embed",

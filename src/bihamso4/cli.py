@@ -185,11 +185,12 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
             embedded = leaf_mod.embed(leaf).coords
         if not np.isfinite(embedded).all():
             raise ValueError("leaf point embeds to a non-finite uv point")
-        chart = leaf_mod.dn_chart(params, leaf, obs, leaf_mod.nijenhuis)
+        forms = leaf_mod.closed_forms()
+        chart = leaf_mod.dn_chart(params, leaf, obs, forms)
         if as_json:  # the document reads the bracket residuals, the text the P bracket table
-            brackets = leaf_mod.dn_bracket_residuals(params, leaf, leaf_mod.nijenhuis)
+            brackets = leaf_mod.dn_bracket_residuals(params, leaf, forms)
         else:
-            p_matrix = leaf_mod.dn_bracket_matrix(params, leaf)
+            p_matrix = leaf_mod.dn_bracket_matrix(params, leaf, forms)
 
     if as_json:
         doc = {
@@ -231,7 +232,7 @@ def separation_command(mu_text, uv_text):
         obs = xxz.uv_observables(params)
         r1 = leaf_mod.phi1_residual(params, pt, obs)  # holds on the whole chart
         leaf_mod.guard(params, pt.coords[0], pt.coords[3])
-        r2 = leaf_mod.phi2_residual(params, pt, obs, leaf_mod.nijenhuis)
+        r2 = leaf_mod.phi2_residual(params, pt, obs, leaf_mod.closed_forms())
 
     click.echo(f"phi1: residual={r1.raw:.6e}  normalized={r1.normalized:.6e}")
     click.echo(f"phi2: residual={r2.raw:.6e}  normalized={r2.normalized:.6e}")

@@ -27,14 +27,15 @@ temporary besides inputs and result (a freed one may be faulted in again):
 schouten_residual cuts each term table to its cyclic slots before forming
 the next, and the wedge_field and pencil Jacobians fill their result's buffer.
 fd_grad calls value once, on all 2d shifted copies stacked ahead of the point
-axes, so value must act elementwise on every axis after the first.
+axes, and line_restriction calls f once, on all six line nodes likewise, so
+a value given to either must act elementwise on every axis after the first.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -316,10 +317,10 @@ def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
 
 
 def on_stack(field, stack):
-    """field (a field, a dict of them, or a callable of one argument), evaluated at most once on `stack`.
+    """field (a field, a dict of them, or a callable whose last argument is a point), evaluated at most once on `stack`.
 
-    A call with the object `stack` itself is evaluated once and kept, an array read-only;
-    any other argument (a shifted copy, a column) is passed through.
+    A call whose last argument is the object `stack` itself is evaluated once and kept, with
+    every array in it read-only; any other argument (a shifted copy, a column) is passed through.
     """
     if isinstance(field, dict):
         return {key: on_stack(f, stack) for key, f in field.items()}
@@ -327,14 +328,24 @@ def on_stack(field, stack):
         return replace(field, **{k: on_stack(f, stack) for k, f in vars(field).items() if k != "chart"})
     kept = []
 
-    def once(x):
-        if x is stack and not kept:
-            kept.append(field(x))
-            if isinstance(kept[0], np.ndarray):
-                kept[0].flags.writeable = False
-        return kept[0] if x is stack else field(x)
+    def once(*args):
+        if args[-1] is not stack:
+            return field(*args)
+        if not kept:
+            kept.append(_read_only(field(*args)))
+        return kept[0]
 
     return once
+
+
+def _read_only(x):
+    """x, with each array in it (also inside a tuple, dict or dataclass) made read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, (tuple, dict)) or is_dataclass(x):
+        for item in x.values() if isinstance(x, dict) else x if isinstance(x, tuple) else vars(x).values():
+            _read_only(item)
+    return x
 
 
 def fd_grad(value: Callable[[Array], complex], coords: Array) -> Array:
@@ -388,13 +399,13 @@ def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array],
 
     The fit gives the Lie derivatives along w only if the line is a flow line,
     so w(p + t w) = w is asserted at the farthest node before f is evaluated,
-    at every point of a stack p.
+    at every point of a stack p; f is called once, on the (d, 6, ...) array of all nodes.
     """
     w = direction(p)
     drift = np.abs(direction(p + LINE_NODES[-1] * w) - w).max(axis=0, keepdims=True)
     if (drift > 1e-12 * (1.0 + np.abs(w).max(axis=0, keepdims=True))).any():
         raise RuntimeError("direction field is not self-parallel")
-    vals = np.array([f(p + t * w) for t in LINE_NODES])
+    vals = f(p[:, None] + lift(LINE_NODES, 1, p) * w[:, None])
     return line_poly_coeffs(vals), vals
 
 

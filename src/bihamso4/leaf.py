@@ -30,6 +30,10 @@ by `degeneracy`, `guard` and `model_degeneracy` next to `u_forms`, and only at
 the boundaries: the sampler, `verify.run_suite`, the separation relations and
 the `dn`/`separation` commands.  The formulas do not guard or cast; they are
 arithmetic on whatever numbers they get, so they also run on a stack or on symbols.
+
+The closed forms read by the rest (closed_forms: nijenhuis, the restricted
+pair, aux, embed, the DN gradients) come in as `forms`, callables (params, leaf)
+that a caller may evaluate once per leaf stack (fields.on_stack) or swap.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +71,9 @@ Array = np.ndarray
 
 # Leaf coordinate indices inside the uv chart: (u1, z1, u2, z2).
 LEAF_IN_UV = (0, 2, 3, 5)
+
+# The 24 orderings of the four computed eigenvalues, one per row.
+_ORDERINGS = np.array(list(permutations(range(4))))
 
 # The separation coordinate zeta1 = z2 - z1 as a uv scalar field.
 ZETA1 = ScalarField(
@@ -154,9 +162,8 @@ def embed_jacobian(uv: PhasePoint) -> Array:
     )
 
 
-def restrict_grad(field, leaf: LeafChart) -> Array:
-    """Gradient of a uv scalar field restricted to the leaf, in leaf coordinates."""
-    uv = embed(leaf)
+def restrict_grad(field, uv: PhasePoint) -> Array:
+    """Gradient of a uv scalar field restricted to the leaf, in leaf coordinates, at uv = embed(leaf)."""
     return matvec(np.swapaxes(embed_jacobian(uv), 0, 1), field.grad(uv.coords))
 
 
@@ -189,14 +196,14 @@ def restricted_tensors(params: ModelParams, leaf: LeafChart) -> tuple:
     return P, Q
 
 
-def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, p_field: BivectorField, q_field: BivectorField) -> dict:
+def restricted_oracle_residuals(params: ModelParams, leaf: LeafChart, p_field: BivectorField, q_field: BivectorField, forms: dict) -> dict:
     """Printed restricted tensors against sub-brackets of the uv fields p_field (P1) and q_field (Q).
 
     Valid because H0 and C2 are Casimirs of both P1 and Q, so brackets
     of leaf coordinate functions close on the leaf.
     """
-    uv = embed(leaf)
-    P, Q = restricted_tensors(params, leaf)
+    uv = forms["embed"](params, leaf)
+    P, Q = forms["restricted"](params, leaf)
     out = {}
     for key, ambient, printed in (("P", p_field, P), ("Q", q_field, Q)):
         amb = ambient.value(uv.coords)
@@ -229,26 +236,20 @@ def nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
     return N, lam1, lam2
 
 
-def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, nstar) -> Residual:
-    """Printed N* against the numerical product P^{-1} Q.
-
-    nstar is the callable giving (N*, lambda1, lambda2), such as nijenhuis.
-    """
-    P, Q = restricted_tensors(params, leaf)
-    N, _, _ = nstar(params, leaf)
+def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, forms: dict) -> Residual:
+    """Printed N* (forms["nijenhuis"]) against the numerical product P^{-1} Q."""
+    P, Q = forms["restricted"](params, leaf)
+    N, _, _ = forms["nijenhuis"](params, leaf)
     return mismatch(N, from_matrices(np.linalg.solve(as_matrices(P), as_matrices(Q))), 2)
 
 
-def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, nstar) -> Residual:
-    """Numerically computed spectrum of N* against the multiset {l1, l1, l2, l2}.
-
-    nstar is the callable giving (N*, lambda1, lambda2), such as nijenhuis.
-    """
-    N, lam1, lam2 = nstar(params, leaf)
+def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, forms: dict) -> Residual:
+    """Numerically computed spectrum of N* (forms["nijenhuis"]) against the multiset {l1, l1, l2, l2}."""
+    N, lam1, lam2 = forms["nijenhuis"](params, leaf)
     computed = np.moveaxis(np.linalg.eigvals(as_matrices(N)), -1, 0)
     expected = np.array([lam1, lam1, lam2, lam2])
     diff = np.abs(computed[:, None] - expected[None, :])  # the 16 differences, formed once
-    best = np.min([diff[list(p), range(4)].max(axis=0) for p in permutations(range(4))], axis=0)
+    best = diff[_ORDERINGS, range(4)].max(axis=1).min(axis=0)  # every ordering by one gather
     return Residual(best, peak([lam1, lam2], 1))
 
 
@@ -368,31 +369,31 @@ def _dot(a: Array, b: Array):
     return np.einsum("i...,i...->...", a, b)
 
 
-def _y_vector(params: ModelParams, leaf: LeafChart) -> Array:
+def _y_vector(params: ModelParams, leaf: LeafChart, forms: dict) -> Array:
     """Y = -P d(p1sum), the generic recipe of the deformation field."""
-    return -matvec(restricted_tensors(params, leaf)[0], _d_lam2(params, leaf))
+    return -matvec(forms["restricted"](params, leaf)[0], _d_lam2(params, leaf))
 
 
-def deformation_field(params: ModelParams, leaf: LeafChart) -> tuple:
+def deformation_field(params: ModelParams, leaf: LeafChart, forms: dict) -> tuple:
     """Y = -P d(p1sum) as a leaf 4-vector, with its match to mu3 G (dz1 + dz2).
 
     Returns (y, Residual): y is computed from the generic recipe; the residual
     compares it with the printed form, which has components only along z1, z2.
     """
-    y = _y_vector(params, leaf)
-    a = aux(params, leaf)
+    y = _y_vector(params, leaf, forms)
+    a = forms["aux"](params, leaf)
     mu3 = params.mu[2]
     zero = 0.0 * a.G
     printed = np.array([zero, mu3 * a.G, zero, mu3 * a.G])
     return y, mismatch(y, printed, 1)
 
 
-def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart) -> list:
+def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart, forms: dict) -> list:
     """Y(u1 u2) = 0, Y(G) = 0 and Y(L) = mu3 G u1 u2 F, from the hand-coded gradients."""
     mu3 = params.mu[2]
     u1, _, u2, _ = leaf.coords
-    y = _y_vector(params, leaf)
-    a = aux(params, leaf)
+    y = _y_vector(params, leaf, forms)
+    a = forms["aux"](params, leaf)
     d_u1u2, d_g, d_l = _y_invariant_grads(params, leaf)
     y_scale = peak(y, 1)
     r1 = Residual(abs(_dot(d_u1u2, y)), y_scale * peak(d_u1u2, 1))
@@ -403,7 +404,7 @@ def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart) -> list:
     return [r1, r2, r3]
 
 
-def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs: dict) -> dict:
+def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs: dict, forms: dict) -> dict:
     """Iterated Lie derivatives of H(rho) = rho^2 H0 + rho H1 + H2 along Y.
 
     Y is constant along its own flow (it depends only on u and points along
@@ -413,12 +414,12 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs: d
     numerically before the fit is trusted.  obs are the uv observables.
     """
 
-    # Y moves z only, so every node keeps the leaf's u1, u2
+    # Y moves z only, so every node keeps the leaf's u1, u2; c is (4, 6[, n]) and rho one value per point
     def h_rho(c):
         uv = _embed_coords(c, leaf.levels)
         return rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
 
-    coeffs, vals = line_restriction(h_rho, lambda c: _y_vector(params, LeafChart(c, leaf.levels)), leaf.coords)
+    coeffs, vals = line_restriction(h_rho, lambda c: _y_vector(params, LeafChart(c, leaf.levels), forms), leaf.coords)
     scale = peak(vals, 1)
     lie3_and_up = peak([6.0 * np.abs(coeffs[3]), 24.0 * np.abs(coeffs[4]), 120.0 * np.abs(coeffs[5])], 1)
     return {
@@ -430,7 +431,7 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs: d
     }
 
 
-def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, obs: dict) -> dict:
+def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, obs: dict, forms: dict) -> dict:
     """Both closed forms of the deformation tower of the uv observables obs at one rho, from one tower.
 
     "factorization": Lie_Y H against (4 mu3 (rho - mu1 - mu2)/(u1 u2)) G L;
@@ -438,8 +439,8 @@ def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, ob
     """
     mu1, mu2, mu3, _ = params.mu
     u1, _, u2, _ = leaf.coords
-    a = aux(params, leaf)
-    tower = deformation_tower(params, rho, leaf, obs)
+    a = forms["aux"](params, leaf)
+    tower = deformation_tower(params, rho, leaf, obs, forms)
     out = {}
     for key, got, closed in (
         ("factorization", tower["lie1"], 4.0 * mu3 * (rho - mu1 - mu2) / (u1 * u2) * a.G * a.L),
@@ -449,30 +450,29 @@ def deformation_residuals(params: ModelParams, rho: complex, leaf: LeafChart, ob
     return out
 
 
-def xi2_closed_form(params: ModelParams, leaf: LeafChart) -> complex:
-    """xi2 = L / (mu3 u1 u2 G F); the sign making {lambda2, xi2}_P = +1."""
+def xi2_closed_form(params: ModelParams, leaf: LeafChart, a: AuxFunctions) -> complex:
+    """xi2 = L / (mu3 u1 u2 G F) from the leaf's aux scalars a; the sign making {lambda2, xi2}_P = +1."""
     mu3 = params.mu[2]
-    a = aux(params, leaf)
     u1, _, u2, _ = leaf.coords
     return a.L / (mu3 * u1 * u2 * a.G * a.F)
 
 
-def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> tuple:
+def xi2_path_agreement(params: ModelParams, leaf: LeafChart, obs: dict, forms: dict) -> tuple:
     """The two paths to xi2: (closed form, tower at rho = lambda2, their Residual).
 
     The Residual is of Lie_Y H = xi2 Lie_Y^2 H, scaled as in
     deformation_residuals: the ratio Lie_Y H / Lie_Y^2 H would amplify
     rounding where Lie_Y^2 H ~ G^2 F nearly cancels.  obs are the uv
-    observables the tower reads; nstar (nijenhuis) gives lambda2.
+    observables the tower reads; forms["nijenhuis"] gives lambda2.
     """
-    closed = xi2_closed_form(params, leaf)
-    _, _, lam2 = nstar(params, leaf)
-    tower = deformation_tower(params, lam2, leaf, obs)
+    closed = xi2_closed_form(params, leaf, forms["aux"](params, leaf))
+    _, _, lam2 = forms["nijenhuis"](params, leaf)
+    tower = deformation_tower(params, lam2, leaf, obs, forms)
     lie1, target = tower["lie1"], closed * tower["lie2"]
     return closed, tower, Residual(abs(lie1 - target), peak([lie1, target, tower["scale"]], 1))
 
 
-def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> complex:
+def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict, forms: dict) -> complex:
     """DN coordinate conjugate to lambda2 via the deformation algorithm.
 
     Computes both the closed form and the tower of the uv observables obs at
@@ -480,7 +480,7 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> c
     relative (xi2_path_agreement); a persistent disagreement means the build
     is broken.
     """
-    closed, tower, agreement = xi2_path_agreement(params, leaf, obs, nstar)
+    closed, tower, agreement = xi2_path_agreement(params, leaf, obs, forms)
     # Written as not (x <= tol) so that a NaN residual raises too.
     if not (tower["termination"].normalized <= 1e-10):
         raise RuntimeError("deformation did not terminate")
@@ -489,20 +489,19 @@ def deformation_xi2(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> c
     return closed
 
 
-def dn_chart(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> DNChart:
+def dn_chart(params: ModelParams, leaf: LeafChart, obs: dict, forms: dict) -> DNChart:
     """The four DN coordinates (zeta1, xi1, lambda2, xi2) at a leaf point; xi2 reads the uv observables obs."""
-    _, _, lam2 = nstar(params, leaf)
+    _, _, lam2 = forms["nijenhuis"](params, leaf)
     _, z1, _, z2 = leaf.coords
-    xi1 = -0.5 * np.log(aux(params, leaf).theta1)
-    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf, obs, nstar))
+    xi1 = -0.5 * np.log(forms["aux"](params, leaf).theta1)
+    return DNChart(z2 - z1, xi1, lam2, deformation_xi2(params, leaf, obs, forms))
 
 
-def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
-    """Rows: gradients of (zeta1, xi1, lambda2, xi2) wrt (u1, z1, u2, z2)."""
+def dn_gradients(params: ModelParams, leaf: LeafChart, a: AuxFunctions) -> Array:
+    """Rows: gradients of (zeta1, xi1, lambda2, xi2) wrt (u1, z1, u2, z2), from the leaf's aux scalars a."""
     require_symmetric(params)
     mu3 = params.mu[2]
     u1, _, u2, _ = leaf.coords
-    a = aux(params, leaf)
 
     d_xi1 = -_d_theta1(params, leaf) / (2.0 * a.theta1)
 
@@ -526,15 +525,26 @@ def dn_gradients(params: ModelParams, leaf: LeafChart) -> Array:
     return np.stack([_d_zeta1(leaf), d_xi1, _d_lam2(params, leaf), d_xi2])
 
 
+def closed_forms() -> dict:
+    """The closed forms the functions here read, by name, each a callable (params, leaf) evaluated afresh."""
+    return {"nijenhuis": nijenhuis, "restricted": restricted_tensors, "aux": aux,
+            "embed": lambda params, leaf: embed(leaf), "dn_gradients": dn_gradients_form(aux)}
+
+
+def dn_gradients_form(aux_form) -> Callable:
+    """The DN gradients as a form (params, leaf), reading the aux scalars from the form aux_form."""
+    return lambda params, leaf: dn_gradients(params, leaf, aux_form(params, leaf))
+
+
 def _brackets(grads: Array, T: Array) -> Array:
     """B = G T G^T at each point."""
     return matmul(matmul(grads, T), np.swapaxes(grads, 0, 1))
 
 
-def dn_bracket_matrix(params: ModelParams, leaf: LeafChart) -> Array:
+def dn_bracket_matrix(params: ModelParams, leaf: LeafChart, forms: dict) -> Array:
     """Mutual brackets of the DN coordinates under the restricted P."""
-    P, _ = restricted_tensors(params, leaf)
-    return _brackets(dn_gradients(params, leaf), P)
+    P, _ = forms["restricted"](params, leaf)
+    return _brackets(forms["dn_gradients"](params, leaf), P)
 
 
 def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P") -> Array:
@@ -555,33 +565,33 @@ def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P")
     )
 
 
-def dn_bracket_residuals(params: ModelParams, leaf: LeafChart, nstar) -> dict:
+def dn_bracket_residuals(params: ModelParams, leaf: LeafChart, forms: dict) -> dict:
     """Canonicity under P, and eigenvalue-weighted canonical form under Q.
 
     Target brackets: {zeta1, xi1}_P = {lambda2, xi2}_P = 1 with vanishing
     cross terms; under Q the same pattern weighted by lambda1 and lambda2.
     The scale is the largest summand |G_ai T_ij G_bj| of B = G T G^T (as in
-    fields.bracket_scale) or the largest target entry; nstar is nijenhuis.
+    fields.bracket_scale) or the largest target entry; the eigenvalues are forms["nijenhuis"]'s.
+    g_i = max_a |G_ai| gives it exactly (rounded products of nonnegative numbers are monotone).
     """
-    _, lam1, lam2 = nstar(params, leaf)
-    grads = dn_gradients(params, leaf)
-    g = np.abs(grads)
+    _, lam1, lam2 = forms["nijenhuis"](params, leaf)
+    grads = forms["dn_gradients"](params, leaf)
+    g = np.abs(grads).max(axis=0)
     out = {}
-    for structure, T in zip(("P", "Q"), restricted_tensors(params, leaf)):
+    for structure, T in zip(("P", "Q"), forms["restricted"](params, leaf)):
         target = canonical_bracket_target(lam1, lam2, structure)
-        summand = peak(g[:, None, :, None] * np.abs(T)[None, None, :, :] * g[None, :, None, :], 4)
+        summand = peak(g[:, None] * np.abs(T) * g[None, :], 2)
         out[structure] = Residual(peak(_brackets(grads, T) - target, 2), np.maximum(summand, peak(target, 2)))
     return out
 
 
-def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar) -> list:
-    """N* applied to each DN gradient against eigenvalue times the gradient.
+def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, forms: dict) -> list:
+    """N* (forms["nijenhuis"]) applied to each DN gradient against eigenvalue times the gradient.
 
-    One Residual per gradient, in the order (zeta1, xi1, lambda2, xi2);
-    nstar is the callable giving (N*, lambda1, lambda2), such as nijenhuis.
+    One Residual per gradient, in the order (zeta1, xi1, lambda2, xi2).
     """
-    N, lam1, lam2 = nstar(params, leaf)
-    grads = dn_gradients(params, leaf)
+    N, lam1, lam2 = forms["nijenhuis"](params, leaf)
+    grads = forms["dn_gradients"](params, leaf)
     out = []
     for g, lam in zip(grads, (lam1, lam1, lam2, lam2)):
         image = matvec(N, g)
@@ -589,31 +599,32 @@ def dn_eigenform_residuals(params: ModelParams, leaf: LeafChart, nstar) -> list:
     return out
 
 
-def theta_bracket_residual(params: ModelParams, leaf: LeafChart) -> Residual:
+def theta_bracket_residual(params: ModelParams, leaf: LeafChart, forms: dict) -> Residual:
     """{zeta1, theta1}_P = -2 theta1, the relation fixing xi1."""
-    P, _ = restricted_tensors(params, leaf)
-    a = aux(params, leaf)
+    P, _ = forms["restricted"](params, leaf)
+    a = forms["aux"](params, leaf)
     br = _dot(_d_zeta1(leaf), matvec(P, _d_theta1(params, leaf)))
     target = -2.0 * a.theta1
     return Residual(abs(br - target), peak([br, target], 1))
 
 
-def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs: dict) -> dict:
+def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs: dict, forms: dict) -> dict:
     """Least-squares fit of c in Q dH1 = P dH2 + c P dH1 on the leaf.
 
     Diagnostic only: reports the fitted coefficient (empirically the
     eigenvalue sum p1), the post-fit residual, and the mismatch with p1.
     obs are the uv observables.
     """
-    P, Q = restricted_tensors(params, leaf)
-    g1 = restrict_grad(obs["H1"], leaf)
-    g2 = restrict_grad(obs["H2"], leaf)
+    P, Q = forms["restricted"](params, leaf)
+    uv = forms["embed"](params, leaf)
+    g1 = restrict_grad(obs["H1"], uv)
+    g2 = restrict_grad(obs["H2"], uv)
     lhs = matvec(Q, g1) - matvec(P, g2)
     col = matvec(P, g1)
     c = _dot(col.conj(), lhs) / _dot(col.conj(), col)
     resid = peak(lhs - c * col, 1)
     scale = np.maximum(peak(lhs, 1), peak(c * col, 1))
-    a = aux(params, leaf)
+    a = forms["aux"](params, leaf)
     return {
         "c": c,
         "residual": Residual(resid, scale),
@@ -621,18 +632,19 @@ def generalized_lenard_fit(params: ModelParams, leaf: LeafChart, obs: dict) -> d
     }
 
 
-def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs: dict, nstar) -> dict:
+def q_extra_casimir_residuals(params: ModelParams, leaf: LeafChart, obs: dict, forms: dict) -> dict:
     """How Q acts on the restricted Hamiltonians: H0-level direction is exact 0.
 
     On the leaf H0 and C2 are constants, so the interesting quantities are
     Q dH1 and Q dH2 against the chain built from P: Q dH2 = -lambda1 lambda2
     P dH1 holds, while Q dH1 is NOT zero (H1 is not a Casimir of Q).
-    obs are the uv observables; nstar (nijenhuis) gives the eigenvalues.
+    obs are the uv observables; forms["nijenhuis"] gives the eigenvalues.
     """
-    P, Q = restricted_tensors(params, leaf)
-    _, lam1, lam2 = nstar(params, leaf)
-    g1 = restrict_grad(obs["H1"], leaf)
-    g2 = restrict_grad(obs["H2"], leaf)
+    P, Q = forms["restricted"](params, leaf)
+    _, lam1, lam2 = forms["nijenhuis"](params, leaf)
+    uv = forms["embed"](params, leaf)
+    g1 = restrict_grad(obs["H1"], uv)
+    g2 = restrict_grad(obs["H2"], uv)
     q_g2 = matvec(Q, g2)
     p_g1 = lam1 * lam2 * matvec(P, g1)
     return {
@@ -682,20 +694,20 @@ def phi1_residual(params: ModelParams, pt: PhasePoint, obs: dict) -> Residual:
     return Residual(abs(sum(terms)), peak(terms, 1))
 
 
-def phi2_residual(params: ModelParams, pt: PhasePoint, obs: dict, nstar) -> Residual:
+def phi2_residual(params: ModelParams, pt: PhasePoint, obs: dict, forms: dict) -> Residual:
     """Second separation relation at a nondegenerate uv point.
 
     Phi2 = p xi2^2 + lambda2 H1 + H2 + Psi with p = -2 mu3^2 F^2 G^2 and
     Psi = lambda2^2 H0 - mu3 F G C2; lambda2, F, G, xi2 all come from the
-    point's own (u1, z1, u2, z2).  obs: the uv observables, nstar: nijenhuis.
+    point's own (u1, z1, u2, z2).  obs: the uv observables.
     """
     _separation_guard(params, pt)
     mu1, mu2, mu3, _ = params.mu
     c = pt.coords
     leaf = project(pt)
-    a = aux(params, leaf)
-    _, _, lam2 = nstar(params, leaf)
-    xi2 = xi2_closed_form(params, leaf)
+    a = forms["aux"](params, leaf)
+    _, _, lam2 = forms["nijenhuis"](params, leaf)
+    xi2 = xi2_closed_form(params, leaf, a)
     p = -2.0 * mu3**2 * a.F**2 * a.G**2
     terms = (
         p * xi2**2,

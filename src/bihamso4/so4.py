@@ -165,14 +165,15 @@ def chart_map(pt: PhasePoint, target: str, complex_ok: bool = False) -> PhasePoi
 
     Mapping to a real chart checks that the image is real (a UV point maps to
     a real point iff v_k = conj(u_k) and z_k is real); pass complex_ok=True to
-    keep complexified coordinates.  Coordinates may be a (6, n) stack.
+    keep complexified coordinates.  Coordinates are (6, ...) of any rank, one (6, 6) @ (6, n) product.
     """
     if pt.chart == target:
         return PhasePoint(target, np.array(pt.coords))
     key = (pt.chart, target)
     if key not in _CHART_MAPS:
         raise ValueError("chart mismatch")
-    out = _CHART_MAPS[key] @ pt.coords
+    c = pt.coords
+    out = _CHART_MAPS[key] @ c if c.ndim <= 2 else (_CHART_MAPS[key] @ c.reshape(6, -1)).reshape(c.shape)
     if target in _REAL_CHARTS:
         # A stack is real only if every point of it is.
         if (np.abs(out.imag).max(axis=0) <= _REAL_TOL * (1.0 + np.abs(out).max(axis=0))).all():

@@ -11,12 +11,14 @@ default_rng([seed, stream]) and passes them after the point; rows naming
 the same stream continue it in registry order.  Each fn calls the one
 library implementation of its identity and passes in the ingredients it
 reads (P1 and P2 on the M chart, the m observables, the uv observables,
-P1, P2, X1, Z and Q on the uv chart, the nijenhuis callable); no library
+P1, P2, X1, Z and Q on the uv chart, the leaf closed forms: the nijenhuis
+callable, the restricted pair, aux, embed and the DN gradients); no library
 function that a row or diagnostic calls builds one.  Each is built once per
-run (INGREDIENTS; Q from the run's P2, X1, Z) and, by fields.on_stack,
-evaluated at most once on its M or UV stack, as the DN bracket table is on the
-LEAF stack.  The suite owns sampling, draws, skip accounting, normalization
-(one pass over all residuals) and report assembly only.
+run (INGREDIENTS; Q from the run's P2, X1, Z, the DN gradients from its aux)
+and, by fields.on_stack, evaluated at most once on its M, UV or LEAF stack,
+as the DN bracket table is, and kept read-only.  The suite owns sampling,
+draws, skip accounting, normalization (one pass over all residuals) and
+report assembly only.
 
 Every row runs once on its whole sample, by one code path: the points as
 one stack (a (6, n) PhasePoint, or a (4, n) LeafChart with (n,) levels),
@@ -277,24 +279,30 @@ def _flipped_h2_observables(params: ModelParams, _entries: dict) -> dict:
 
 
 def _flipped_nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
-    """leaf.nijenhuis with +mu3 for -mu3 in the (0, 2) entry of N*."""
+    """leaf.nijenhuis with +mu3 for -mu3 in the (0, 2) entry of N*, in a copy of its N*."""
     N, lam1, lam2 = leaf_mod.nijenhuis(params, leaf)
+    N = N.copy()
     N[0, 2] += 2.0 * params.mu[2]
     return N, lam1, lam2
 
 
-# The ingredients in build order: (stack kind, None if not a field; builder(params, the entries before it)).
+# The ingredients in build order: (stack kind, builder(params, the entries before it)).
 INGREDIENTS = {
     "P1m": ("M_real", lambda params, _: so4.p1_m()),
     "P2m": ("M_real", lambda params, _: so4.p2_m(params)),
     "obs_m": ("M_real", lambda params, _: so4.observables_m(params)),
-    "nijenhuis": (None, lambda params, _: leaf_mod.nijenhuis),
     "obs_uv": ("UV_complex", lambda params, _: xxz.uv_observables(params)),
     "P1u": ("UV_complex", lambda params, _: xxz.p1_uv()),
     "P2u": ("UV_complex", lambda params, _: xxz.p2_uv(params)),
     "X1": ("UV_complex", lambda params, _: xxz.x1_field(params)),
     "Zf": ("UV_complex", lambda params, _: xxz.z_field()),
     "Qu": ("UV_complex", lambda params, e: pencil(e["P2u"], wedge_field(e["X1"], e["Zf"]), -1.0)),
+    # the leaf closed forms, as leaf.closed_forms builds them
+    "nijenhuis": ("LEAF", lambda params, _: leaf_mod.nijenhuis),
+    "restricted": ("LEAF", lambda params, _: leaf_mod.restricted_tensors),
+    "aux": ("LEAF", lambda params, _: leaf_mod.aux),
+    "embed": ("LEAF", lambda params, _: lambda p, leaf: leaf_mod.embed(leaf)),
+    "dn_gradients": ("LEAF", lambda params, e: leaf_mod.dn_gradients_form(e["aux"])),
 }
 
 # Each mutation override: the ingredient it swaps, and the builder of its mutant.
@@ -447,7 +455,7 @@ def run_suite(
     # ---------------- symmetric-model checks (leaf) ----------------
 
     def embed_roundtrip(leaf):
-        uv = leaf_mod.embed(leaf)
+        uv = forms["embed"](params, leaf)
         h0 = obs_uv["H0"].value(uv.coords)
         c2 = obs_uv["C2"].value(uv.coords)
         back = leaf_mod.project(uv)
@@ -456,12 +464,12 @@ def run_suite(
         return [Residual(raw, peak([h0_level, c2_level, peak(leaf.coords, 1)], 1))]
 
     def restricted_oracle(leaf):
-        res = leaf_mod.restricted_oracle_residuals(params, leaf, P1u, Qu)
+        res = leaf_mod.restricted_oracle_residuals(params, leaf, P1u, Qu, forms)
         return [res["P"], res["Q"]]
 
     def aux_relations(leaf):
-        a = leaf_mod.aux(params, leaf)
-        _, lam1, lam2 = nijenhuis(params, leaf)
+        a = forms["aux"](params, leaf)
+        _, lam1, lam2 = forms["nijenhuis"](params, leaf)
         # (u2/u1 - u1/u2)^2 = (u1/u2 + u2/u1)^2 - 4, and the second factor
         # is (lambda2 - mu1 + mu2)/mu3.
         g_target = ((lam2 - mu1 + mu2) / mu3) ** 2 - 4.0
@@ -529,39 +537,39 @@ def run_suite(
             lambda pt: list(leaf_mod.zeta1_involution_residuals(P1u, obs_uv, pt).values()),
         ),
         ("separation_phi1", TOL_EXACT, UV, SYM, lambda pt: [leaf_mod.phi1_residual(params, pt, obs_uv)]),
-        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv, nijenhuis)]),
+        ("separation_phi2", TOL_PIPELINE, UV, SYM, lambda pt: [leaf_mod.phi2_residual(params, pt, obs_uv, forms)]),
         ("embed_roundtrip", TOL_ROUNDTRIP, LEAF, SYM, embed_roundtrip),
         ("restricted_oracle", TOL_SCHOUTEN, LEAF, SYM, restricted_oracle),
         (
             "nijenhuis_closed_form", TOL_EXACT, LEAF, SYM,
-            lambda leaf: [leaf_mod.nijenhuis_closed_form_residual(params, leaf, nijenhuis)],
+            lambda leaf: [leaf_mod.nijenhuis_closed_form_residual(params, leaf, forms)],
         ),
         (
             "nijenhuis_spectrum", TOL_SPECTRUM, LEAF, SYM,
-            lambda leaf: [leaf_mod.nijenhuis_spectrum_residual(params, leaf, nijenhuis)],
+            lambda leaf: [leaf_mod.nijenhuis_spectrum_residual(params, leaf, forms)],
         ),
         ("aux_relations", TOL_EXACT, LEAF, SYM, aux_relations),
-        ("y_field_match", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.deformation_field(params, leaf)[1]]),
-        ("lie_y_invariants", TOL_SCHOUTEN, LEAF, SYM, lambda leaf: leaf_mod.lie_y_invariant_residuals(params, leaf)),
+        ("y_field_match", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.deformation_field(params, leaf, forms)[1]]),
+        ("lie_y_invariants", TOL_SCHOUTEN, LEAF, SYM, lambda leaf: leaf_mod.lie_y_invariant_residuals(params, leaf, forms)),
         (
             "deformation_factorization", TOL_SCHOUTEN, LEAF, SYM,
-            lambda leaf, rho: list(leaf_mod.deformation_residuals(params, rho, leaf, obs_uv).values()), 17, 1,
+            lambda leaf, rho: list(leaf_mod.deformation_residuals(params, rho, leaf, obs_uv, forms).values()), 17, 1,
         ),
         (
             "deformation_termination", TOL_DN, LEAF, SYM,
-            lambda leaf, rho: [leaf_mod.deformation_tower(params, rho, leaf, obs_uv)["termination"]], 18, 1,
+            lambda leaf, rho: [leaf_mod.deformation_tower(params, rho, leaf, obs_uv, forms)["termination"]], 18, 1,
         ),
         (
             "deformation_xi2_agreement", TOL_DN, LEAF, SYM,
-            lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv, nijenhuis)[2]],
+            lambda leaf: [leaf_mod.xi2_path_agreement(params, leaf, obs_uv, forms)[2]],
         ),
         ("dn_canonical_p", TOL_DN, LEAF, SYM, lambda leaf: [dn_table(leaf)["P"]]),
         ("dn_brackets_q", TOL_DN, LEAF, SYM, lambda leaf: [dn_table(leaf)["Q"]]),
-        ("dn_eigenforms", TOL_PIPELINE, LEAF, SYM, lambda leaf: leaf_mod.dn_eigenform_residuals(params, leaf, nijenhuis)),
-        ("theta_bracket", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.theta_bracket_residual(params, leaf)]),
+        ("dn_eigenforms", TOL_PIPELINE, LEAF, SYM, lambda leaf: leaf_mod.dn_eigenform_residuals(params, leaf, forms)),
+        ("theta_bracket", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.theta_bracket_residual(params, leaf, forms)]),
         (
             "q_dh2_chain", TOL_SCHOUTEN, LEAF, SYM,
-            lambda leaf: [leaf_mod.q_extra_casimir_residuals(params, leaf, obs_uv, nijenhuis)["qdh2_chain"]],
+            lambda leaf: [leaf_mod.q_extra_casimir_residuals(params, leaf, obs_uv, forms)["qdh2_chain"]],
         ),
     ]
 
@@ -583,14 +591,15 @@ def run_suite(
             if kind != M:  # the one guard, once per stack: a rejected stack fails all its rows
                 rejected[kind] = _degeneracy(params, kind, sample.stack.coords)[1]
 
-    # The rows above read these.  A field exists only where a row reading it is evaluated.
+    # The rows above read these.  An entry exists only where a row reading it is evaluated.
     swaps, ingredients = dict(OVERRIDES[name] for name in overrides), {}
     for key, (kind, build) in INGREDIENTS.items():
-        if kind is None or kind in stacks:
+        if kind in stacks:  # a field is called with the coordinates, a leaf form with the LeafChart
             entry = swaps.get(key, build)(params, ingredients)
-            ingredients[key] = entry if kind is None else on_stack(entry, stacks[kind].coords)
-    P1m, P2m, obs_m, nijenhuis, obs_uv, P1u, P2u, X1, Zf, Qu = map(ingredients.get, INGREDIENTS)
-    dn_table = on_stack(lambda leaf: leaf_mod.dn_bracket_residuals(params, leaf, nijenhuis), stacks.get(LEAF))
+            ingredients[key] = on_stack(entry, stacks[kind] if kind == LEAF else stacks[kind].coords)
+    P1m, P2m, obs_m, obs_uv, P1u, P2u, X1, Zf, Qu, *_ = map(ingredients.get, INGREDIENTS)
+    forms = {key: ingredients.get(key) for key, (kind, _) in INGREDIENTS.items() if kind == LEAF}
+    dn_table = on_stack(lambda leaf: leaf_mod.dn_bracket_residuals(params, leaf, forms), stacks.get(LEAF))
 
     streams = {}  # rows naming the same stream continue it, in registry order
     evaluated, starts, residuals = [], [], []  # each evaluated row, and the index of its first residual
@@ -632,9 +641,10 @@ def run_suite(
     if holds[SYM]:
         leaf_stack = stacks[LEAF]
         leafs = LeafChart(leaf_stack.coords[:, :20], tuple(level[:20] for level in leaf_stack.levels))
-        lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv)
+        leafs_forms = on_stack(forms, leafs)  # both diagnostics read them on these 20 leaves
+        lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv, leafs_forms)
         fits, p1_mismatch = lenard["residual"].normalized, lenard["p1_mismatch"]
-        h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv, nijenhuis)["qdh1_norm"].normalized
+        h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv, leafs_forms)["qdh1_norm"].normalized
         ratio = xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))["ratio_p1"]
         report.diagnostics += [
             _diagnostic(

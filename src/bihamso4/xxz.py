@@ -320,6 +320,7 @@ def _curve_line(params: ModelParams, lam: complex, rho: complex, pt: PhasePoint,
     """
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
+    lam, rho = np.expand_dims(lam, 0), np.expand_dims(rho, 0)  # one value per point, broadcast over the nodes
 
     def curve(c):
         return spectral_det(params, lam, rho, chart_map(PhasePoint(CHART_UV, c), CHART_M, complex_ok=True))

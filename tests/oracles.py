@@ -5,7 +5,7 @@ from math import isfinite
 
 import numpy as np
 
-from bihamso4.fields import FD_STEP, Residual, lift, peak
+from bihamso4.fields import FD_STEP, LINE_NODES, Residual, lift, line_poly_coeffs, peak
 
 
 def fd_grad(value, coords):
@@ -34,6 +34,16 @@ def fd_jac(value, coords):
         e[i] = h = FD_STEP * (1.0 + np.abs(c[i]))
         out[..., i] = (np.asarray(value(c + e)) - np.asarray(value(c - e))) / (2.0 * h)
     return out
+
+
+def line_restriction(f, direction, p):
+    """fields.line_restriction one node at a time: six calls of f, each on one node p + t w of the line."""
+    w = direction(p)
+    drift = np.abs(direction(p + LINE_NODES[-1] * w) - w).max(axis=0, keepdims=True)
+    if (drift > 1e-12 * (1.0 + np.abs(w).max(axis=0, keepdims=True))).any():
+        raise RuntimeError("direction field is not self-parallel")
+    vals = np.array([f(p + t * w) for t in LINE_NODES])
+    return line_poly_coeffs(vals), vals
 
 
 def _cyclic_slots(dim):

@@ -127,18 +127,19 @@ def test_criterion_4_transversality_and_stackel():
 
 def test_criterion_5_nijenhuis_dn():
     t0 = time.perf_counter()
+    forms = leaf_mod.closed_forms()
     worst = {"closed": 0.0, "spectrum": 0.0, "dn_p": 0.0, "dn_q": 0.0, "eigen": 0.0}
     for leaf in _leaves(50, 107):
         worst["closed"] = max(
-            worst["closed"], leaf_mod.nijenhuis_closed_form_residual(SYM, leaf, leaf_mod.nijenhuis).normalized
+            worst["closed"], leaf_mod.nijenhuis_closed_form_residual(SYM, leaf, forms).normalized
         )
         worst["spectrum"] = max(
-            worst["spectrum"], leaf_mod.nijenhuis_spectrum_residual(SYM, leaf, leaf_mod.nijenhuis).normalized
+            worst["spectrum"], leaf_mod.nijenhuis_spectrum_residual(SYM, leaf, forms).normalized
         )
-        br = leaf_mod.dn_bracket_residuals(SYM, leaf, leaf_mod.nijenhuis)
+        br = leaf_mod.dn_bracket_residuals(SYM, leaf, forms)
         worst["dn_p"] = max(worst["dn_p"], br["P"].normalized)
         worst["dn_q"] = max(worst["dn_q"], br["Q"].normalized)
-        worst["eigen"] = max(worst["eigen"], *(r.normalized for r in leaf_mod.dn_eigenform_residuals(SYM, leaf, leaf_mod.nijenhuis)))
+        worst["eigen"] = max(worst["eigen"], *(r.normalized for r in leaf_mod.dn_eigenform_residuals(SYM, leaf, forms)))
     elapsed = time.perf_counter() - t0
     ok = (
         worst["closed"] <= 1e-12
@@ -159,6 +160,7 @@ def test_criterion_5_nijenhuis_dn():
 
 def test_criterion_6_deformation_pipeline():
     t0 = time.perf_counter()
+    forms = leaf_mod.closed_forms()
     rng = np.random.default_rng(108)
     obs = xxz.uv_observables(SYM)
     worst_factor = 0.0
@@ -167,12 +169,12 @@ def test_criterion_6_deformation_pipeline():
     for leaf in _leaves(50, 109):
         rho = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         worst_factor = max(
-            worst_factor, leaf_mod.deformation_residuals(SYM, rho, leaf, obs)["factorization"].normalized
+            worst_factor, leaf_mod.deformation_residuals(SYM, rho, leaf, obs, forms)["factorization"].normalized
         )
-        tower = leaf_mod.deformation_tower(SYM, rho, leaf, obs)
+        tower = leaf_mod.deformation_tower(SYM, rho, leaf, obs, forms)
         worst_term = max(worst_term, tower["termination"].normalized)
-        closed = leaf_mod.xi2_closed_form(SYM, leaf)
-        got = leaf_mod.deformation_xi2(SYM, leaf, obs, leaf_mod.nijenhuis)
+        closed = leaf_mod.xi2_closed_form(SYM, leaf, leaf_mod.aux(SYM, leaf))
+        got = leaf_mod.deformation_xi2(SYM, leaf, obs, forms)
         worst_xi2 = max(worst_xi2, abs(got - closed) / (1.0 + abs(closed)))
     elapsed = time.perf_counter() - t0
     ok = worst_factor <= 1e-10 and worst_term <= 1e-10 and worst_xi2 <= 1e-10
@@ -199,9 +201,9 @@ def test_criterion_7_separation_relations():
     for _ in range(97):
         c = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         worst1 = max(worst1, leaf_mod.phi1_residual(SYM, PhasePoint(CHART_UV, c), obs).normalized)
-    worst2 = 0.0
+    worst2, forms = 0.0, leaf_mod.closed_forms()
     for pt in _uv_points(100, 111):
-        worst2 = max(worst2, leaf_mod.phi2_residual(SYM, pt, obs, leaf_mod.nijenhuis).normalized)
+        worst2 = max(worst2, leaf_mod.phi2_residual(SYM, pt, obs, forms).normalized)
     elapsed = time.perf_counter() - t0
     ok = worst1 <= 1e-12 and worst2 <= 1e-9
     _line(7, ok, f"phi1 max {worst1:.2e} (tol 1e-12), phi2 max {worst2:.2e} (tol 1e-9), {elapsed:.2f}s")

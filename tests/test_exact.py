@@ -28,7 +28,7 @@ def _grads():
     a = leaf_mod.aux(PARAMS, LEAF)
     u1, z1, u2, z2 = COORDS
     d_u1u2, d_g, d_l = leaf_mod._y_invariant_grads(PARAMS, LEAF)
-    dn = leaf_mod.dn_gradients(PARAMS, LEAF)
+    dn = leaf_mod.dn_gradients(PARAMS, LEAF, a)
     lam2 = leaf_mod.nijenhuis(PARAMS, LEAF)[2]
     return [
         ("_d_zeta1", leaf_mod._d_zeta1(LEAF), z2 - z1),
@@ -42,7 +42,7 @@ def _grads():
         ("dn_gradients_zeta1", dn[0], z2 - z1),
         ("dn_gradients_xi1", dn[1], -sympy.log(a.theta1) / 2),
         ("dn_gradients_lambda2", dn[2], lam2),
-        ("dn_gradients_xi2", dn[3], leaf_mod.xi2_closed_form(PARAMS, LEAF)),
+        ("dn_gradients_xi2", dn[3], leaf_mod.xi2_closed_form(PARAMS, LEAF, a)),
     ]
 
 

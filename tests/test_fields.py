@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bihamso4 import leaf as leaf_mod
 from bihamso4 import so4, verify, xxz
 from bihamso4.fields import (
     CHART_M,
@@ -28,6 +29,7 @@ from bihamso4.fields import (
     schouten_residual,
     wedge_field,
 )
+from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
 import oracles
 from oracles import fd_jac
@@ -127,15 +129,20 @@ def test_line_poly_coeffs_dimension_guard():
         line_poly_coeffs(np.zeros(5))
 
 
+def _square(c):
+    """c . c over the first axis, elementwise over the others, as line_restriction requires."""
+    return (c * c).sum(axis=0)
+
+
 def test_line_restriction_requires_a_self_parallel_direction():
     p = np.array([0.3 + 0.1j, -0.7, 0.5j])
     # w(c) = c moves along the line, so w(p + t w) = (1 + t) w != w
     with pytest.raises(RuntimeError, match="not self-parallel"):
-        line_restriction(lambda c: c @ c, lambda c: c, p)
+        line_restriction(_square, lambda c: c, p)
     w = np.array([0.2, 0.0, -1.0 + 0.5j])
-    coeffs, vals = line_restriction(lambda c: c @ c, lambda c: w, p)
+    coeffs, vals = line_restriction(_square, lambda c: w, p)
     assert np.allclose(coeffs, [p @ p, 2.0 * (p @ w), w @ w, 0.0, 0.0, 0.0], atol=1e-14)
-    assert np.array_equal(vals, [(p + t * w) @ (p + t * w) for t in LINE_NODES])
+    assert np.array_equal(vals, [_square(p + t * w) for t in LINE_NODES])
 
 
 def test_linear_bivector_jacobian_constant():
@@ -371,6 +378,48 @@ def test_fd_grad_is_the_per_shift_oracle_from_one_value_call():
             got = fd_grad(value, coords)
             assert calls == [(6, 2) + coords.shape], name
             assert _same_bits(got, back(oracles.fd_grad(f.value, oracle_coords))), (name, coords.shape)
+
+
+def test_line_restriction_is_the_per_node_oracle_from_one_value_call(monkeypatch):
+    # the suite's own lines at its draws: the three Y towers on the LEAF stack
+    # (rho from streams 17 and 18, and rho = lambda2) and the Stackel and
+    # curve Z lines on the UV stack (streams 15 and 16)
+    params, n, seed = ModelParams.from_mu(10.0, 1.0, 2.0), 200, 0
+    uv = verify.sample_points("UV_complex", n, seed + 1, params).stack
+    leafs = verify.sample_points("LEAF", n, seed + 2, params).stack
+    obs, forms, Z = xxz.uv_observables(params), leaf_mod.closed_forms(), xxz.z_field()
+
+    def draws(stream, k):
+        return np.random.default_rng([seed, stream]).uniform(-1, 1, size=(n, k, 2)).view(complex)[..., 0].T
+
+    def towers(rhos, leaf):
+        return [leaf_mod.deformation_tower(params, rho, leaf, obs, forms)["coeffs"] for rho in rhos]
+
+    for lam, rho in (draws(15, 2), draws(16, 2)):  # xxz._curve_line against its parent, per node
+        def curve(c, lam=lam, rho=rho):
+            return so4.spectral_det(params, lam, rho, so4.chart_map(PhasePoint(CHART_UV, c), CHART_M, complex_ok=True))
+
+        for a, b in zip(xxz._curve_line(params, lam, rho, uv, Z), oracles.line_restriction(curve, Z.value, uv.coords)):
+            assert _same_bits(a, b)
+    rhos = [draws(17, 1)[0], draws(18, 1)[0], forms["nijenhuis"](params, leafs)[2]]
+    got = towers(rhos, leafs)
+    real, lines = leaf_mod.line_restriction, []
+    monkeypatch.setattr(leaf_mod, "line_restriction", lambda *args: lines.append(args) or real(*args))
+    for k in (0, 7, 199):  # the towers of three 1-D leaf points
+        towers([r[k] for r in rhos], LeafChart(leafs.coords[:, k], tuple(level[k] for level in leafs.levels)))
+    monkeypatch.setattr(leaf_mod, "line_restriction", oracles.line_restriction)
+    for a, b in zip(got, towers(rhos, leafs)):
+        assert _same_bits(a, b)
+    # at one point, against the oracle on the one-column stack (its
+    # direction the point's own), as for fd_grad.  The Z line is left out
+    # here: its six nodes map to the M chart as one (6, 6) @ (6, 6) product,
+    # which BLAS rounds unlike six products with a (6,) point
+    assert len(lines) == 9
+    for f, direction, p in lines:
+        w = direction(p)
+        want = oracles.line_restriction(f, lambda c: w[:, None], p[:, None])
+        for a, b in zip(real(f, direction, p), want):
+            assert _same_bits(a, b[:, 0])
 
 
 def test_schouten_kernel_is_the_summed_table_oracle():

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import gc
 import json
 from collections import Counter
 
@@ -155,7 +157,7 @@ def test_drawn_rows_read_their_named_streams():
     leafs = verify.sample_points("LEAF", n, 2, params).stack
     term_rng = np.random.default_rng([0, 18])
     obs = xxz.uv_observables(params)
-    term = leaf_mod.deformation_tower(params, draws(term_rng), leafs, obs)["termination"].normalized.max()
+    term = leaf_mod.deformation_tower(params, draws(term_rng), leafs, obs, leaf_mod.closed_forms())["termination"].normalized.max()
     assert report["lax_flow"].max_residual == flow
     assert report["lax_angular_commutator"].max_residual == comm
     assert report["deformation_termination"].max_residual == term
@@ -286,8 +288,8 @@ def test_nan_diagnostic_fails_closed(monkeypatch):
     # samples: poison column 2, which a running max would drop
     real = leaf_mod.generalized_lenard_fit
 
-    def patched(params, leaf, obs):
-        out = real(params, leaf, obs)
+    def patched(params, leaf, obs, forms):
+        out = real(params, leaf, obs, forms)
         raw = out["residual"].raw.copy()
         raw[2] = float("nan")
         out["residual"] = Residual(raw, out["residual"].scale)
@@ -307,8 +309,8 @@ def test_nan_diagnostic_at_first_sample_keeps_report_strict(monkeypatch):
     # a NaN first in the list survives min(); it must become null, not break to_json
     real = leaf_mod.q_extra_casimir_residuals
 
-    def patched(params, leaf, obs, nstar):
-        out = real(params, leaf, obs, nstar)
+    def patched(params, leaf, obs, forms):
+        out = real(params, leaf, obs, forms)
         out["qdh1_norm"] = Residual(float("nan"), 1.0)
         return out
 
@@ -453,19 +455,36 @@ def test_run_suite_builds_each_ingredient_once(monkeypatch, mu, calls):
     assert counted == Counter(calls)
 
 
+# The leaf closed forms that a run builds as LEAF ingredients.
+LEAF_HELPERS = ("restricted_tensors", "aux", "nijenhuis", "embed", "dn_gradients")
+
+
 @pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])
 def test_each_ingredient_is_evaluated_once_per_stack(monkeypatch, mu):
     # every value, gradient and Jacobian of an ingredient (built by a
     # constructor, or composed as Q by pencil) runs at most once on each of
     # the run's own sample stacks, however many rows read it; any other
-    # argument (a shifted, mapped or single-column point) is not counted
-    stacks, counted = [], Counter()
+    # argument (a shifted, mapped or single-column point) is not counted.
+    # Each leaf closed form runs at most once per LeafChart the run forms:
+    # the LEAF stack, the diagnostics' 20 leaves, the leaves a UV row
+    # projects and the points a tower reads its direction at
+    stacks, sampled, counted, leaf_calls, formed = [], [], Counter(), Counter(), []
     real_sample = verify.sample_points
 
     def sampling(kind, *args):
         sample = real_sample(kind, *args)
         stacks.append(sample.stack.coords)
+        sampled.append(sample.stack)
         return sample
+
+    def helper(*args, real, name):
+        leaf = next(a for a in args if isinstance(a, LeafChart))
+        formed.append(leaf)  # kept alive, so no two of them share an id
+        leaf_calls[name, id(leaf)] += 1
+        return real(*args)
+
+    for name in LEAF_HELPERS:
+        monkeypatch.setattr(leaf_mod, name, functools.partial(helper, real=getattr(leaf_mod, name), name=name))
 
     def counting(name, f):
         if isinstance(f, dict):
@@ -494,6 +513,65 @@ def test_each_ingredient_is_evaluated_once_per_stack(monkeypatch, mu):
     assert counted["p2_m", "value", 0] == 1
     assert counted["uv_observables[H2]", "grad", 1] == params.symmetric
     assert max(counted.values()) == 1, sorted(k for k, v in counted.items() if v > 1)
+    assert max(leaf_calls.values(), default=0) == params.symmetric, sorted(k for k, v in leaf_calls.items() if v > 1)
+    if params.symmetric:
+        assert all(leaf_calls[name, id(sampled[2])] == 1 for name in LEAF_HELPERS)
+        assert len({id(leaf) for leaf in formed}) > 3  # the forms also ran on leaves formed during the run
+
+
+def test_run_suite_leaves_no_reference_cycles():
+    # a run's ingredients and the arrays they keep are freed when it returns,
+    # not left for the cyclic collector (a builder holding the run's mapping
+    # of entries would keep them all alive until a full collection)
+    verify.run_suite(PARAMS, seed=0, n_points=6, overrides=("nstar_sign",))
+    gc.collect()
+    gc.disable()
+    try:
+        verify.run_suite(PARAMS, seed=1, n_points=6)
+        verify.run_suite(PARAMS, seed=1, n_points=6, overrides=tuple(verify.OVERRIDES))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _arrays(x) -> list:
+    """The arrays in x, also inside a tuple, dict or dataclass."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, dict):
+        x = tuple(x.values())
+    elif dataclasses.is_dataclass(x):
+        x = tuple(vars(x).values())
+    return [a for item in x for a in _arrays(item)] if isinstance(x, tuple) else []
+
+
+def test_kept_leaf_results_are_read_only(monkeypatch):
+    # every row reading a leaf closed form (and the DN bracket table) shares
+    # what the run keeps on its LEAF stack, so no row can write into it
+    samples, kept = [], {}
+    real_sample = verify.sample_points
+
+    def sampling(kind, *args):
+        samples.append(real_sample(kind, *args))
+        return samples[-1]
+
+    def recording(*args, real, name):
+        out = real(*args)
+        if any(a is samples[-1].stack for a in args):
+            kept[name] = out
+        return out
+
+    monkeypatch.setattr(verify, "sample_points", sampling)
+    for name in (*LEAF_HELPERS, "dn_bracket_residuals"):
+        monkeypatch.setattr(leaf_mod, name, functools.partial(recording, real=getattr(leaf_mod, name), name=name))
+    assert verify.run_suite(PARAMS, seed=0, n_points=6).overall
+    assert set(kept) == {*LEAF_HELPERS, "dn_bracket_residuals"}
+    for name, out in kept.items():
+        arrays = _arrays(out)
+        assert arrays, name
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
 
 
 def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
@@ -527,18 +605,18 @@ def test_perturbed_h2_ingredient_reaches_separation_rows(monkeypatch):
 
 
 def test_nan_dn_gradient_fails_eigenforms(monkeypatch):
-    # dn_gradients is read once on the leaf stack by dn_eigenforms: poison one
-    # row at column 4, which a running worst would drop
+    # dn_gradients is evaluated once on the leaf stack, and dn_eigenforms reads
+    # it: poison one row at column 4, which a running worst would drop
     real = leaf_mod.dn_gradients
     leafs = verify.sample_points("LEAF", 6, 2, PARAMS).stack
 
-    def patched(params, leaf):
-        out = real(params, leaf).copy()
+    def patched(*args):
+        out = real(*args).copy()
         out[1, 0, 4] = float("nan")
         return out
 
     monkeypatch.setattr(leaf_mod, "dn_gradients", patched)
-    res = leaf_mod.dn_eigenform_residuals(PARAMS, leafs, leaf_mod.nijenhuis)
+    res = leaf_mod.dn_eigenform_residuals(PARAMS, leafs, leaf_mod.closed_forms())
     assert len(res) == 4
     assert [bool(np.isfinite(x)) for x in res[1].raw] == [True, True, True, True, False, True]
     report = verify.run_suite(PARAMS, seed=0, n_points=6)
