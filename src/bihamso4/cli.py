@@ -185,7 +185,7 @@ def dn_command(mu_text, leaf_text, h0_text, c2_text, as_json):
             embedded = leaf_mod.embed(leaf).coords
         if not np.isfinite(embedded).all():
             raise ValueError("leaf point embeds to a non-finite uv point")
-        forms = leaf_mod.closed_forms()
+        forms = leaf_mod.closed_forms(leaf)
         chart = leaf_mod.dn_chart(params, leaf, obs, forms)
         if as_json:  # the document reads the bracket residuals, the text the P bracket table
             brackets = leaf_mod.dn_bracket_residuals(params, leaf, forms)

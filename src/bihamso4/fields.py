@@ -17,17 +17,19 @@ a stack.  A derivative that does not depend on the point (the Jacobian of a
 linear bivector, the gradient of zeta1) stays one shared array without the
 point axis, in the dtype of the values, and broadcasts against the stack.
 
-schouten_residual, the costliest kernel, moves the point axis first and
-contracts by one batched matmul (a shared Jacobian is a batch of one); it
-reduces only the 20 components i < j < k of the trivector, so every bivector
-it is given must be exactly antisymmetric.
+schouten_residual, the costliest kernel, reads only the 15 rows i < k of
+each Jacobian d_l b^ik and the 20 components i < j < k of the trivector, so
+every bivector it is given, its Jacobian as well as its value, must be
+exactly antisymmetric.  A shared Jacobian is one (15, 6) @ (6, 6n) product on
+the value's own memory (its float view, (6, 12n), if the Jacobian is real and
+the value complex); a per-point one, one batched (n, 15, 6) @ (n, 6, 6) matmul.
 
 Kernels that build (6, 6, 6[, n]) tables keep at most one alive as a
 temporary besides inputs and result (a freed one may be faulted in again):
-schouten_residual cuts each term table to its cyclic slots before forming
+schouten_residual cuts each half table to its cyclic slots before forming
 the next, and the wedge_field and pencil Jacobians fill their result's buffer.
 fd_grad calls value once, on all 2d shifted copies stacked ahead of the point
-axes, and line_restriction calls f once, on all six line nodes likewise, so
+axes, and line_restriction calls f once, on all six line_nodes likewise, so
 a value given to either must act elementwise on every axis after the first.
 """
 
@@ -205,22 +207,36 @@ def ham_field_scaled(P: BivectorField, f: ScalarField, pt: PhasePoint) -> tuple:
 
 
 @functools.cache
-def _cyclic_slots(dim: int) -> Array:
-    """Rows: flat positions in an [i, k, j] table of T^ijk, T^kij and T^jki, one column per i < j < k."""
+def _half_slots(dim: int) -> tuple:
+    """(iu, ku, slots): the rows i < k, and the flat positions in a [row, j] table of T^ijk, -T^kij, -T^jki at i < j < k.
+
+    d_l b^kj = -d_l b^jk and negation are exact, so T^kij, T^jki are read negated at the rows (j, k), (i, j)."""
+    iu, ku = np.triu_indices(dim, 1)
+    row = np.zeros((dim, dim), int)
+    row[iu, ku] = row[ku, iu] = range(len(iu))
     i, j, k = np.array(list(itertools.combinations(range(dim), 3))).T
-    slots = np.array([(a * dim + c) * dim + b for a, b, c in ((i, j, k), (k, i, j), (j, k, i))])
-    slots.flags.writeable = False  # every call returns this one array
-    return slots
+    slots = np.array([row[i, k] * dim + j, row[j, k] * dim + i, row[i, j] * dim + k])
+    for x in (iu, ku, slots):
+        x.flags.writeable = False  # every call returns these arrays
+    return iu, ku, slots
 
 
-def _schouten_terms(db: Array, a: Array, dtype=None) -> Array:
-    """T^ijk, T^kij, T^jki at i < j < k, [n, 3, 20], of T^ijk = sum_l a^lj d_l b^ik.
+def _half_rows(db: Array, c: Array) -> tuple:
+    """The rows i < k of a Jacobian d_l b^ik, (15, 6) if shared or at one point, else (n, 15, 6), and max_ik |d_l b^ik|."""
+    iu, ku, _ = _half_slots(db.shape[0])
+    h = db[iu, ku] if db.ndim == 3 else np.moveaxis(db, -1, 0)[:, iu, ku]
+    return h, lift(np.abs(h).max(axis=-2).T, 1, c)
 
-    T is one (n, 36, 6) @ (n, 6, 6) matmul (a shared db a batch of one), freed once its slots are taken.
-    """
-    db, a = (np.moveaxis(x, -1, 0) if x.ndim > rank else x for x, rank in ((db, 3), (a, 2)))
-    T = np.matmul(db.reshape(db.shape[:-3] + (-1, db.shape[-1])), a, dtype=dtype)
-    return T.reshape(T.shape[:-2] + (-1,))[..., _cyclic_slots(a.shape[-1])]
+
+def _schouten_terms(h: Array, a: Array) -> Array:
+    """T^ijk, -T^kij, -T^jki at i < j < k, (3, 20[, n]), of T^ijk = sum_l a^lj d_l b^ik, from the half rows h of d b."""
+    slots = _half_slots(a.shape[0])[2]
+    if h.ndim == 2:  # one product on a's memory: on its float view if h is real and a complex
+        a2, real = np.ascontiguousarray(a).reshape(len(a), -1), np.iscomplexobj(a) and not np.iscomplexobj(h)
+        T = (h @ a2.view(h.dtype)).view(a.dtype) if real else h @ a2
+        return T.reshape(-1, *a.shape[2:])[slots]
+    T = h @ np.moveaxis(a, -1, 0)
+    return T.reshape(len(T), -1).T[slots]
 
 
 def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Residual:
@@ -233,32 +249,29 @@ def schouten_residual(P: BivectorField, Q: BivectorField, pt: PhasePoint) -> Res
     the components i < j < k.  The scale is the largest single product
     |P^lj d_l Q^ik| (or mirror), max_l (max_j |P^lj|)(max_ik |d_l Q^ik|):
     rounded products of nonnegative numbers are monotone, so this is exact
-    without the 6^4 table of products.
+    without the 6^4 table of products.  The Jacobians, like the values, must
+    be exactly antisymmetric: only their rows i < k are read.
     """
     _require_chart(pt.chart, P, Q)
     c = pt.coords
     p = lift(P.value(c), 2, c)
-    dp = lift(P.jac(c), 3, c)
-    ap, adp = np.abs(p).max(axis=1), np.abs(dp).max(axis=(0, 1))
-    # T^ijk = sum_l (P^lj d_l Q^ik + Q^lj d_l P^ik) at the cyclic slots only,
-    # summed in place: (T1 + T2)[slots] is T1[slots] + T2[slots] elementwise,
-    # and each (6, 6, 6[, n]) term table is freed before the next is formed
+    (hp, adp), ap = _half_rows(P.jac(c), c), np.abs(p).max(axis=1)
+    # T^ijk = sum_l (P^lj d_l Q^ik + Q^lj d_l P^ik) at the cyclic slots only:
+    # (T1 + T2)[slots] is T1[slots] + T2[slots] elementwise
     if Q is P:
-        t = _schouten_terms(dp, p)
+        t = _schouten_terms(hp, p)
         t += t  # both halves of T and of the scale coincide; t + t is exactly 2t
         scale = peak(ap * adp, 1)
     else:
         q = lift(Q.value(c), 2, c)
         if p.shape[:2] != q.shape[:2]:
             raise ValueError("dimension mismatch")
-        dq = lift(Q.jac(c), 3, c)
-        aq, adq = np.abs(q).max(axis=1), np.abs(dq).max(axis=(0, 1))
+        (hq, adq), aq = _half_rows(Q.jac(c), c), np.abs(q).max(axis=1)
         scale = peak(np.maximum(ap * adq, aq * adp), 1)
-        t = _schouten_terms(dq, p, np.result_type(p, q, dp, dq))
-        del dq
-        t += _schouten_terms(dp, q)
-    del dp
-    raw = np.abs(t[..., 0, :] + t[..., 1, :] + t[..., 2, :]).max(axis=-1)
+        t = _schouten_terms(hq, p)
+        del hq
+        t = t + _schouten_terms(hp, q)
+    raw = np.abs(t[0] - t[1] - t[2]).max(axis=0)
     return Residual(float(raw) if raw.ndim == 0 else raw, scale)
 
 
@@ -394,18 +407,18 @@ def line_poly_coeffs(values) -> Array:
     return _VANDER_INV @ values
 
 
-def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array], Array], p: Array) -> tuple:
-    """Coefficients c_0..c_5 and node values of t -> f(p + t w), w = direction(p).
-
-    The fit gives the Lie derivatives along w only if the line is a flow line,
-    so w(p + t w) = w is asserted at the farthest node before f is evaluated,
-    at every point of a stack p; f is called once, on the (d, 6, ...) array of all nodes.
-    """
-    w = direction(p)
+def line_nodes(direction: Callable[[Array], Array], p: Array, w: Array) -> Array:
+    """The six nodes p + t w, (d, 6, ...), of the line along w = direction(p), once w(p + t w) = w is asserted at
+    the farthest node at every point of a stack p: a fit gives Lie derivatives along w only on a flow line."""
     drift = np.abs(direction(p + LINE_NODES[-1] * w) - w).max(axis=0, keepdims=True)
     if (drift > 1e-12 * (1.0 + np.abs(w).max(axis=0, keepdims=True))).any():
         raise RuntimeError("direction field is not self-parallel")
-    vals = f(p[:, None] + lift(LINE_NODES, 1, p) * w[:, None])
+    return p[:, None] + lift(LINE_NODES, 1, p) * w[:, None]
+
+
+def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array], Array], p: Array) -> tuple:
+    """Coefficients c_0..c_5 and node values of t -> f(p + t w), w = direction(p), from one call of f on all line_nodes."""
+    vals = f(line_nodes(direction, p, direction(p)))
     return line_poly_coeffs(vals), vals
 
 

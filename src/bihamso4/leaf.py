@@ -31,9 +31,10 @@ the boundaries: the sampler, `verify.run_suite`, the separation relations and
 the `dn`/`separation` commands.  The formulas do not guard or cast; they are
 arithmetic on whatever numbers they get, so they also run on a stack or on symbols.
 
-The closed forms read by the rest (closed_forms: nijenhuis, the restricted
-pair, aux, embed, the DN gradients) come in as `forms`, callables (params, leaf)
-that a caller may evaluate once per leaf stack (fields.on_stack) or swap.
+The closed forms read by the rest (closed_forms, FORMS: nijenhuis, the
+restricted pair, aux, embed, the DN gradients, Y and the nodes of its line)
+come in as `forms`, callables (params, leaf) that a caller may evaluate once
+per leaf stack (fields.on_stack) or swap.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
-from typing import Callable
 
 import numpy as np
 
@@ -58,10 +58,12 @@ from .fields import (
     as_matrices,
     brackets_scaled,
     from_matrices,
-    line_restriction,
+    line_nodes,
+    line_poly_coeffs,
     matmul,
     matvec,
     mismatch,
+    on_stack,
     peak,
 )
 from .so4 import ModelParams
@@ -369,9 +371,15 @@ def _dot(a: Array, b: Array):
     return np.einsum("i...,i...->...", a, b)
 
 
-def _y_vector(params: ModelParams, leaf: LeafChart, forms: dict) -> Array:
-    """Y = -P d(p1sum), the generic recipe of the deformation field."""
-    return -matvec(forms["restricted"](params, leaf)[0], _d_lam2(params, leaf))
+def _y_vector(params: ModelParams, leaf: LeafChart, restricted) -> Array:
+    """Y = -P d(p1sum), the generic recipe of the deformation field, with P from the form restricted."""
+    return -matvec(restricted(params, leaf)[0], _d_lam2(params, leaf))
+
+
+def _y_line(params: ModelParams, leaf: LeafChart, y) -> Array:
+    """uv coordinates (6, 6[, n]) of the nodes of the line along the form y (it moves z only), once asserted self-parallel."""
+    nodes = line_nodes(lambda c: y(params, LeafChart(c, leaf.levels)), leaf.coords, y(params, leaf))
+    return _embed_coords(nodes, leaf.levels)
 
 
 def deformation_field(params: ModelParams, leaf: LeafChart, forms: dict) -> tuple:
@@ -380,7 +388,7 @@ def deformation_field(params: ModelParams, leaf: LeafChart, forms: dict) -> tupl
     Returns (y, Residual): y is computed from the generic recipe; the residual
     compares it with the printed form, which has components only along z1, z2.
     """
-    y = _y_vector(params, leaf, forms)
+    y = forms["y"](params, leaf)
     a = forms["aux"](params, leaf)
     mu3 = params.mu[2]
     zero = 0.0 * a.G
@@ -392,7 +400,7 @@ def lie_y_invariant_residuals(params: ModelParams, leaf: LeafChart, forms: dict)
     """Y(u1 u2) = 0, Y(G) = 0 and Y(L) = mu3 G u1 u2 F, from the hand-coded gradients."""
     mu3 = params.mu[2]
     u1, _, u2, _ = leaf.coords
-    y = _y_vector(params, leaf, forms)
+    y = forms["y"](params, leaf)
     a = forms["aux"](params, leaf)
     d_u1u2, d_g, d_l = _y_invariant_grads(params, leaf)
     y_scale = peak(y, 1)
@@ -410,16 +418,13 @@ def deformation_tower(params: ModelParams, rho: complex, leaf: LeafChart, obs: d
     Y is constant along its own flow (it depends only on u and points along
     z), so its integral curves are straight lines and the restriction of
     H(rho) to one is an exact low-degree polynomial; an exact-degree fit
-    yields Lie_Y^k H = k! c_k.  line_restriction asserts the self-parallelism
-    numerically before the fit is trusted.  obs are the uv observables.
+    yields Lie_Y^k H = k! c_k.  The nodes, forms["y_line"], are formed once
+    Y is asserted self-parallel, and are shared by every rho.  obs are the uv
+    observables; rho is one value per point.
     """
-
-    # Y moves z only, so every node keeps the leaf's u1, u2; c is (4, 6[, n]) and rho one value per point
-    def h_rho(c):
-        uv = _embed_coords(c, leaf.levels)
-        return rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
-
-    coeffs, vals = line_restriction(h_rho, lambda c: _y_vector(params, LeafChart(c, leaf.levels), forms), leaf.coords)
+    uv = forms["y_line"](params, leaf)
+    vals = rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
+    coeffs = line_poly_coeffs(vals)
     scale = peak(vals, 1)
     lie3_and_up = peak([6.0 * np.abs(coeffs[3]), 24.0 * np.abs(coeffs[4]), 120.0 * np.abs(coeffs[5])], 1)
     return {
@@ -525,15 +530,26 @@ def dn_gradients(params: ModelParams, leaf: LeafChart, a: AuxFunctions) -> Array
     return np.stack([_d_zeta1(leaf), d_xi1, _d_lam2(params, leaf), d_xi2])
 
 
-def closed_forms() -> dict:
-    """The closed forms the functions here read, by name, each a callable (params, leaf) evaluated afresh."""
-    return {"nijenhuis": nijenhuis, "restricted": restricted_tensors, "aux": aux,
-            "embed": lambda params, leaf: embed(leaf), "dn_gradients": dn_gradients_form(aux)}
+# The builder of each closed form from the forms built before it.  A derived form binds the entries it
+# reads as it is built, so it reads them kept wherever they are kept (holding the mapping would be a cycle).
+FORMS = {
+    "nijenhuis": lambda forms: nijenhuis,
+    "restricted": lambda forms: restricted_tensors,
+    "aux": lambda forms: aux,
+    "embed": lambda forms: lambda params, leaf: embed(leaf),
+    "dn_gradients": lambda forms: lambda params, leaf, aux=forms["aux"]: dn_gradients(params, leaf, aux(params, leaf)),
+    "y": lambda forms: lambda params, leaf, restricted=forms["restricted"]: _y_vector(params, leaf, restricted),
+    "y_line": lambda forms: lambda params, leaf, y=forms["y"]: _y_line(params, leaf, y),
+}
 
 
-def dn_gradients_form(aux_form) -> Callable:
-    """The DN gradients as a form (params, leaf), reading the aux scalars from the form aux_form."""
-    return lambda params, leaf: dn_gradients(params, leaf, aux_form(params, leaf))
+def closed_forms(stack: LeafChart | None = None) -> dict:
+    """The closed forms the functions here read, by name, each a callable (params, leaf) evaluated afresh,
+    or at most once on `stack` (fields.on_stack), the derived ones reading the kept ones."""
+    forms = {}
+    for key, build in FORMS.items():
+        forms[key] = build(forms) if stack is None else on_stack(build(forms), stack)
+    return forms
 
 
 def _brackets(grads: Array, T: Array) -> Array:

@@ -12,9 +12,10 @@ the same stream continue it in registry order.  Each fn calls the one
 library implementation of its identity and passes in the ingredients it
 reads (P1 and P2 on the M chart, the m observables, the uv observables,
 P1, P2, X1, Z and Q on the uv chart, the leaf closed forms: the nijenhuis
-callable, the restricted pair, aux, embed and the DN gradients); no library
-function that a row or diagnostic calls builds one.  Each is built once per
-run (INGREDIENTS; Q from the run's P2, X1, Z, the DN gradients from its aux)
+callable, the restricted pair, aux, embed, the DN gradients, Y and the nodes
+of its line); no library function that a row or diagnostic calls builds one.
+Each is built once per run (INGREDIENTS; Q from the run's P2, X1, Z, the
+derived leaf forms from its other leaf forms)
 and, by fields.on_stack, evaluated at most once on its M, UV or LEAF stack,
 as the DN bracket table is, and kept read-only.  The suite owns sampling,
 draws, skip accounting, normalization (one pass over all residuals) and
@@ -297,12 +298,8 @@ INGREDIENTS = {
     "X1": ("UV_complex", lambda params, _: xxz.x1_field(params)),
     "Zf": ("UV_complex", lambda params, _: xxz.z_field()),
     "Qu": ("UV_complex", lambda params, e: pencil(e["P2u"], wedge_field(e["X1"], e["Zf"]), -1.0)),
-    # the leaf closed forms, as leaf.closed_forms builds them
-    "nijenhuis": ("LEAF", lambda params, _: leaf_mod.nijenhuis),
-    "restricted": ("LEAF", lambda params, _: leaf_mod.restricted_tensors),
-    "aux": ("LEAF", lambda params, _: leaf_mod.aux),
-    "embed": ("LEAF", lambda params, _: lambda p, leaf: leaf_mod.embed(leaf)),
-    "dn_gradients": ("LEAF", lambda params, e: leaf_mod.dn_gradients_form(e["aux"])),
+    # the leaf closed forms, as leaf.closed_forms builds them, reading the run's own entries
+    **{key: ("LEAF", lambda params, e, build=build: build(e)) for key, build in leaf_mod.FORMS.items()},
 }
 
 # Each mutation override: the ingredient it swaps, and the builder of its mutant.

@@ -239,16 +239,18 @@ SCHOUTEN_PAIRS = {
 
 
 def test_suite_bivectors_are_exactly_antisymmetric():
-    # the Schouten kernel reads only the components i < j < k of S, which
-    # determine it when P and Q are antisymmetric
+    # the Schouten kernel reads only the components i < j < k of S and the
+    # rows i < k of each Jacobian, which determine them when the values and
+    # the Jacobians are exactly antisymmetric; on a stack and at one point
     params = ModelParams.from_mu(10.0, 1.0, 2.0)
     t = np.random.default_rng(7).uniform(-1, 1, (40, 2)).view(complex)[:, 0]
     for kind, fields in _suite_bivectors(params, t).items():
-        c = verify.sample_points(kind, 40, 4, params).stack.coords
-        for name, P in fields.items():
-            p, dp = P.value(c), lift(P.jac(c), 3, c)
-            assert np.array_equal(p, -np.swapaxes(p, 0, 1)), name
-            assert np.array_equal(dp, -np.swapaxes(dp, 0, 1)), name
+        stack = verify.sample_points(kind, 40, 4, params).stack.coords
+        for c, named in ((stack, fields), (stack[:, 0], _suite_bivectors(params, t[0])[kind])):
+            for name, P in named.items():
+                for x in (P.value(c), P.jac(c)):
+                    assert np.array_equal(x, -np.swapaxes(x, 0, 1)), name
+                    assert not x[range(6), range(6)].any(), name
 
 
 def test_schouten_kernel_matches_the_full_einsum():
@@ -402,23 +404,35 @@ def test_line_restriction_is_the_per_node_oracle_from_one_value_call(monkeypatch
         for a, b in zip(xxz._curve_line(params, lam, rho, uv, Z), oracles.line_restriction(curve, Z.value, uv.coords)):
             assert _same_bits(a, b)
     rhos = [draws(17, 1)[0], draws(18, 1)[0], forms["nijenhuis"](params, leafs)[2]]
-    got = towers(rhos, leafs)
-    real, lines = leaf_mod.line_restriction, []
-    monkeypatch.setattr(leaf_mod, "line_restriction", lambda *args: lines.append(args) or real(*args))
+
+    def h_rho(rho, levels):  # what a tower fits: H(rho) at the uv embedding of a line node
+        def f(c):
+            uv = leaf_mod._embed_coords(c, levels)
+            return rho**2 * obs["H0"].value(uv) + rho * obs["H1"].value(uv) + obs["H2"].value(uv)
+
+        return f
+
+    def y_direction(c):
+        return forms["y"](params, LeafChart(c, leafs.levels))
+
+    for got, rho in zip(towers(rhos, leafs), rhos):
+        assert _same_bits(got, oracles.line_restriction(h_rho(rho, leafs.levels), y_direction, leafs.coords)[0])
+    real, lines = leaf_mod.line_nodes, []
+    monkeypatch.setattr(leaf_mod, "line_nodes", lambda *args: lines.append(args) or real(*args))
+    at_points = []
     for k in (0, 7, 199):  # the towers of three 1-D leaf points
-        towers([r[k] for r in rhos], LeafChart(leafs.coords[:, k], tuple(level[k] for level in leafs.levels)))
-    monkeypatch.setattr(leaf_mod, "line_restriction", oracles.line_restriction)
-    for a, b in zip(got, towers(rhos, leafs)):
-        assert _same_bits(a, b)
+        leaf = LeafChart(leafs.coords[:, k], tuple(level[k] for level in leafs.levels))
+        rhos_k = [r[k] for r in rhos]
+        at_points += [(rho, leaf.levels, coeffs) for rho, coeffs in zip(rhos_k, towers(rhos_k, leaf))]
     # at one point, against the oracle on the one-column stack (its
     # direction the point's own), as for fd_grad.  The Z line is left out
     # here: its six nodes map to the M chart as one (6, 6) @ (6, 6) product,
     # which BLAS rounds unlike six products with a (6,) point
     assert len(lines) == 9
-    for f, direction, p in lines:
-        w = direction(p)
+    for (direction, p, w), (rho, levels, coeffs) in zip(lines, at_points):
+        f = h_rho(rho, levels)
         want = oracles.line_restriction(f, lambda c: w[:, None], p[:, None])
-        for a, b in zip(real(f, direction, p), want):
+        for a, b in zip((coeffs, f(real(direction, p, w))), want):
             assert _same_bits(a, b[:, 0])
 
 

@@ -456,7 +456,7 @@ def test_run_suite_builds_each_ingredient_once(monkeypatch, mu, calls):
 
 
 # The leaf closed forms that a run builds as LEAF ingredients.
-LEAF_HELPERS = ("restricted_tensors", "aux", "nijenhuis", "embed", "dn_gradients")
+LEAF_HELPERS = ("restricted_tensors", "aux", "nijenhuis", "embed", "dn_gradients", "_y_vector", "_y_line")
 
 
 @pytest.mark.parametrize("mu", [(10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)])
