@@ -8,21 +8,20 @@ fields are J[i, j, l] = d(value_ij)/d(coord_l) (derivative index last).
 A field is a plain value: each constructor call, wedge_field, pencil and
 on_stack (the same field, evaluated at most once on one stack) build a new one.
 
-Coordinates may carry a trailing point axis: a point is (6,), a stack of n
-points is (6, n), and every value and derivative then carries the same
-trailing axis (values (6, 6, n), Jacobians (6, 6, 6, n)).  The kernels below
-take either, by one code path: contractions run over the leading (per-point)
-axes, and each residual is a float at one point and one value per column of
-a stack.  A derivative that does not depend on the point (the Jacobian of a
-linear bivector, the gradient of zeta1) stays one shared array without the
-point axis, in the dtype of the values, and broadcasts against the stack.
+Coordinates may carry a trailing point axis: a point is (6,), a stack of n points is (6, n), and every value
+and derivative then carries the same trailing axis (values (6, 6, n), Jacobians (6, 6, 6, n)).  The kernels
+below take either, by one code path: contractions run over the leading (per-point) axes, and each residual is
+a float at one point and one value per column of a stack.  A derivative that does not depend on the point (the
+Jacobian of a linear bivector, the gradient of zeta1) stays one shared array without the point axis.  No
+product on a stack calls BLAS once per point: matmul of two stacks is one broadcast product per contraction
+index, accumulated in place, and a constant map (a shared Jacobian, M_TO_UV) is linear_map, one GEMM on the
+stack's own memory (on its float view if the map is real and the stack complex).  A linear bivector's value
+is that product with its rows i < k, so it is exactly antisymmetric.
 
-schouten_residual, the costliest kernel, reads only the 15 rows i < k of
-each Jacobian d_l b^ik and the 20 components i < j < k of the trivector, so
-every bivector it is given, its Jacobian as well as its value, must be
-exactly antisymmetric.  A shared Jacobian is one (15, 6) @ (6, 6n) product on
-the value's own memory (its float view, (6, 12n), if the Jacobian is real and
-the value complex); a per-point one, one batched (n, 15, 6) @ (n, 6, 6) matmul.
+schouten_residual, the costliest kernel, reads only the 15 rows i < k of each Jacobian d_l b^ik and the 20
+components i < j < k of the trivector, so every bivector it is given, its Jacobian as well as its value, must
+be exactly antisymmetric.  A shared Jacobian is one linear_map of the value; a per-point one, one batched
+(n, 15, 6) @ (n, 6, 6) matmul.
 
 Kernels that build (6, 6, 6[, n]) tables keep at most one alive as a
 temporary besides inputs and result (a freed one may be faulted in again):
@@ -139,8 +138,25 @@ def from_matrices(x: Array) -> Array:
 
 
 def matmul(a: Array, b: Array) -> Array:
-    """a @ b at each point for matrices (k, l[, n]) and (l, m[, n]): @ itself at one point, batched on a stack."""
-    return a @ b if a.ndim == b.ndim == 2 else from_matrices(as_matrices(a) @ as_matrices(b))
+    """a @ b at each point for (k, l[, n]) and (l, m[, n]): @ itself at one point, else l broadcast products summed."""
+    if a.ndim == b.ndim == 2:
+        return a @ b
+    a, b = lift(a, 2, b[0]), lift(b, 2, a[0])
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+def linear_map(h: Array, a: Array) -> Array:
+    """sum_l h[..., l] a[l, ...] for a constant h (..., d) and any a (d, ...): one GEMM on a's memory (its float
+    view if h is real and a complex); one column is doubled, as a matrix-vector product would round otherwise."""
+    h2, a2, shape = h.reshape(-1, len(a)), np.ascontiguousarray(a).reshape(len(a), -1), h.shape[:-1] + a.shape[1:]
+    if np.iscomplexobj(a) and not np.iscomplexobj(h):
+        return (h2 @ a2.view(h.dtype)).view(a.dtype).reshape(shape)
+    if a2.shape[1] == 1:
+        return (h2 @ np.repeat(a2, 2, axis=1))[:, 0].reshape(shape)
+    return (h2 @ a2).reshape(shape)
 
 
 def matvec(a: Array, v: Array) -> Array:
@@ -231,10 +247,8 @@ def _half_rows(db: Array, c: Array) -> tuple:
 def _schouten_terms(h: Array, a: Array) -> Array:
     """T^ijk, -T^kij, -T^jki at i < j < k, (3, 20[, n]), of T^ijk = sum_l a^lj d_l b^ik, from the half rows h of d b."""
     slots = _half_slots(a.shape[0])[2]
-    if h.ndim == 2:  # one product on a's memory: on its float view if h is real and a complex
-        a2, real = np.ascontiguousarray(a).reshape(len(a), -1), np.iscomplexobj(a) and not np.iscomplexobj(h)
-        T = (h @ a2.view(h.dtype)).view(a.dtype) if real else h @ a2
-        return T.reshape(-1, *a.shape[2:])[slots]
+    if h.ndim == 2:  # a shared Jacobian: one product on a's memory
+        return linear_map(h, a).reshape(-1, *a.shape[2:])[slots]
     T = h @ np.moveaxis(a, -1, 0)
     return T.reshape(len(T), -1).T[slots]
 
@@ -296,16 +310,16 @@ def lie_bivector_scaled(Z: VectorField, P: BivectorField, pt: PhasePoint) -> tup
     """(lie_bivector, lie_bivector_scale) at pt from one evaluation of Z and P."""
     _require_chart(pt.chart, Z, P)
     c = pt.coords
-    z, zj = lift(Z.value(c), 1, c), lift(Z.jac(c), 2, c)
-    p, dp = lift(P.value(c), 2, c), lift(P.jac(c), 3, c)
-    term1 = np.einsum("l...,ijl...->ij...", z, dp)
+    z, zj, p, dp = lift(Z.value(c), 1, c), lift(Z.jac(c), 2, c), lift(P.value(c), 2, c), P.jac(c)
+    # Z^l d_l P^ij: one product with a shared Jacobian (or one point's)
+    term1 = linear_map(dp, z) if dp.ndim == 3 else np.einsum("l...,ijl...->ij...", z, dp)
     term2 = np.einsum("lj...,il...->ij...", p, zj)
-    term3 = np.einsum("il...,jl...->ij...", p, zj)
     # Largest products |Z^l d_l P^ij| and |P^lj d_l Z^i|, as maxima over l of
     # products of maxima (exact, as in schouten_residual)
-    m1 = peak(np.abs(z) * np.abs(dp).max(axis=(0, 1)), 1)
+    m1 = peak(np.abs(z) * lift(np.abs(dp).max(axis=(0, 1)), 1, c), 1)
     m2 = peak(np.abs(p).max(axis=1) * np.abs(zj).max(axis=0), 1)
-    return term1 - term2 - term3, peak([m1, m2], 1)
+    # P^il d_l Z^j is -term2^T, as P is exactly antisymmetric
+    return term1 - term2 + np.swapaxes(term2, 0, 1), peak([m1, m2], 1)
 
 
 def wedge_field(X: VectorField, Z: VectorField) -> BivectorField:
@@ -423,19 +437,20 @@ def line_restriction(f: Callable[[Array], complex], direction: Callable[[Array],
 
 
 def linear_bivector(chart: str, value: Callable[[Array], Array], dim: int) -> BivectorField:
-    """Bivector field whose entries are linear in the coordinates.
-
-    The derivative array is the value on the stack of basis vectors (column l
-    of the identity is point l), which is exact for linear entries.  It is
-    built once per field and read-only: every call of jac returns it.
-    """
+    """Bivector field whose entries, given by value, are linear in the coordinates: its Jacobian, built once and
+    read-only, is value at the basis vectors (column l of the identity is point l), and its value is the Jacobian's
+    rows i < k times the coordinates, set as +/- (exactly antisymmetric, with a zero diagonal)."""
     jac_const = np.asarray(value(np.eye(dim)))
     jac_const.flags.writeable = False
+    iu, ku, _ = _half_slots(dim)
 
-    def jac(_c: Array) -> Array:
-        return jac_const
+    def half_value(c: Array) -> Array:
+        h = linear_map(jac_const[iu, ku], c)
+        out = np.zeros((dim, dim) + h.shape[1:], h.dtype)
+        out[iu, ku], out[ku, iu] = h, -h
+        return out
 
-    return BivectorField(chart, value, jac)
+    return BivectorField(chart, half_value, lambda _c: jac_const)
 
 
 def pencil(P: BivectorField, Q: BivectorField, t: complex) -> BivectorField:

@@ -388,10 +388,6 @@ def run_suite(
     def fd_uv(pt):
         return [grad_fd_residual(f, pt) for f in obs_uv.values()]
 
-    def uv_scale(pt):
-        res = xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, pt)
-        return [res["p1"], res["p2"]]
-
     def x1_match(pt):
         ham, scale = ham_field_scaled(P1u, obs_uv["H1"], pt)
         direct = X1.value(pt.coords)
@@ -501,7 +497,10 @@ def run_suite(
             "observable_transport", TOL_EXACT, UV, SYM,
             lambda pt: list(xxz.observable_transport_residuals(obs_uv, obs_m, pt).values()),
         ),
-        ("uv_tensor_scale", TOL_EXACT, UV, SYM, uv_scale),
+        (
+            "uv_tensor_scale", TOL_EXACT, UV, SYM,
+            lambda pt: list(xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, pt).values()),
+        ),
         (
             "charpoly_identity_uv", TOL_PIPELINE, UV, SYM,
             lambda pt, lam, rho: [xxz.char_poly_residual_uv(params, lam, rho, pt, obs_uv)], 14, 2,
@@ -642,7 +641,7 @@ def run_suite(
         lenard = leaf_mod.generalized_lenard_fit(params, leafs, obs_uv, leafs_forms)
         fits, p1_mismatch = lenard["residual"].normalized, lenard["p1_mismatch"]
         h1_norms = leaf_mod.q_extra_casimir_residuals(params, leafs, obs_uv, leafs_forms)["qdh1_norm"].normalized
-        ratio = xxz.uv_transport_residuals(P1u, P2u, P1m, P2m, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))["ratio_p1"]
+        ratio = xxz.uv_tensor_ratio(P1u, P1m, PhasePoint(CHART_UV, stacks[UV].coords[:, 0]))
         report.diagnostics += [
             _diagnostic(
                 "generalized_lenard_fit",

@@ -25,7 +25,7 @@ from .fields import (
     VectorField,
     line_restriction,
     linear_bivector,
-    matmul,
+    linear_map,
     mismatch,
     peak,
     pencil,
@@ -233,28 +233,34 @@ def q_uv(params: ModelParams) -> BivectorField:
     return pencil(p2_uv(params), wedge_field(x1_field(params), z_field()), -1.0)
 
 
+def _pushed(p: Array) -> Array:
+    """A p A^T at each point, A = M_TO_UV = d(uv)/d(m): @ itself at one point, two products with A on a stack."""
+    if p.ndim == 2:
+        return M_TO_UV @ p @ M_TO_UV.T
+    return np.swapaxes(linear_map(M_TO_UV, np.swapaxes(linear_map(M_TO_UV, p), 0, 1)), 0, 1)
+
+
 def uv_transport_residuals(
     p1u: BivectorField, p2u: BivectorField, p1m: BivectorField, p2m: BivectorField, pt: PhasePoint
 ) -> dict:
-    """Printed uv tensors p1u, p2u against the pushforward of the m-chart tensors p1m, p2m.
-
-    Both printed tensors must equal UV_TENSOR_SCALE times A P A^T with
-    A = d(uv)/d(m).  Returns residuals plus the fitted per-tensor ratio.
-    """
+    """Printed uv tensors p1u, p2u against UV_TENSOR_SCALE times the pushforward A P A^T, A = d(uv)/d(m), of the
+    m-chart tensors p1m, p2m."""
     if pt.chart != CHART_UV:
         raise ValueError("chart mismatch")
-    m_pt = chart_map(pt, CHART_M, complex_ok=True)
-    out = {}
-    for key, printed_field, m_field in (("p1", p1u, p1m), ("p2", p2u, p2m)):
-        printed = printed_field.value(pt.coords)
-        pushed = matmul(matmul(M_TO_UV, m_field.value(m_pt.coords)), M_TO_UV.T)
-        out[key] = mismatch(printed, UV_TENSOR_SCALE * pushed, 2)
-        # the ratio at each point's largest pushed entry (the first, in row-major order)
-        flat = pushed.reshape((36,) + pushed.shape[2:])
-        k = np.expand_dims(np.argmax(np.abs(flat), axis=0), 0)
-        ratio = (np.take_along_axis(printed.reshape(flat.shape), k, 0) / np.take_along_axis(flat, k, 0))[0]
-        out[f"ratio_{key}"] = ratio
-    return out
+    m = chart_map(pt, CHART_M, complex_ok=True).coords
+    return {
+        key: mismatch(printed.value(pt.coords), UV_TENSOR_SCALE * _pushed(m_field.value(m)), 2)
+        for key, printed, m_field in (("p1", p1u, p1m), ("p2", p2u, p2m))
+    }
+
+
+def uv_tensor_ratio(printed: BivectorField, m_field: BivectorField, pt: PhasePoint):
+    """printed over the pushforward of m_field at each point's largest pushed entry (the first in row-major order)."""
+    if pt.chart != CHART_UV:
+        raise ValueError("chart mismatch")
+    pushed = _pushed(m_field.value(chart_map(pt, CHART_M, complex_ok=True).coords)).reshape(36, *pt.coords.shape[1:])
+    k, printed = np.argmax(np.abs(pushed), axis=0)[None], printed.value(pt.coords).reshape(pushed.shape)
+    return (np.take_along_axis(printed, k, 0) / np.take_along_axis(pushed, k, 0))[0]
 
 
 def observable_transport_residuals(obs: dict, obs_m: dict, pt: PhasePoint) -> dict:

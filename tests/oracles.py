@@ -5,7 +5,7 @@ from math import isfinite
 
 import numpy as np
 
-from bihamso4.fields import FD_STEP, LINE_NODES, Residual, lift, line_poly_coeffs, peak
+from bihamso4.fields import FD_STEP, LINE_NODES, Residual, as_matrices, from_matrices, lift, line_poly_coeffs, peak
 
 
 def fd_grad(value, coords):
@@ -75,6 +75,24 @@ def schouten_residual(P, Q, pt):
     t = T.reshape(T.shape[:-2] + (-1,))[..., _cyclic_slots(p.shape[0])]
     raw = np.abs(t[..., 0, :] + t[..., 1, :] + t[..., 2, :]).max(axis=-1)
     return Residual(float(raw) if raw.ndim == 0 else raw, scale)
+
+
+def matmul(a, b):
+    """fields.matmul as one batched @ on a stack: a BLAS call per matrix."""
+    return a @ b if a.ndim == b.ndim == 2 else from_matrices(as_matrices(a) @ as_matrices(b))
+
+
+def lie_bivector_scaled(Z, P, pt):
+    """fields.lie_bivector_scaled with each of its three terms an einsum."""
+    c = pt.coords
+    z, zj = lift(Z.value(c), 1, c), lift(Z.jac(c), 2, c)
+    p, dp = lift(P.value(c), 2, c), lift(P.jac(c), 3, c)
+    term1 = np.einsum("l...,ijl...->ij...", z, dp)
+    term2 = np.einsum("lj...,il...->ij...", p, zj)
+    term3 = np.einsum("il...,jl...->ij...", p, zj)
+    m1 = peak(np.abs(z) * np.abs(dp).max(axis=(0, 1)), 1)
+    m2 = peak(np.abs(p).max(axis=1) * np.abs(zj).max(axis=0), 1)
+    return term1 - term2 - term3, peak([m1, m2], 1)
 
 
 def pencil_jac(P, Q, t, c):

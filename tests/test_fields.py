@@ -24,6 +24,7 @@ from bihamso4.fields import (
     line_poly_coeffs,
     line_restriction,
     linear_bivector,
+    matmul,
     peak,
     pencil,
     schouten_residual,
@@ -177,6 +178,88 @@ def test_linear_bivector_jacobian_constant():
         assert np.max(np.abs(J[:, :, l] - fd)) < 1e-8
 
 
+def _linear_fields(params):
+    return {"P1m": so4.p1_m(), "P2m": so4.p2_m(params), "P1u": xxz.p1_uv(), "P2u": xxz.p2_uv(params)}
+
+
+def _coordinates(rng, shape):
+    real = rng.uniform(-1, 1, shape)
+    return real, real + 1j * rng.uniform(-1, 1, shape)
+
+
+def test_linear_values_are_their_entrywise_definitions(monkeypatch):
+    # the value of a linear bivector is its Jacobian's rows i < k times the
+    # coordinates: the entrywise definition to roundoff of the summands, at a
+    # point, on a stack and on a stack with two point axes, real and complex;
+    # exactly antisymmetric with a zero diagonal by construction
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    fields = _linear_fields(params)
+    for module in (so4, xxz):  # the entrywise value each constructor hands to linear_bivector
+        monkeypatch.setattr(module, "linear_bivector", lambda chart, value, dim: BivectorField(chart, value, None))
+    entrywise = _linear_fields(params)
+    rng = np.random.default_rng(12)
+    for shape in ((6,), (6, 40), (6, 6, 40)):
+        for c in _coordinates(rng, shape):
+            for name, P in fields.items():
+                got, ref = P.value(c), entrywise[name].value(c)
+                assert got.shape == ref.shape and got.dtype == ref.dtype, name
+                bound = STACK_ROUNDOFF * (1.0 + np.abs(P.jac(c)).max() * np.abs(c).max(axis=0))
+                assert (np.abs(got - ref) <= bound).all(), name
+                assert np.array_equal(got, -np.swapaxes(got, 0, 1)), name
+                assert not got[range(6), range(6)].any(), name
+
+
+def test_linear_values_are_position_independent():
+    # column k of a stack is the one-column stack at k bit for bit, and a
+    # non-finite coordinate makes its own column non-finite and no other (the
+    # product's 0 * inf is NaN in every entry of that column)
+    fields = _linear_fields(ModelParams.from_mu(10.0, 1.0, 2.0))
+    n, bad = 30, 7
+    for c, poison in zip(_coordinates(np.random.default_rng(13), (6, n)), (np.inf, np.nan)):
+        for name, P in fields.items():
+            full = P.value(c)
+            for k in range(n):
+                assert np.array_equal(P.value(c[:, k : k + 1])[..., 0], full[..., k]), name
+            for row in range(6):
+                broken = c.copy()
+                broken[row, bad] = poison
+                with np.errstate(invalid="ignore"):
+                    finite = np.isfinite(P.value(broken)).all(axis=(0, 1))
+                assert not finite[bad] and finite[np.arange(n) != bad].all(), (name, row)
+
+
+def test_stacked_matmul_is_the_per_point_product():
+    # one broadcast product per contraction index on a stack: the batched @
+    # within roundoff of each point's summand scale, on complex and real
+    # stacks and with a shared 2-D operand on either side; @ itself at a point
+    rng = np.random.default_rng(14)
+    n = 30
+    a, b = (x + 1j * rng.uniform(-1, 1, x.shape) for x in rng.uniform(-1, 1, (2, 4, 4, n)))
+    shared = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+    cases = [(a, b), (a.real, b.real), (shared, b), (a, shared), (shared.real, a.real), (a[:, :3], b[:3, :2])]
+    for x, y in cases:
+        got, ref = matmul(x, y), oracles.matmul(x, y)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        scale = np.abs(x).max(axis=(0, 1)) * np.abs(y).max(axis=(0, 1))  # per point, or shared
+        assert (np.abs(got - ref) <= STACK_ROUNDOFF * (1.0 + scale)).all()
+    assert matmul(a[..., 0], b[..., 0]).tobytes() == (a[..., 0] @ b[..., 0]).tobytes()
+
+
+def test_lie_bivector_is_the_three_einsum_oracle():
+    # term1 as one product with a shared (or one point's) Jacobian and the
+    # mirror term as -term2^T: within roundoff of the scale, the scale bit for bit
+    params = ModelParams.from_mu(10.0, 1.0, 2.0)
+    stack = verify.sample_points("UV_complex", 30, 15, params).stack
+    Z, X1, P1u, P2u, Q = xxz.z_field(), xxz.x1_field(params), xxz.p1_uv(), xxz.p2_uv(params), xxz.q_uv(params)
+    for pt in [stack, *_columns(stack)[:5]]:
+        for V, P in ((Z, P1u), (Z, P2u), (X1, P2u), (Z, Q), (X1, Q)):
+            got, scale = lie_bivector_scaled(V, P, pt)
+            ref, ref_scale = oracles.lie_bivector_scaled(V, P, pt)
+            assert np.array_equal(scale, ref_scale)
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) <= STACK_ROUNDOFF * (1.0 + scale)).all()
+
+
 def _clone(P):
     return BivectorField(P.chart, P.value, P.jac)
 
@@ -292,8 +375,9 @@ def _lie_scalar_scaled(Z, f, pt):
 
 
 def _transport(fields, pt):
+    p1u, p2u, p1m, p2m = fields
     res = xxz.uv_transport_residuals(*fields, pt)
-    return [res["p1"], res["p2"], (res["ratio_p1"], 1.0), (res["ratio_p2"], 1.0)]
+    return [res["p1"], res["p2"], (xxz.uv_tensor_ratio(p1u, p1m, pt), 1.0), (xxz.uv_tensor_ratio(p2u, p2m, pt), 1.0)]
 
 
 def test_stacked_kernels_agree_with_per_point_calls():
@@ -320,6 +404,9 @@ def test_stacked_kernels_agree_with_per_point_calls():
         (uv_pts, lambda pt, lam, rho: [xxz.transversal_curve_residual(params, lam, rho, pt, Z)]),
         (uv_pts, lambda pt, lam, rho: _transport((P1u, P2u, P1m, P2m), pt)),
         (uv_pts, lambda pt, lam, rho: list(xxz.observable_transport_residuals(obs, obs_m, pt).values())),
+        (m_pts, lambda pt, lam, rho: [so4.lax_flow_residual(params, lam, pt)]),
+        (m_pts, lambda pt, lam, rho: [so4.angular_velocity_commutator_residual(params, lam, pt)]),
+        (m_pts, lambda pt, lam, rho: [(so4.angular_velocity_flow_mismatch(params, lam, pt), 1.0)]),
     ]
     fd = [
         (m_pts, lambda pt, lam, rho: [grad_fd_residual(f, pt) for f in obs_m.values()]),

@@ -58,8 +58,8 @@ def test_uv_tensor_proportionality():
         res = xxz.uv_transport_residuals(*fields, pt)
         assert res["p1"].normalized < 1e-12
         assert res["p2"].normalized < 1e-12
-        assert abs(res["ratio_p1"] - 1j / np.sqrt(2)) < 1e-12
-        assert abs(res["ratio_p2"] - 1j / np.sqrt(2)) < 1e-12
+        assert abs(xxz.uv_tensor_ratio(fields[0], fields[2], pt) - 1j / np.sqrt(2)) < 1e-12
+        assert abs(xxz.uv_tensor_ratio(fields[1], fields[3], pt) - 1j / np.sqrt(2)) < 1e-12
 
 
 def test_uv_jacobi_and_compatibility():
