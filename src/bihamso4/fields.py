@@ -52,9 +52,8 @@ CHART_UV = "UV"
 EPS_DEG = 1e-8
 EPS_COLL = 1e-6
 
-# Finite-difference step scale and agreement tolerance for gradient checks.
+# Finite-difference step scale for gradient checks.
 FD_STEP = 1e-5
-FD_RTOL = 1e-6
 
 
 class DegeneracyError(ValueError):
@@ -127,16 +126,6 @@ def mismatch(a: Array, b: Array, rank: int) -> Residual:
     return Residual(float(raw), float(scale)) if raw.ndim == 0 else Residual(raw, scale)
 
 
-def as_matrices(x: Array) -> Array:
-    """A (k, k) value as is, a (k, k, n) stack as n matrices (n, k, k), as numpy.linalg and @ take them."""
-    return x.transpose((*range(2, x.ndim), 0, 1))
-
-
-def from_matrices(x: Array) -> Array:
-    """The inverse of as_matrices: n matrices (n, k, k) as a (k, k, n) stack."""
-    return x.transpose((x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)))
-
-
 def matmul(a: Array, b: Array) -> Array:
     """a @ b at each point for (k, l[, n]) and (l, m[, n]): @ itself at one point, else l broadcast products summed."""
     if a.ndim == b.ndim == 2:
@@ -162,6 +151,17 @@ def linear_map(h: Array, a: Array) -> Array:
 def matvec(a: Array, v: Array) -> Array:
     """a @ v at each point for a matrix (k, l[, n]) and a vector (l[, n]): @ itself at one point."""
     return a @ v if a.ndim == 2 and v.ndim == 1 else np.einsum("ij...,j...->i...", a, v)
+
+
+def pfaffian_terms(a: Array, rows: tuple) -> list:
+    """The signed products, one per perfect matching of rows (increasing indices), summing to the Pfaffian of the
+    antisymmetric a[rows][:, rows], which vanishes exactly where that block has rank below len(rows).
+
+    Only entries a[i, j] with i < j are read; each product multiplies its factors right to left."""
+    i, rest = rows[0], rows[1:]
+    if len(rest) == 1:
+        return [a[i, rest[0]]]
+    return [(-1) ** s * a[i, j] * t for s, j in enumerate(rest) for t in pfaffian_terms(a, rest[:s] + rest[s + 1 :])]
 
 
 def lift(x, rank: int, c: Array) -> Array:

@@ -21,8 +21,8 @@ A LeafChart is one point, coords (4,), or a stack of n points, coords
 (4, n) with one level pair per column.  Every function below takes either by
 one code path: arrays are built from entries (a constant entry is written
 from `zero = 0.0 * u1`, so it carries the point axis), values keep the
-trailing point axis, residuals reduce with `peak`, matrix products go through
-`matmul`/`matvec` (@ itself at one point) and eigvals/solve run batched.
+trailing point axis, residuals reduce with `peak`, and matrix products go through
+`matmul`/`matvec` (@ itself at one point).
 
 The closed forms are rational in (u1, z1, u2, z2) and singular only where u1
 or u2, G, F = lambda2 - lambda1 or mu3 vanish.  That policy is decided once,
@@ -42,7 +42,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
 
 import numpy as np
 
@@ -55,10 +54,9 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
-    as_matrices,
     brackets_scaled,
-    from_matrices,
     line_nodes,
+    lift,
     line_poly_coeffs,
     matmul,
     matvec,
@@ -73,9 +71,6 @@ Array = np.ndarray
 
 # Leaf coordinate indices inside the uv chart: (u1, z1, u2, z2).
 LEAF_IN_UV = (0, 2, 3, 5)
-
-# The 24 orderings of the four computed eigenvalues, one per row.
-_ORDERINGS = np.array(list(permutations(range(4))))
 
 # The separation coordinate zeta1 = z2 - z1 as a uv scalar field.
 ZETA1 = ScalarField(
@@ -239,20 +234,23 @@ def nijenhuis(params: ModelParams, leaf: LeafChart) -> tuple:
 
 
 def nijenhuis_closed_form_residual(params: ModelParams, leaf: LeafChart, forms: dict) -> Residual:
-    """Printed N* (forms["nijenhuis"]) against the numerical product P^{-1} Q."""
+    """Printed N* (forms["nijenhuis"]) against P^{-1} Q, as P N* = Q; each entry of P N* is one product."""
     P, Q = forms["restricted"](params, leaf)
     N, _, _ = forms["nijenhuis"](params, leaf)
-    return mismatch(N, from_matrices(np.linalg.solve(as_matrices(P), as_matrices(Q))), 2)
+    return mismatch(matmul(P, N), Q, 2)
 
 
-def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, forms: dict) -> Residual:
-    """Numerically computed spectrum of N* (forms["nijenhuis"]) against the multiset {l1, l1, l2, l2}."""
+def nijenhuis_spectrum_residual(params: ModelParams, leaf: LeafChart, forms: dict) -> list:
+    """(N - lambda1)(N - lambda2) = 0 and tr N = 2 (lambda1 + lambda2) for N* (forms["nijenhuis"]): each eigenvalue is
+    lambda1 or lambda2, each twice where they differ (the guard's F).  The first is scaled by the largest summand of
+    N^2 - (lambda1 + lambda2) N + lambda1 lambda2 (of N^ik N^kj, a max over k of products of maxima, exact)."""
     N, lam1, lam2 = forms["nijenhuis"](params, leaf)
-    computed = np.moveaxis(np.linalg.eigvals(as_matrices(N)), -1, 0)
-    expected = np.array([lam1, lam1, lam2, lam2])
-    diff = np.abs(computed[:, None] - expected[None, :])  # the 16 differences, formed once
-    best = diff[_ORDERINGS, range(4)].max(axis=1).min(axis=0)  # every ordering by one gather
-    return Residual(best, peak([lam1, lam2], 1))
+    eye, a, n_max = lift(np.eye(4), 2, leaf.coords), np.abs(N), peak(N, 2)
+    square = matmul(N - lam1 * eye, N - lam2 * eye)
+    scale = peak([peak(a.max(axis=0) * a.max(axis=1), 1), abs(lam1) * n_max, abs(lam2) * n_max, abs(lam1 * lam2)], 1)
+    diag = [N[i, i] for i in range(4)]
+    trace = Residual(abs(sum(diag) - 2.0 * (lam1 + lam2)), peak([*diag, 2.0 * lam1, 2.0 * lam2], 1))
+    return [Residual(peak(square, 2), scale), trace]
 
 
 def u_forms(params: ModelParams, u1: complex, u2: complex) -> tuple:
@@ -576,8 +574,7 @@ def canonical_bracket_target(lam1: complex, lam2: complex, structure: str = "P")
             [-lam1, zero, zero, zero],
             [zero, zero, zero, lam2],
             [zero, zero, -lam2, zero],
-        ],
-        dtype=complex,
+        ]
     )
 
 

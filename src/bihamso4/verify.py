@@ -37,7 +37,7 @@ identity.  The suite fails closed: a residual whose raw value or scale is
 not finite fails its check, and tol_scale must be finite and > 0.
 
 Default tolerance tiers:
-  1e-12 x scale for exact linear algebra (closed forms, Casimirs, chains),
+  1e-12 x scale for exact linear algebra (closed forms, Casimirs, chains, the Nijenhuis spectrum),
   1e-11 x scale for Schouten brackets and compatibility,
   1e-9  x scale for composed pipelines (Stackel, Lax flow, eigenforms, Phi2),
   1e-6  relative for finite-difference gradient cross-checks.
@@ -55,6 +55,7 @@ Each must make at least one check fail loudly:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -70,7 +71,7 @@ from .fields import (
     PhasePoint,
     Residual,
     ScalarField,
-    as_matrices,
+    _half_slots,
     brackets_scaled,
     grad_fd_residual,
     ham_field_scaled,
@@ -80,6 +81,7 @@ from .fields import (
     on_stack,
     peak,
     pencil,
+    pfaffian_terms,
     schouten_residual,
     wedge_field,
 )
@@ -94,7 +96,6 @@ TOL_PIPELINE = 1e-9
 TOL_FD = 1e-6
 TOL_ROUNDTRIP = 1e-13
 TOL_DN = 1e-10
-TOL_SPECTRUM = 1e-9
 
 # What a row's `requires` names, and the note of the skip row it becomes
 # when the model lacks it.
@@ -417,16 +418,15 @@ def run_suite(
         return [Residual(peak([r1, r2], 1), scale)]
 
     def trans_p2_shape(pt):
-        # Lie_Z P2 has rank 2 and Z in its column space.  The least-squares
-        # miss of Z is its part off the left singular vectors kept at lstsq's
-        # default cutoff (singular values above 6 eps s_0).
-        u, svals, _ = np.linalg.svd(as_matrices(lie_bivector(Zf, P2u, pt)))
-        zvec = Zf.value(pt.coords)
-        coef = np.einsum("...ji,j...->...i", u.conj(), zvec)
-        kept = svals > 6.0 * np.finfo(float).eps * svals[..., :1]
-        miss = zvec - np.einsum("...ij,...j->i...", u, np.where(kept, coef, 0.0))
-        raw = np.maximum(svals[..., 2], peak(miss, 1))
-        return [Residual(raw, np.maximum(svals[..., 0], peak(zvec, 1)))]
+        # Lie_Z P2 = L has rank 2 (its fifteen 4x4 Pfaffians vanish) and Z in its column space: (L ^ Z)^ijk =
+        # L^ij Z^k - L^ik Z^j + L^jk Z^i = 0 at i < j < k, read negated off the cyclic slots of the [row ik, j]
+        # table of L^ik Z^j.
+        lz, z = lie_bivector(Zf, P2u, pt), Zf.value(pt.coords)
+        pf = [pfaffian_terms(lz, rows) for rows in itertools.combinations(range(6), 4)]
+        iu, ku, slots = _half_slots(6)
+        t = (lz[iu, ku][:, None] * z[None]).reshape(-1, *z.shape[1:])[slots]
+        wedge = t[0] - t[1] - t[2]
+        return [Residual(peak([sum(p) for p in pf], 1), peak(pf, 2)), Residual(peak(wedge, 1), peak(t, 2))]
 
     def q_casimirs(pt):
         out = []
@@ -435,9 +435,9 @@ def run_suite(
             out.append(Residual(peak(vec, 1), scale))
         return out
 
-    def q_rank(pt):
-        svals = np.linalg.svd(as_matrices(Qu.value(pt.coords)), compute_uv=False)
-        return [Residual(svals[..., 4], svals[..., 0])]
+    def q_rank(pt):  # rank Q <= 4: its Pfaffian vanishes
+        pf = pfaffian_terms(Qu.value(pt.coords), tuple(range(6)))
+        return [Residual(abs(sum(pf)), peak(pf, 1))]
 
     ham_pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
@@ -541,8 +541,8 @@ def run_suite(
             lambda leaf: [leaf_mod.nijenhuis_closed_form_residual(params, leaf, forms)],
         ),
         (
-            "nijenhuis_spectrum", TOL_SPECTRUM, LEAF, SYM,
-            lambda leaf: [leaf_mod.nijenhuis_spectrum_residual(params, leaf, forms)],
+            "nijenhuis_spectrum", TOL_EXACT, LEAF, SYM,
+            lambda leaf: leaf_mod.nijenhuis_spectrum_residual(params, leaf, forms),
         ),
         ("aux_relations", TOL_EXACT, LEAF, SYM, aux_relations),
         ("y_field_match", TOL_EXACT, LEAF, SYM, lambda leaf: [leaf_mod.deformation_field(params, leaf, forms)[1]]),

@@ -5,7 +5,7 @@ from math import isfinite
 
 import numpy as np
 
-from bihamso4.fields import FD_STEP, LINE_NODES, Residual, as_matrices, from_matrices, lift, line_poly_coeffs, peak
+from bihamso4.fields import FD_STEP, LINE_NODES, Residual, lift, line_poly_coeffs, mismatch, peak
 
 
 def fd_grad(value, coords):
@@ -79,7 +79,44 @@ def schouten_residual(P, Q, pt):
 
 def matmul(a, b):
     """fields.matmul as one batched @ on a stack: a BLAS call per matrix."""
-    return a @ b if a.ndim == b.ndim == 2 else from_matrices(as_matrices(a) @ as_matrices(b))
+    c = np.moveaxis(a, (0, 1), (-2, -1)) @ np.moveaxis(b, (0, 1), (-2, -1))  # a 2-D operand is shared
+    return np.moveaxis(c, (-2, -1), (0, 1))
+
+
+# The LAPACK forms of four verify rows, each on a stack: values (k, k, n), one Residual column per point.
+
+
+def q_rank(q):
+    """q_rank_4 by SVD: the fifth singular value of Q over its largest."""
+    s = np.linalg.svd(np.moveaxis(q, -1, 0), compute_uv=False)
+    return Residual(s[:, 4], s[:, 0])
+
+
+def trans_p2_shape(lz, z):
+    """transversal_p2_rank by SVD: the third singular value of Lie_Z P2, and the least-squares miss of Z, its part
+    off the left singular vectors kept at lstsq's default cutoff (singular values above 6 eps s_0)."""
+    u, s, _ = np.linalg.svd(np.moveaxis(lz, -1, 0))
+    coef = np.einsum("nji,jn->ni", u.conj(), z)
+    kept = s > 6.0 * np.finfo(float).eps * s[:, :1]
+    miss = z - np.einsum("nij,nj->in", u, np.where(kept, coef, 0.0))
+    return Residual(np.maximum(s[:, 2], peak(miss, 1)), np.maximum(s[:, 0], peak(z, 1)))
+
+
+def nijenhuis_closed_form_residual(params, leaf, forms):
+    """nijenhuis_closed_form by a batched solve: printed N* against P^{-1} Q."""
+    P, Q = forms["restricted"](params, leaf)
+    N, _, _ = forms["nijenhuis"](params, leaf)
+    return mismatch(N, np.moveaxis(np.linalg.solve(np.moveaxis(P, -1, 0), np.moveaxis(Q, -1, 0)), 0, -1), 2)
+
+
+def nijenhuis_spectrum_residual(params, leaf, forms):
+    """nijenhuis_spectrum by eigvals: the computed spectrum of N* against {l1, l1, l2, l2} in its best ordering."""
+    N, lam1, lam2 = forms["nijenhuis"](params, leaf)
+    computed = np.linalg.eigvals(np.moveaxis(N, -1, 0)).T
+    expected = np.array([lam1, lam1, lam2, lam2])
+    diff = np.abs(computed[:, None] - expected[None, :])
+    best = diff[list(itertools.permutations(range(4))), range(4)].max(axis=1).min(axis=0)
+    return Residual(best, peak([lam1, lam2], 1))
 
 
 def lie_bivector_scaled(Z, P, pt):

@@ -104,7 +104,7 @@ def test_nijenhuis_closed_form_and_spectrum():
     for _ in range(20):
         leaf = random_leaf(rng)
         assert leaf_mod.nijenhuis_closed_form_residual(PARAMS, leaf, FORMS).normalized < 1e-12
-        assert leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf, FORMS).normalized < 1e-9
+        assert max(r.normalized for r in leaf_mod.nijenhuis_spectrum_residual(PARAMS, leaf, FORMS)) < 1e-12
 
 
 def test_nijenhuis_hand_values():

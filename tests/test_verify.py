@@ -4,6 +4,7 @@ import gc
 import json
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -761,3 +762,41 @@ def test_rows_are_position_independent_but_the_known_set(monkeypatch):
     names = [c.name for c in report.checks if not c.skipped]
     assert report.overall and len(names) == len(same) == 50
     assert {name for name, agree in zip(names, same) if not agree} == POSITION_DEPENDENT
+
+
+def test_no_row_or_diagnostic_calls_numpy_linalg(monkeypatch):
+    # every row and diagnostic is arithmetic on the numbers it gets: with each
+    # numpy.linalg function raising, both benchmark models still pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for mu in ((10.0, 1.0, 2.0), (10.0, 1.0, 2.0, 5.0)):
+        assert verify.run_suite(ModelParams.from_mu(*mu), seed=0, n_points=20).overall
+
+
+def test_rank_and_spectrum_rows_hold_at_50_digits(monkeypatch):
+    # each row's fn, captured from a run, reads below 1e-40 on a one-column
+    # stack of mpmath numbers at 50 digits: column 0 of the run's own stack
+    captured = []
+
+    def evaluate(fn, stack, draws):
+        captured.append((fn, stack))
+        return fn(stack, *draws.T)
+
+    monkeypatch.setattr(verify, "_evaluate", evaluate)
+    report = verify.run_suite(ModelParams.from_mu(10.0, 1.0, 2.0), seed=0, n_points=5)
+    rows = dict(zip([c.name for c in report.checks if not c.skipped], captured))
+    exact = np.vectorize(mpmath.mpc, otypes=[object])
+    with mpmath.workdps(50):
+        for name in ("transversal_p2_rank", "q_rank_4", "nijenhuis_closed_form", "nijenhuis_spectrum"):
+            fn, stack = rows[name]
+            one = _one_column_stack(stack, 0)
+            if isinstance(one, LeafChart):
+                one = LeafChart(exact(one.coords), tuple(exact(level) for level in one.levels))
+            else:
+                one = PhasePoint(one.chart, exact(one.coords))
+            for residual in fn(one):
+                assert residual.raw.dtype == object and (residual.normalized < 1e-40).all(), name
