@@ -41,8 +41,8 @@ Array = np.ndarray
 # The complement of each index pair (12, 13, 14, 23, 24, 34) of the m-coordinates (0-based).
 M_COMPLEMENT = ((2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1))
 
-# jsq = MU_TO_JSQ @ mu; the matrix has orthogonal rows of squared norm 4,
-# so the inverse is the transpose over 4.
+# jsq = MU_TO_JSQ @ mu, written out in ModelParams.jsq so that mu3 == mu4 gives J2^2 == J3^2
+# exactly; the matrix has orthogonal rows of squared norm 4, so the inverse is the transpose over 4.
 MU_TO_JSQ = np.array(
     [
         [1.0, -1.0, -1.0, -1.0],
@@ -135,7 +135,9 @@ class ModelParams:
 
     @cached_property
     def jsq(self) -> tuple:
-        return tuple(MU_TO_JSQ @ np.asarray(self.mu))
+        mu1, mu2, mu3, mu4 = self.mu
+        s, d, e, f = mu1 + mu2, mu1 - mu2, mu3 - mu4, mu3 + mu4
+        return (d - f, s + e, s - e, d + f)
 
     @property
     def symmetric(self) -> bool:

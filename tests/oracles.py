@@ -146,25 +146,20 @@ def wedge_jac(X, Z, c):
 
 
 def rhs(a, m) -> tuple:
-    """P1(m) @ (a*m) unrolled over Python floats, the right-hand side of dynamics.integrate's step.
+    """P1(m) @ (a*m) in Euler-Manakov form over Python floats, the right-hand side of dynamics.integrate's step.
 
+    Each component is (b*x)*y + (c*u)*v with weights b, c differences of the a_ij;
     so4.rigid_rhs is the matrix form.
     """
     m12, m13, m14, m23, m24, m34 = m
     a12, a13, a14, a23, a24, a34 = a
-    g12 = a12 * m12
-    g13 = a13 * m13
-    g14 = a14 * m14
-    g23 = a23 * m23
-    g24 = a24 * m24
-    g34 = a34 * m34
     return (
-        -m23 * g13 - m24 * g14 + m13 * g23 + m14 * g24,
-        m23 * g12 - m34 * g14 - m12 * g23 + m14 * g34,
-        m24 * g12 + m34 * g13 - m12 * g24 - m13 * g34,
-        -m13 * g12 + m12 * g13 - m34 * g24 + m24 * g34,
-        -m14 * g12 + m12 * g14 + m34 * g23 - m23 * g34,
-        -m14 * g13 + m13 * g14 - m24 * g23 + m23 * g24,
+        (a23 - a13) * m13 * m23 + (a24 - a14) * m14 * m24,
+        (a12 - a23) * m12 * m23 + (a34 - a14) * m14 * m34,
+        (a12 - a24) * m12 * m24 + (a13 - a34) * m13 * m34,
+        (a13 - a12) * m12 * m13 + (a34 - a24) * m24 * m34,
+        (a14 - a12) * m12 * m14 + (a23 - a34) * m23 * m34,
+        (a14 - a13) * m13 * m14 + (a24 - a23) * m23 * m24,
     )
 
 

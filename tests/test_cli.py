@@ -148,7 +148,7 @@ def test_readme_integrate_csv_is_pinned(tmp_path):
     )
     assert result.exit_code == 0, result.output
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "0645d9743e3e5866ca52108efd1c4e6a0c6ee84d39a736457cab287e25f73071"
+    assert digest == "c1e4d1649f14ce14fafa7210b9d2b97c1d21091c4b3e8e3eb5ecfdc94a3dd084"
 
 
 def test_integrate_zero_dt_exits_two():

@@ -42,6 +42,34 @@ def test_zeta1_conserved_under_symmetric_flow():
     assert np.max(np.abs(traj.states[:, 3] - M0[3])) < 1e-12
 
 
+def test_symmetric_models_keep_m23_bit_for_bit():
+    # mu3 == mu4 gives a12 == a13 and a24 == a34 exactly, so both weights of dm23 are exact zeros
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        mu1, mu2 = rng.uniform(-3.0, 3.0, 2)
+        params = ModelParams.from_mu(mu1, mu2, rng.uniform(0.1, 3.0))
+        a12, a13, _, _, a24, a34 = params.a.tolist()
+        assert a12 == a13 and a24 == a34
+        m0 = rng.uniform(-1.0, 1.0, 6)
+        traj = dynamics.integrate(params, m0, dt=1e-2, t_end=20.0, record_every=1)
+        assert not traj.aborted and traj.n_steps == 2000
+        assert traj.states[:, 3].tobytes() == np.full(2001, m0[3]).tobytes()
+        zeta1 = traj.invariants["zeta1"]
+        assert zeta1.tobytes() == np.full(2001, zeta1[0]).tobytes()
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-2, 1.0), (1e3, 5e4)])
+def test_invariants_match_per_state_evaluation(dt, t_end):
+    # recorded in one call per observable on the stack of states, the second run up to its abort
+    obs = so4.observables_m(PARAMS)
+    traj = dynamics.integrate(PARAMS, M0, dt=dt, t_end=t_end, record_every=1)
+    rows = np.array(
+        [[obs[name].value(m) for name in ("H0", "C", "HE", "KE")] + [np.sqrt(2.0) * m[3]] for m in traj.states]
+    )
+    for i, name in enumerate(dynamics.INVARIANT_NAMES):
+        assert traj.invariants[name].tobytes() == rows[:, i].tobytes(), name
+
+
 def test_order_four_convergence():
     a = dynamics.integrate(PARAMS, M0, dt=1e-3, t_end=10.0, record_every=100)
     b = dynamics.integrate(PARAMS, M0, dt=5e-4, t_end=10.0, record_every=200)

@@ -8,6 +8,10 @@ common denominator, expands to zero; `expand` after `together`, never
 coefficient that arises is a small integer or a half, exact in binary, so a
 zero is exact cancellation.  Each proof is also shown to fail once one
 nonzero entry of its gradient has its sign flipped.
+
+The same holds for the Euler-Manakov right-hand side of the RK4 step: on
+symbols a_ij and m_ij, each component of `oracles.rhs` equals its entry of
+P1(m)(a*m), and stops doing so once one weight has its sign flipped.
 """
 
 import numpy as np
@@ -15,8 +19,10 @@ import pytest
 import sympy
 
 from bihamso4 import leaf as leaf_mod
+from bihamso4 import so4
 from bihamso4.leaf import LeafChart
 from bihamso4.so4 import ModelParams
+from oracles import rhs
 
 PARAMS = ModelParams.from_mu(10.0, 1.0, 2.0)
 COORDS = sympy.symbols("u1 z1 u2 z2")
@@ -63,3 +69,18 @@ def test_hand_gradient_is_the_derivative_of_its_closed_form(grad, value):
     k = next(k for k, entry in enumerate(grad) if entry != 0)
     flipped[k] = -flipped[k]
     assert not _proves(flipped, value)
+
+
+M_SYMS = sympy.symbols("m12 m13 m14 m23 m24 m34")
+A_SYMS = sympy.symbols("a12 a13 a14 a23 a24 a34")
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_euler_manakov_rhs_is_the_matrix_form(i):
+    p1 = so4._p1_m_value(np.array(M_SYMS, dtype=object))
+    matrix_form = p1.dot(np.array([a * m for a, m in zip(A_SYMS, M_SYMS)], dtype=object))
+    component = rhs(A_SYMS, M_SYMS)[i]
+    assert sympy.expand(component - matrix_form[i]) == 0
+    first, second = sympy.Add.make_args(component)  # b x y and c u v
+    assert sympy.expand(-first + second - matrix_form[i]) != 0
+    assert sympy.expand(first - second - matrix_form[i]) != 0
